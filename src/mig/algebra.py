@@ -20,19 +20,15 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bitset import iter_bits, size
-from .errors import GuardExceeded, NotCovering, UnsupportedKind
+from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
-from .relgraph import (
-    automorphism_group,
-    build_graph,
-    disjoint_automorphism_pair,
-)
+from .relgraph import build_graph, disjoint_automorphism_pair
 from .structures import (
     IsoStructure,
     PointedSet,
-    covers,
     pointed_sets,
     rel,
+    require_covering,
     structure_sets,
 )
 
@@ -201,12 +197,7 @@ def export_pointed_relations(
     m: Matroid, n: Matroid, kind: IsoStructure
 ) -> RelationBundle:
     """Magic-unitary relations on the pointed grid plus rel-mismatch products."""
-    for label, mat in (("first", m), ("second", n)):
-        res = covers(mat, kind)
-        if not res.covered:
-            raise NotCovering(
-                f"{kind.value} misses element {res.witness} of the {label} matroid"
-            )
+    require_covering(kind, m, n)
     ps_m = pointed_sets(m, kind)
     ps_n = pointed_sets(n, kind)
 
@@ -341,9 +332,7 @@ def export_comparison_substitution(
     w[a][x] expands over the answers pointed at x, with the question row
     fixed to the least pointed set carrying a.
     """
-    res_m, res_n = covers(m, kind), covers(n, kind)
-    if not (res_m.covered and res_n.covered):
-        raise NotCovering("substitution table needs a covering structure")
+    require_covering(kind, m, n)
     ps_m = pointed_sets(m, kind)
     ps_n = pointed_sets(n, kind)
     first_with_point = {}
@@ -386,12 +375,7 @@ def screen_quantum_iso(
 ) -> ScreenReport:
     """Necessary-condition screen; any failure rules quantum isomorphism out."""
     if not allow_noncovering:
-        for label, mat in (("first", m), ("second", n)):
-            res = covers(mat, kind)
-            if not res.covered:
-                raise NotCovering(
-                    f"{kind.value} misses element {res.witness} of the {label} matroid"
-                )
+        require_covering(kind, m, n)
     checks: List[Tuple[str, bool, str]] = []
 
     checks.append(
@@ -488,9 +472,7 @@ def noncommutativity_certificate(
     elements found nowhere else) before scanning the full automorphism
     group of the relation graph.
     """
-    res = covers(m, kind)
-    if not res.covered:
-        raise NotCovering(f"{kind.value} misses element {res.witness}")
+    require_covering(kind, m)
     g = build_graph(m, kind)
     pattern = _membership_pattern(m, kind)
     if pattern is not None:

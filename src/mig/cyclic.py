@@ -5,9 +5,12 @@ under inclusion, plus a rank value per flat.  The three presentation
 axioms are checked with explicit witnesses before reconstruction.  The
 reconstructed rank function is
 
-    rk(A) = min over presented flats F of  rho(F) + |A \\ F|,
+    rk(A) = min over presented flats F of  rho(F) + |A \\ F|.
 
-and the result is cross-validated by re-deriving its cyclic flats.
+Nothing is re-derived here.  The tests hold the oracle for this route:
+every catalog matroid through n = 6 is rebuilt from its own cyclic flats,
+and the doubled-grid reconstructions give back their presentations when
+their cyclic flats are re-derived.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from typing import Dict, Tuple
 from .bitset import size, subsets_of_size
 from .errors import AxiomViolation, ConstructionInconsistency, GuardExceeded
 from .matroid import Matroid
+
+BASES_GUARD = 5_000_000  # largest C(n, r) scanned for bases
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,7 @@ def check_presentation(pres: CyclicFlatPresentation) -> None:
                 raise AxiomViolation(3, x, y)
 
 
-def matroid_from_cyclic_flats(
-    pres: CyclicFlatPresentation,
-    cross_check: bool = True,
-    guard_bases: int = 5_000_000,
-) -> Matroid:
+def matroid_from_cyclic_flats(pres: CyclicFlatPresentation) -> Matroid:
     """Reconstruct the unique matroid with the presented cyclic flats."""
     check_presentation(pres)
     n = pres.n
@@ -108,18 +109,9 @@ def matroid_from_cyclic_flats(
     r = rank_of((1 << n) - 1)
     from math import comb
 
-    if comb(n, r) > guard_bases:
+    if comb(n, r) > BASES_GUARD:
         raise GuardExceeded(f"C({n},{r}) basis candidates exceed guard")
     bases = tuple(m for m in subsets_of_size(n, r) if rank_of(m) == r)
     if not bases:
         raise ConstructionInconsistency("presentation produced no bases")
-    out = Matroid(n, r, bases)
-    if cross_check:
-        rep = out.derived_sets()
-        got = {f: out.subset_rank(f) for f in rep.cyclic_flats}
-        want = dict(rho)
-        if got != want:
-            raise ConstructionInconsistency(
-                "re-derived cyclic flats disagree with the presentation"
-            )
-    return out
+    return Matroid(n, r, bases)

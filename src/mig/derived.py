@@ -37,15 +37,6 @@ def or_over_supersets(flags: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def or_over_subsets(flags: np.ndarray, n: int) -> np.ndarray:
-    """out[A] = OR of flags[B] over B <= A (subsets)."""
-    a = flags.copy()
-    for i in range(n):
-        v = a.reshape(-1, 2, 1 << i)
-        v[:, 1, :] |= v[:, 0, :]
-    return a
-
-
 def max_over_subsets(vals: np.ndarray, n: int) -> np.ndarray:
     """out[A] = max of vals[B] over B <= A (subsets)."""
     a = vals.copy()

@@ -97,7 +97,7 @@ class DimensionMismatch(MigError):
 
 
 class ConstructionInconsistency(MigError):
-    """Two redundant construction routes disagreed."""
+    """A construction step produced or met inconsistent data."""
 
 
 class UnsupportedKind(MigError):

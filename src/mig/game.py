@@ -20,11 +20,10 @@ from .errors import (
     GuardExceeded,
     MalformedAssignment,
     NotAnIsomorphism,
-    NotCovering,
     OutOfAlphabet,
 )
 from .matroid import Matroid
-from .structures import IsoStructure, PointedSet, covers, pointed_sets, rel
+from .structures import IsoStructure, PointedSet, pointed_sets, require_covering
 
 BISYNC_ALPHABET_CAP = 400
 
@@ -33,12 +32,7 @@ class IsoGameInstance:
     """The isomorphism game for (M, N, structure)."""
 
     def __init__(self, m: Matroid, n: Matroid, kind: IsoStructure):
-        for label, mat in (("first", m), ("second", n)):
-            res = covers(mat, kind)
-            if not res.covered:
-                raise NotCovering(
-                    f"{kind.value} misses element {res.witness} of the {label} matroid"
-                )
+        require_covering(kind, m, n)
         self.m = m
         self.n = n
         self.kind = kind

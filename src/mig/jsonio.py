@@ -10,7 +10,7 @@ order makes every emission byte-reproducible.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .bitset import elements_of
 from .derived import SubsetReport, TuttePolynomial
@@ -34,18 +34,47 @@ def matroid_to_json(m: Matroid, prefer_nonbases: Optional[bool] = None) -> Dict:
     return out
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_field(data: Dict, key: str) -> int:
+    if not _is_int(data[key]):
+        raise MigError(f"matroid JSON field {key!r} must be an integer")
+    return data[key]
+
+
+def _family_field(data: Dict, key: str) -> List[List[int]]:
+    fam = data[key]
+    if not isinstance(fam, list) or not all(
+        isinstance(s, list) and all(_is_int(e) for e in s) for s in fam
+    ):
+        raise MigError(f"matroid JSON field {key!r} must be a list of integer lists")
+    return fam
+
+
 def matroid_from_json(data: Dict) -> Matroid:
+    if not isinstance(data, dict):
+        raise MigError("matroid JSON must be an object")
     labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise MigError("matroid JSON field 'labels' must be a list of strings")
     if "bases" in data:
-        m = matroid_from_bases(int(data["n"]), data["bases"], labels)
-        if "rank" in data and int(data["rank"]) != m.rank:
+        n = _int_field(data, "n")
+        m = matroid_from_bases(n, _family_field(data, "bases"), labels)
+        if "rank" in data and _int_field(data, "rank") != m.rank:
             raise MigError(
                 f"declared rank {data['rank']} does not match the bases ({m.rank})"
             )
         return m
     if "nonbases" in data:
         return matroid_from_nonbases(
-            int(data["n"]), int(data["rank"]), data["nonbases"], labels
+            _int_field(data, "n"),
+            _int_field(data, "rank"),
+            _family_field(data, "nonbases"),
+            labels,
         )
     raise MigError("matroid JSON needs a 'bases' or 'nonbases' field")
 

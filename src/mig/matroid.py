@@ -243,21 +243,8 @@ class Matroid:
         return True
 
     def is_sparse_paving(self) -> bool:
-        """Both the matroid and its dual are paving.
-
-        For rank-3 inputs this is additionally cross-checked against the
-        equivalent criterion "simple with all cyclic hyperplanes of size 3".
-        """
-        by_def = self.is_paving() and self.dual().is_paving()
-        if self.rank == 3:
-            by_char = self.is_simple() and all(
-                size(h) == 3 for h in self.cyclic_hyperplanes()
-            )
-            if by_char != by_def:
-                raise InvariantViolation(
-                    "sparse-paving definition and rank-3 criterion disagree"
-                )
-        return by_def
+        """Both the matroid and its dual are paving."""
+        return self.is_paving() and self.dual().is_paving()
 
     def cyclic_hyperplanes(self) -> Tuple[int, ...]:
         from .derived import derive_sets
@@ -484,29 +471,18 @@ def matroid_from_graph(edges: Sequence[Tuple[object, object]]) -> Matroid:
             if w not in vidx:
                 vidx[w] = len(verts)
                 verts.append(w)
-    parent = list(range(len(verts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = len(verts)
-    for u, v in edges:
-        ru, rv = find(vidx[u]), find(vidx[v])
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    rank = len(verts) - comps
-    bases = []
-    for m in subsets_of_size(n, rank):
-        if _is_forest(m, edges, vidx, len(verts)):
-            bases.append(m)
+    ends = [(vidx[u], vidx[v]) for u, v in edges]
+    rank = _forest_size(range(n), ends, len(verts))
+    bases = [
+        m
+        for m in subsets_of_size(n, rank)
+        if _forest_size(iter_bits(m), ends, len(verts)) == rank
+    ]
     return matroid_from_bases(n, bases)
 
 
-def _is_forest(edge_mask: int, edges, vidx, nv: int) -> bool:
+def _forest_size(edge_ids: Iterable[int], ends, nv: int) -> int:
+    """Size of a spanning forest of the given edges, by union-find."""
     parent = list(range(nv))
 
     def find(x: int) -> int:
@@ -515,13 +491,14 @@ def _is_forest(edge_mask: int, edges, vidx, nv: int) -> bool:
             x = parent[x]
         return x
 
-    for e in iter_bits(edge_mask):
-        u, v = edges[e]
-        ru, rv = find(vidx[u]), find(vidx[v])
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    grown = 0
+    for e in edge_ids:
+        u, v = ends[e]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            grown += 1
+    return grown
 
 
 def uniform_matroid(r: int, n: int) -> Matroid:

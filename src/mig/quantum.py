@@ -112,11 +112,18 @@ def joint_projections(
     product of the three spectral factors (1 + k_i O_i) / 2.
     """
     obs, sign = grid.line(line_idx)
-    eye = np.eye(grid.dim)
     for a in range(3):
         for b in range(a + 1, 3):
             if np.abs(obs[a] @ obs[b] - obs[b] @ obs[a]).max() > tol:
                 raise NonCommuting(f"line {line_idx} observables do not commute")
+    return _spectral_projections(obs, sign, grid.dim)
+
+
+def _spectral_projections(
+    obs: Sequence[np.ndarray], sign: int, dim: int
+) -> List[Tuple[Tuple[int, int, int], np.ndarray]]:
+    """prod_i (1 + k_i O_i) / 2 for each sign pattern k multiplying to `sign`."""
+    eye = np.eye(dim)
     out = []
     for k in product((1, -1), repeat=3):
         if k[0] * k[1] * k[2] != sign:
@@ -202,21 +209,12 @@ def _constraint_projections(
 ) -> List[Dict[Tuple[int, ...], np.ndarray]]:
     """Per constraint: fulfilling assignment (over its sorted variables) -> projection."""
     out: List[Dict[Tuple[int, ...], np.ndarray]] = []
-    eye = np.eye(grid.dim)
-    for ci, c in enumerate(lbcs.constraints):
-        table: Dict[Tuple[int, ...], np.ndarray] = {}
+    for c in lbcs.constraints:
         obs = []
         for v in c.variables:
             i, j = matching.cell_of_variable[v]
             obs.append(grid.cells[i][j])
-        for k in product((1, -1), repeat=3):
-            if k[0] * k[1] * k[2] != c.sign:
-                continue
-            proj = eye
-            for kv, o in zip(k, obs):
-                proj = proj @ (eye + kv * o) / 2
-            table[k] = proj
-        out.append(table)
+        out.append(dict(_spectral_projections(obs, c.sign, grid.dim)))
     return out
 
 

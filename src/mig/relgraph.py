@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitset import iter_bits, size
+from .bitset import iter_bits
 from .errors import GuardExceeded, NotInduced
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, covers, pointed_sets, rel
@@ -62,15 +62,6 @@ class RelColoredGraph:
         adj = self.adj1 if color == 1 else self.adj2
         return [(i, j) for i in range(self.n) for j in iter_bits(adj[i]) if i < j]
 
-    def color_adjacency_matrix(self, color: int):
-        """Dense 0/1 matrix of one edge color (rows/cols in vertex order)."""
-        import numpy as np
-
-        a = np.zeros((self.n, self.n), dtype=np.int8)
-        for i, j in self.edges(color):
-            a[i, j] = a[j, i] = 1
-        return a
-
 
 def build_graph(
     m: Matroid, kind: IsoStructure, warn_uncovered: bool = True
@@ -82,24 +73,6 @@ def build_graph(
             stacklevel=2,
         )
     return RelColoredGraph(pointed_sets(m, kind))
-
-
-def bipartite_graph(m: Matroid, kind: IsoStructure):
-    """Element-vs-member incidence graph: nodes, and (element, member) edges."""
-    from .structures import structure_sets
-
-    fam = structure_sets(m, kind)
-    edges = [(e, a) for a in fam for e in iter_bits(a)]
-    return {"elements": list(range(m.n)), "members": list(fam), "edges": edges}
-
-
-def line_graph(m: Matroid, kind: IsoStructure):
-    """Uncolored version of the relation graph (edges with rel in {1, 2})."""
-    g = build_graph(m, kind, warn_uncovered=False)
-    return {
-        "vertices": [v.to_json() for v in g.vertices],
-        "edges": sorted(g.edges(1) + g.edges(2)),
-    }
 
 
 # -- search ------------------------------------------------------------------

@@ -202,20 +202,19 @@ def test_criterion_7_oracle_equivalence(catalog5):
         assert mismatches == 0
 
 
-def test_criterion_8_covering_characterization(catalog5, catalog6):
+def test_criterion_8_covering_characterization(catalog5, catalog6, paper_pair):
     with criterion(8, "covering definition == characterization through n=6"):
+        from mig.structures import _covered_by_characterization
+
         kinds = (IsoStructure.BASES, IsoStructure.CIRCUITS, IsoStructure.NONBASES)
+        mats = [m for n in range(6) for m in catalog5[n]]
+        mats += list(catalog6) + list(paper_pair)
         count = 0
-        for n in range(6):
-            for m in catalog5[n]:
-                for kind in kinds:
-                    covers(m, kind)  # raises on any disagreement
-                    count += 1
-        for m in catalog6:
+        for m in mats:
             for kind in kinds:
-                covers(m, kind)
+                assert covers(m, kind).covered == _covered_by_characterization(m, kind)
                 count += 1
-        assert count == 3 * (1 + 2 + 5 + 16 + 68 + 406 + 3807)
+        assert count == 3 * (1 + 2 + 5 + 16 + 68 + 406 + 3807 + 2)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])

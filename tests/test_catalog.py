@@ -3,6 +3,7 @@
 import pytest
 
 from mig.catalog import all_matroids, brute_force_matroids, catalog_counts, extensions
+from mig.matroid import check_exchange_axiom
 
 # totals fixed after cross-validating the brute-force and extension routes
 KNOWN_TOTALS = {0: 1, 1: 2, 2: 5, 3: 16, 4: 68, 5: 406, 6: 3807, 7: 75164}
@@ -40,6 +41,15 @@ def test_rank_symmetry(catalog6):
         assert counts.get(r, 0) == counts.get(6 - r, 0)
 
 
+def test_exchange_axiom_through_six(catalog5, catalog6):
+    """Every generated basis family satisfies basis exchange."""
+    for n in range(6):
+        for m in catalog5[n]:
+            check_exchange_axiom(m.bases)
+    for m in catalog6:
+        check_exchange_axiom(m.bases)
+
+
 def test_no_duplicates(catalog6):
     keys = [m.key for m in catalog6]
     assert len(keys) == len(set(keys))
@@ -51,3 +61,6 @@ def test_catalog_seven(catalog7):
     counts = catalog_counts(7)
     for r in range(8):
         assert counts.get(r, 0) == counts.get(7 - r, 0)
+    # a fixed sample of the exchange check (the full sweep is quadratic in |B|)
+    for m in catalog7[:: max(1, len(catalog7) // 500)]:
+        check_exchange_axiom(m.bases)

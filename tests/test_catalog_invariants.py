@@ -19,7 +19,7 @@ def _check_one(m):
     # the cyclic-flat presentation reconstructs the matroid
     rho = {f: m.subset_rank(f) for f in rep.cyclic_flats}
     pres = CyclicFlatPresentation(m.n, rep.cyclic_flats, rho)
-    assert matroid_from_cyclic_flats(pres, cross_check=False) == m
+    assert matroid_from_cyclic_flats(pres) == m
     m._cache.clear()
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: verdict exit codes, determinism, error mapping."""
 
+import hashlib
 import json
 
 import pytest
@@ -136,6 +137,10 @@ def test_quantum_commands(capsys):
     assert code == 0 and json.loads(out)["perfect"]
 
 
+# every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
+PAPER_PAIR_SHA256 = "3eecc45bf823c715d487846cc93840e0bb8f2fb8459b750c5a9cc8bec930213f"
+
+
 def test_paper_pair_commands(files, capsys):
     code, out, _ = run(capsys, "paper-pair")
     assert code == 0
@@ -143,6 +148,7 @@ def test_paper_pair_commands(files, capsys):
     assert data["P"]["n"] == 18 and len(data["Q"]["nonbases"]) == 24
     code, out, _ = run(capsys, "paper-pair", "--verify-all")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_PAIR_SHA256
     cert = json.loads(out)
     assert cert["allChecksPassed"] is True
     assert cert["minorObstruction"]["pSideScan"]["subsets"] == 48620
@@ -228,3 +234,29 @@ def test_error_exit_code(files, capsys):
     assert code == 2
     code, _, _ = run(capsys, "matroid", "frobnicate", files["u23"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "bases": 5}',
+        '{"n": null, "bases": [[0]]}',
+        '{"n": 3, "bases": [["a"]]}',
+        "[1,2]",
+    ],
+)
+def test_malformed_matroid_json_exit_code(files, capsys, text):
+    bad = files["dir"] / "malformed.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "matroid", "info", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MigError: matroid JSON")
+
+
+def test_guard_n_flag(files, capsys):
+    assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "3")[0] == 2
+    assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "4")[0] == 0
+    # the flag is attached only where it is read
+    cover = ("cover", files["u23"], "--structure", "bases")
+    assert run(capsys, *cover, "--guard-n", "3")[0] == 2
+    assert run(capsys, "quantum", "magic-square", "--tolerance", "1e-6")[0] == 0

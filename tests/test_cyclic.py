@@ -62,6 +62,17 @@ def test_non_lattice_family_rejected():
     assert exc.value.axiom == 0
 
 
+def test_rederived_cyclic_flats_match_doubled_presentations(paper_pair):
+    """Re-deriving the cyclic flats of a reconstruction gives the presentation."""
+    for m in paper_pair:
+        ground = (1 << m.n) - 1
+        rho = {0: 0, ground: 3, **{nb: 2 for nb in m.nonbases()}}
+        out = matroid_from_cyclic_flats(CyclicFlatPresentation(m.n, tuple(rho), rho))
+        assert out == m
+        got = {f: out.subset_rank(f) for f in derive_sets(out).cyclic_flats}
+        assert got == rho
+
+
 def test_roundtrip_on_small_catalog(catalog5):
     """Presenting a matroid's own cyclic flats reconstructs it exactly."""
     for m in catalog5[5][::3]:

@@ -9,6 +9,7 @@ from mig.lbcs_construct import (
     BOTTOM_ROW,
     WITNESS_Y,
     SignAssignment,
+    _lifted_nonbases,
     build_paper_pair,
     disjoint_triple_matroid,
     grid_matroid,
@@ -136,6 +137,19 @@ def test_m_s_on_other_sign_choices():
     signs = SignAssignment.with_negatives(m, [(0, 1, 2), (0, 3, 6)])
     out = m_s_matroid(m, signs)
     assert out.n == 18 and out.rank == 3 and len(out.nonbases()) == 24
+
+
+def test_m_s_matches_direct_lifting_on_all_sign_patterns():
+    """The cyclic-flat route yields exactly the lifted nonbases, all 64 signs."""
+    m = grid_matroid()
+    hyper = m.cyclic_hyperplanes()
+    assert len(hyper) == 6
+    for pattern in range(1 << len(hyper)):
+        signs = SignAssignment(
+            {h: -1 if pattern >> i & 1 else 1 for i, h in enumerate(hyper)}
+        )
+        out = m_s_matroid(m, signs)
+        assert list(out.nonbases()) == _lifted_nonbases(hyper, signs)
 
 
 def test_restriction_witness(paper_pair):

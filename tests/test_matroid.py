@@ -11,7 +11,7 @@ from mig import (
     matroid_from_vectors,
     uniform_matroid,
 )
-from mig.bitset import mask_of
+from mig.bitset import mask_of, size
 from mig.errors import (
     CardinalityMismatch,
     EmptyFamily,
@@ -187,6 +187,20 @@ def test_predicates(grid):
     assert u24.is_paving() and u24.is_sparse_paving()
     assert uniform_matroid(2, 3).connectivity() is None
     assert uniform_matroid(1, 1).girth() is None
+
+
+def test_rank3_sparse_paving_criterion(catalog5, catalog6, grid, paper_pair):
+    """At rank 3, sparse paving is "simple, every cyclic hyperplane a triple"."""
+    mats = [m for n in range(6) for m in catalog5[n] if m.rank == 3]
+    mats += [m for m in catalog6 if m.rank == 3] + [grid, *paper_pair]
+    seen = set()
+    for m in mats:
+        criterion = m.is_simple() and all(
+            size(h) == 3 for h in m.cyclic_hyperplanes()
+        )
+        assert criterion == m.is_sparse_paving()
+        seen.add(criterion)
+    assert seen == {True, False}
 
 
 def test_connectivity_guard():

@@ -7,12 +7,10 @@ from mig.matroid import brute_force_automorphism_count
 from mig.relgraph import (
     RelColoredGraph,
     automorphism_group,
-    bipartite_graph,
     build_graph,
     disjoint_automorphism_pair,
     find_all,
     find_isomorphism,
-    line_graph,
     matroid_iso_from_graph_iso,
 )
 from mig.structures import IsoStructure
@@ -27,16 +25,6 @@ def test_u23_graph_shape(g_u23):
     assert g_u23.n == 6
     assert len(g_u23.edges(1)) == 3  # same point, different set
     assert len(g_u23.edges(2)) == 3  # same set, different point
-    a = g_u23.color_adjacency_matrix(1)
-    assert a.sum() == 6 and (a == a.T).all()
-
-
-def test_bipartite_and_line_views():
-    u23 = uniform_matroid(2, 3)
-    bip = bipartite_graph(u23, IsoStructure.BASES)
-    assert len(bip["edges"]) == 6
-    lg = line_graph(u23, IsoStructure.BASES)
-    assert len(lg["vertices"]) == 6 and len(lg["edges"]) == 6
 
 
 def test_empty_graph():

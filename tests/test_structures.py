@@ -4,13 +4,15 @@ import pytest
 
 from mig import matroid_from_nonbases, uniform_matroid
 from mig.bitset import elements_of, size
-from mig.errors import UnsupportedKind
+from mig.errors import NotCovering, UnsupportedKind
 from mig.structures import (
     IsoStructure,
     PointedSet,
+    _covered_by_characterization,
     covers,
     pointed_sets,
     rel,
+    require_covering,
     structure_sets,
 )
 
@@ -112,13 +114,30 @@ def test_covers_examples():
     assert not covers(uniform_matroid(1, 1), IsoStructure.CIRCUITS).covered
 
 
-def test_covers_characterization_agreement_small(catalog5):
-    """covers() raises internally when the two routes disagree."""
-    for n in range(6):
-        for m in catalog5[n]:
-            for kind in (
-                IsoStructure.BASES,
-                IsoStructure.CIRCUITS,
-                IsoStructure.NONBASES,
-            ):
-                covers(m, kind)
+CHARACTERIZED_KINDS = (
+    IsoStructure.BASES,
+    IsoStructure.CIRCUITS,
+    IsoStructure.NONBASES,
+)
+
+
+def test_covers_characterization_agreement_small(catalog5, paper_pair):
+    """The definition and the rank-function characterization agree."""
+    mats = [m for n in range(6) for m in catalog5[n]] + list(paper_pair)
+    for m in mats:
+        for kind in CHARACTERIZED_KINDS:
+            assert covers(m, kind).covered == _covered_by_characterization(m, kind)
+    with pytest.raises(UnsupportedKind):
+        _covered_by_characterization(uniform_matroid(2, 3), IsoStructure.FLATS)
+
+
+def test_require_covering_names_element_and_side():
+    u23 = uniform_matroid(2, 3)
+    require_covering(IsoStructure.BASES, u23, u23)
+    with pytest.raises(NotCovering, match="nonbases misses element 0 of the first"):
+        require_covering(IsoStructure.NONBASES, u23, u23)
+    grid = matroid_from_nonbases(
+        9, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    )
+    with pytest.raises(NotCovering, match="nonbases misses element 0 of the second"):
+        require_covering(IsoStructure.NONBASES, grid, u23)
