@@ -397,6 +397,8 @@ def matroid_from_nonbases(
     labels: Optional[Sequence[str]] = None,
 ) -> Matroid:
     """Build a matroid from the r-subsets that are NOT bases."""
+    if n > MAX_GROUND:
+        raise GuardExceeded(f"ground sets are limited to {MAX_GROUND} elements")
     nb = set()
     for m in nonbases:
         mm = _as_mask(m)

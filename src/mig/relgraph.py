@@ -7,11 +7,16 @@ non-edges, so a bijection preserves rel on all pairs exactly when it
 preserves both colored adjacencies.
 
 The search is equitable color refinement on aligned cell pairs followed
-by individualize-and-refine backtracking on the smallest non-singleton
-cell.  Branch order is canonical (ascending vertex index), so the first
-solution found is the canonically least one and results are
-deterministic.  Leaves are verified against the full adjacency before
-being accepted.
+by individualize-and-refine backtracking on the first smallest
+non-singleton cell, trying its candidates in ascending vertex index.
+Refinement only counts edges into the cells that changed in the round
+before (Berkholz-Bonsma-Grohe, ESA 2013), which yields the same ordered
+partition as counting into every cell.  An existence search skips root
+candidates in the Aut(h)-orbit of a failed one (McKay-Piperno,
+arXiv:1301.1493), which never skips a solution.  Results are
+deterministic: the first solution is the first verified leaf in branch
+order, which need not be the least solution in `find_all` order.
+Leaves are verified against the full adjacency before being accepted.
 """
 
 from __future__ import annotations
@@ -80,51 +85,98 @@ def build_graph(
 Cell = Tuple[int, int]  # (bitset of G-vertices, bitset of H-vertices)
 
 
+class SearchStats:
+    """Machine-independent work counts of one search.
+
+    `refinements` counts `_refine` calls and `failed_refinements` those
+    that returned None; `orbit_prunes` counts root candidates skipped as
+    Aut(h)-images of failed ones; `leaves` counts discrete partitions
+    checked against the full adjacency.
+    """
+
+    __slots__ = ("refinements", "failed_refinements", "orbit_prunes", "leaves")
+
+    def __init__(self) -> None:
+        self.refinements = 0
+        self.failed_refinements = 0
+        self.orbit_prunes = 0
+        self.leaves = 0
+
+
 class _PairSearch:
     """Backtracking isomorphism search between two colored graphs."""
 
-    def __init__(self, g: RelColoredGraph, h: RelColoredGraph):
+    def __init__(
+        self,
+        g: RelColoredGraph,
+        h: RelColoredGraph,
+        stats: Optional[SearchStats] = None,
+    ):
         self.g = g
         self.h = h
+        self.stats = SearchStats() if stats is None else stats
 
-    def _refine(self, cells: List[Cell]) -> Optional[List[Cell]]:
+    def _refine(
+        self, cells: List[Cell], splitters: Optional[Sequence[int]] = None
+    ) -> Optional[List[Cell]]:
+        """Equitable refinement of aligned cells, or None on a G/H mismatch.
+
+        Each round buckets the vertices of every non-singleton cell by their
+        edge counts into the splitter cells and orders the buckets by those
+        counts.  `splitters` indexes `cells`; None means all of them.  When a
+        cell splits, every piece but the last is a splitter of the next
+        round.  The ordered partition is the one that counting into every
+        cell gives: the vertices of a cell, on both sides, share their
+        counts into each cell of the round before, so a cell that did not
+        split adds the same component to all their signatures, and the
+        count into a last piece follows from the counts into its siblings,
+        which come before it in the signature.
+        """
         g, h = self.g, self.h
+        self.stats.refinements += 1
+        base = max(g.n, h.n) + 1  # counts (c1, c2) are packed as c1 * base + c2
+        new: Sequence[int] = range(len(cells)) if splitters is None else splitters
         while True:
-            changed = False
-            new_cells: List[Cell] = []
+            spl_g = [cells[i][0] for i in new]
+            spl_h = [cells[i][1] for i in new]
+            next_cells: List[Cell] = []
+            next_new: List[int] = []
             for gm, hm in cells:
                 if gm.bit_count() == 1 and hm.bit_count() == 1:
-                    new_cells.append((gm, hm))
+                    next_cells.append((gm, hm))
                     continue
                 buckets: Dict[tuple, List[int]] = {}
                 for v in iter_bits(gm):
                     a1, a2 = g.adj1[v], g.adj2[v]
                     sig = tuple(
-                        ((a1 & cg).bit_count(), (a2 & cg).bit_count())
-                        for cg, _ in cells
+                        [(a1 & c).bit_count() * base + (a2 & c).bit_count()
+                         for c in spl_g]
                     )
                     slot = buckets.setdefault(sig, [0, 0])
                     slot[0] |= 1 << v
                 for w in iter_bits(hm):
                     a1, a2 = h.adj1[w], h.adj2[w]
                     sig = tuple(
-                        ((a1 & ch).bit_count(), (a2 & ch).bit_count())
-                        for _, ch in cells
+                        [(a1 & c).bit_count() * base + (a2 & c).bit_count()
+                         for c in spl_h]
                     )
                     slot = buckets.setdefault(sig, [0, 0])
                     slot[1] |= 1 << w
-                for sig in buckets:
-                    bg, bh = buckets[sig]
+                for bg, bh in buckets.values():
                     if bg.bit_count() != bh.bit_count():
+                        self.stats.failed_refinements += 1
                         return None
-                if len(buckets) > 1:
-                    changed = True
+                if len(buckets) == 1:
+                    next_cells.append((gm, hm))
+                    continue
+                first = len(next_cells)
+                next_new.extend(range(first, first + len(buckets) - 1))
                 for sig in sorted(buckets):
                     bg, bh = buckets[sig]
-                    new_cells.append((bg, bh))
-            cells = new_cells
-            if not changed:
-                return cells
+                    next_cells.append((bg, bh))
+            if not next_new:
+                return next_cells
+            cells, new = next_cells, next_new
 
     def _initial_cells(self, prescribed: Sequence[Tuple[int, int]]) -> List[Cell]:
         rest_g = (1 << self.g.n) - 1
@@ -140,6 +192,7 @@ class _PairSearch:
 
     def _verify(self, mapping: List[int]) -> bool:
         g, h = self.g, self.h
+        self.stats.leaves += 1
         for v in range(g.n):
             img1 = 0
             for u in iter_bits(g.adj1[v]):
@@ -153,12 +206,29 @@ class _PairSearch:
                 return False
         return True
 
+    def _h_orbits(self) -> List[int]:
+        """The Aut(h)-orbit of each vertex of h, as a bitset."""
+        group = _stabilizer_chain(_PairSearch(self.h, self.h, self.stats))
+        orbits = [0] * self.h.n
+        for v in range(self.h.n):
+            if not orbits[v]:
+                orbit = _close_orbit(1 << v, group.generators)
+                for u in iter_bits(orbit):
+                    orbits[u] = orbit
+        return orbits
+
     def run(
         self,
         prescribed: Sequence[Tuple[int, int]] = (),
         limit: Optional[int] = 1,
     ) -> List[Tuple[int, ...]]:
-        """Collect isomorphisms (up to `limit`; None means all)."""
+        """Collect isomorphisms (up to `limit`; None means all).
+
+        An existence search (`limit=1`, nothing prescribed) skips every root
+        candidate in the Aut(h)-orbit of one that failed: if an isomorphism
+        sent v to alpha(w), composing it with alpha^-1 would send v to w.
+        Aut(h) is computed at the first failed root candidate, not before.
+        """
         if self.g.n != self.h.n:
             return []
         if self.g.n == 0:
@@ -166,8 +236,9 @@ class _PairSearch:
         found: List[Tuple[int, ...]] = []
         cells0 = self._refine(self._initial_cells(prescribed))
 
-        def descend(cells: List[Cell]) -> bool:
-            # returns True when the limit has been reached
+        def descend(cells: List[Cell], prune: bool) -> bool:
+            # returns True when the limit has been reached; `prune` skips
+            # candidates in the Aut(h)-orbits of failed ones
             branch_at = -1
             branch_size = 0
             for ci, (gm, hm) in enumerate(cells):
@@ -187,27 +258,40 @@ class _PairSearch:
             gm, hm = cells[branch_at]
             v = (gm & -gm).bit_length() - 1
             rest_g = gm & ~(1 << v)
+            orbits: Optional[List[int]] = None
+            failed = 0  # union of the Aut(h)-orbits of failed candidates
             for w in iter_bits(hm):
+                if failed >> w & 1:
+                    self.stats.orbit_prunes += 1
+                    continue
                 rest_h = hm & ~(1 << w)
                 trial = list(cells)
                 trial[branch_at : branch_at + 1] = [
                     (1 << v, 1 << w),
                     (rest_g, rest_h),
                 ]
-                refined = self._refine(trial)
-                if refined is not None and descend(refined):
+                # the rest's counts follow from the singleton's
+                refined = self._refine(trial, (branch_at,))
+                if refined is not None and descend(refined, False):
                     return True
+                if prune:
+                    if orbits is None:
+                        orbits = self._h_orbits()
+                    failed |= orbits[w]
             return False
 
         if cells0 is not None:
-            descend(cells0)
+            descend(cells0, limit == 1 and not prescribed)
         return found
 
 
 def find_isomorphism(
     g: RelColoredGraph, h: RelColoredGraph
 ) -> Optional[Tuple[int, ...]]:
-    """A rel-preserving vertex bijection g -> h, or None (exhaustive)."""
+    """A rel-preserving vertex bijection g -> h, or None (exhaustive).
+
+    The bijection is the first verified leaf in branch order.
+    """
     res = _PairSearch(g, h).run(limit=1)
     return res[0] if res else None
 
@@ -330,7 +414,27 @@ class AutomorphismGroup:
 
 def automorphism_group(g: RelColoredGraph) -> AutomorphismGroup:
     """Stabilizer chain over vertices in canonical order."""
-    search = _PairSearch(g, g)
+    return _stabilizer_chain(_PairSearch(g, g))
+
+
+def _close_orbit(orbit: int, generators: Sequence[Tuple[int, ...]]) -> int:
+    """Smallest superset of the bitset `orbit` closed under the generators."""
+    while True:
+        grew = False
+        for perm in generators:
+            img = 0
+            for v in iter_bits(orbit):
+                img |= 1 << perm[v]
+            if img & ~orbit:
+                orbit |= img
+                grew = True
+        if not grew:
+            return orbit
+
+
+def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
+    """Automorphism group of `search.g`, which must be `search.h`."""
+    g = search.g
     fixed: List[int] = []
     gens: List[Tuple[int, ...]] = []
     order = 1
@@ -353,20 +457,6 @@ def automorphism_group(g: RelColoredGraph) -> AutomorphismGroup:
         b = (gm & -gm).bit_length() - 1
         orbit = 1 << b
         level_gens: List[Tuple[int, ...]] = []
-
-        def close_orbit(orbit: int) -> int:
-            while True:
-                grew = False
-                for perm in level_gens:
-                    img = 0
-                    for v in iter_bits(orbit):
-                        img |= 1 << perm[v]
-                    if img & ~orbit:
-                        orbit |= img
-                        grew = True
-                if not grew:
-                    return orbit
-
         prescribed_prefix = [(f, f) for f in fixed]
         for w in iter_bits(hm):
             if orbit >> w & 1:
@@ -374,7 +464,7 @@ def automorphism_group(g: RelColoredGraph) -> AutomorphismGroup:
             res = search.run(prescribed=prescribed_prefix + [(b, w)], limit=1)
             if res:
                 level_gens.append(res[0])
-                orbit = close_orbit(orbit | (1 << w))
+                orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens.extend(level_gens)
         fixed.append(b)

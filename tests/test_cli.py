@@ -260,3 +260,12 @@ def test_guard_n_flag(files, capsys):
     cover = ("cover", files["u23"], "--structure", "bases")
     assert run(capsys, *cover, "--guard-n", "3")[0] == 2
     assert run(capsys, "quantum", "magic-square", "--tolerance", "1e-6")[0] == 0
+
+
+def test_oversized_nonbasis_ground_set_refused(files, capsys):
+    """The ground-set guard fires before any r-subset is enumerated."""
+    big = files["dir"] / "big.json"
+    big.write_text('{"n": 3000, "rank": 3, "nonbases": []}')
+    code, out, err = run(capsys, "matroid", "info", str(big))
+    assert code == 2 and out == ""
+    assert err.startswith("error: GuardExceeded:")

@@ -6,6 +6,7 @@ from mig import brute_force_isomorphic, matroid_from_nonbases, uniform_matroid
 from mig.matroid import brute_force_automorphism_count
 from mig.relgraph import (
     RelColoredGraph,
+    _PairSearch,
     automorphism_group,
     build_graph,
     disjoint_automorphism_pair,
@@ -57,6 +58,21 @@ def test_nontrivial_pair_found_and_extracted():
     assert mapping is not None
     ground = matroid_iso_from_graph_iso(m, n, IsoStructure.NONBASES, mapping)
     assert m.relabel(ground) == n
+
+
+def test_paper_pair_search_counters(paper_pair):
+    """P vs Q on the nonbasis graphs, the call `find_isomorphism` makes.
+
+    The initial refinement leaves one 72-vertex root cell.  The first root
+    candidate fails, Aut(Q) is transitive, so the other 71 are pruned; the
+    unpruned search needed 1081 refinements.
+    """
+    gp, gq = (build_graph(m, IsoStructure.NONBASES) for m in paper_pair)
+    search = _PairSearch(gp, gq)
+    assert search.run(limit=1) == []
+    assert search.stats.orbit_prunes == 71
+    assert search.stats.refinements <= 100
+    assert find_isomorphism(gp, gq) is None
 
 
 def test_search_matches_brute_force_verdicts(catalog5):
