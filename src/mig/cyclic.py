@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .bitset import size, subsets_of_size
-from .errors import AxiomViolation, ConstructionInconsistency, GuardExceeded
-from .matroid import Matroid
-
-BASES_GUARD = 5_000_000  # largest C(n, r) scanned for bases
+from .errors import AxiomViolation, ConstructionInconsistency
+from .matroid import Matroid, check_basis_scan
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,7 @@ def matroid_from_cyclic_flats(pres: CyclicFlatPresentation) -> Matroid:
         return min(rho[f] + size(a_mask & ~f) for f in flats)
 
     r = rank_of((1 << n) - 1)
-    from math import comb
-
-    if comb(n, r) > BASES_GUARD:
-        raise GuardExceeded(f"C({n},{r}) basis candidates exceed guard")
+    check_basis_scan(n, r)
     bases = tuple(m for m in subsets_of_size(n, r) if rank_of(m) == r)
     if not bases:
         raise ConstructionInconsistency("presentation produced no bases")

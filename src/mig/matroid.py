@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import (
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 MAX_GROUND = 64
+BASES_GUARD = 5_000_000  # largest C(n, r) scanned for bases
 CONNECTIVITY_GUARD = 20
 BRUTE_ISO_GUARD = 9
 
@@ -364,6 +366,15 @@ def check_exchange_axiom(bases: Sequence[int]) -> None:
 # -- constructors -----------------------------------------------------------
 
 
+def check_basis_scan(n: int, r: int) -> None:
+    """Refuse to scan more than BASES_GUARD r-subsets of n elements for bases."""
+    if 0 <= r <= n and comb(n, r) > BASES_GUARD:
+        raise GuardExceeded(
+            f"C({n},{r}) = {comb(n, r)} basis candidates exceed the guard"
+            f" BASES_GUARD = {BASES_GUARD}"
+        )
+
+
 def matroid_from_bases(
     n: int,
     bases: Iterable[Iterable[int] | int],
@@ -407,6 +418,7 @@ def matroid_from_nonbases(
         if size(mm) != r:
             raise CardinalityMismatch(f"nonbasis {mm:#x} does not have size {r}")
         nb.add(mm)
+    check_basis_scan(n, r)
     bases = [m for m in subsets_of_size(n, r) if m not in nb]
     return matroid_from_bases(n, bases, labels)
 

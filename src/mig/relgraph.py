@@ -10,9 +10,11 @@ The search is equitable color refinement on aligned cell pairs followed
 by individualize-and-refine backtracking on the first smallest
 non-singleton cell, trying its candidates in ascending vertex index.
 Refinement only counts edges into the cells that changed in the round
-before (Berkholz-Bonsma-Grohe, ESA 2013), which yields the same ordered
-partition as counting into every cell.  An existence search skips root
-candidates in the Aut(h)-orbit of a failed one (McKay-Piperno,
+before, and only at the neighbours of those cells (Berkholz-Bonsma-Grohe,
+ESA 2013): a vertex with no edge into a splitter has count zero there and
+is bucketed by mask, not one by one.  This yields the same ordered
+partition as counting every vertex into every cell.  An existence search
+skips root candidates in the Aut(h)-orbit of a failed one (McKay-Piperno,
 arXiv:1301.1493), which never skips a solution.  Results are
 deterministic: the first solution is the first verified leaf in branch
 order, which need not be the least solution in `find_all` order.
@@ -27,32 +29,30 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bitset import iter_bits
 from .errors import GuardExceeded, NotInduced
 from .matroid import Matroid
-from .structures import IsoStructure, PointedSet, covers, pointed_sets, rel
+from .structures import IsoStructure, PointedSet, covers, pointed_sets
 
 GROUP_ENUM_CAP = 20_000
 
 
 class RelColoredGraph:
-    """Colored graph on pointed sets with per-color adjacency bitsets."""
+    """Colored graph on pointed sets with per-color adjacency bitsets.
+
+    The rows come from two masks, the vertices sharing a set and those
+    sharing a point, so building is linear in the number of vertices.
+    """
 
     def __init__(self, vertices: Sequence[PointedSet]):
         self.vertices = tuple(vertices)
-        n = len(self.vertices)
-        self.n = n
-        adj1 = [0] * n
-        adj2 = [0] * n
-        for i in range(n):
-            vi = self.vertices[i]
-            for j in range(i + 1, n):
-                r = rel(vi, self.vertices[j])
-                if r == 1:
-                    adj1[i] |= 1 << j
-                    adj1[j] |= 1 << i
-                elif r == 2:
-                    adj2[i] |= 1 << j
-                    adj2[j] |= 1 << i
-        self.adj1 = adj1
-        self.adj2 = adj2
+        self.n = len(self.vertices)
+        by_set: Dict[int, int] = {}
+        by_point: Dict[int, int] = {}
+        for i, (a, p) in enumerate(self.vertices):
+            by_set[a] = by_set.get(a, 0) | 1 << i
+            by_point[p] = by_point.get(p, 0) | 1 << i
+        # same point, other set; same set, other point; either
+        self.adj1 = [by_point[p] & ~by_set[a] for a, p in self.vertices]
+        self.adj2 = [by_set[a] & ~by_point[p] for a, p in self.vertices]
+        self.adj = [by_set[a] ^ by_point[p] for a, p in self.vertices]
 
     def rel_of(self, i: int, j: int) -> int:
         if i == j:
@@ -89,18 +89,60 @@ class SearchStats:
     """Machine-independent work counts of one search.
 
     `refinements` counts `_refine` calls and `failed_refinements` those
-    that returned None; `orbit_prunes` counts root candidates skipped as
-    Aut(h)-images of failed ones; `leaves` counts discrete partitions
-    checked against the full adjacency.
+    that returned None; `splitter_counts` counts the (vertex, splitter)
+    edge counts evaluated by refinement, on both sides; `orbit_prunes`
+    counts root candidates skipped as Aut(h)-images of failed ones;
+    `leaves` counts discrete partitions checked against the full adjacency.
     """
 
-    __slots__ = ("refinements", "failed_refinements", "orbit_prunes", "leaves")
+    __slots__ = (
+        "refinements",
+        "failed_refinements",
+        "splitter_counts",
+        "orbit_prunes",
+        "leaves",
+    )
 
     def __init__(self) -> None:
         self.refinements = 0
         self.failed_refinements = 0
+        self.splitter_counts = 0
         self.orbit_prunes = 0
         self.leaves = 0
+
+
+def _count_into(
+    graph: RelColoredGraph,
+    c: int,
+    live: int,
+    entry0: int,
+    base: int,
+    sigs: Dict[int, List[int]],
+) -> int:
+    """Append `entry0` plus the packed count into `c` to each live neighbour.
+
+    Returns the mask of the vertices counted: those of `live` with an edge
+    into `c`, so every appended count is positive.
+    """
+    adj1, adj2, adj = graph.adj1, graph.adj2, graph.adj
+    nbrs = 0
+    m = c
+    while m:
+        low = m & -m
+        nbrs |= adj[low.bit_length() - 1]
+        m ^= low
+    touched = m = nbrs & live
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        entry = entry0 + (adj1[v] & c).bit_count() * base + (adj2[v] & c).bit_count()
+        sig = sigs.get(v)
+        if sig is None:
+            sigs[v] = [entry]
+        else:
+            sig.append(entry)
+        m ^= low
+    return touched
 
 
 class _PairSearch:
@@ -131,48 +173,86 @@ class _PairSearch:
         split adds the same component to all their signatures, and the
         count into a last piece follows from the counts into its siblings,
         which come before it in the signature.
+
+        Only the neighbours of a splitter are counted.  A vertex's signature
+        lists `(-j, count)` for each splitter j it has an edge into, in
+        order of j (packed into one int, `count - j * base**2`); a missing
+        j stands for a zero count.  These lists order as the dense count
+        tuples do: up to the first j where two tuples differ the lists
+        agree, and at j either both counts are listed and compare directly,
+        or only the larger, positive one is, and the other list goes on
+        with a smaller `-j'` or ends.  So the untouched vertices of a cell
+        form the bucket `()`, first in order, taken as a mask, and a cell
+        no splitter's neighbourhood meets on either side keeps its place.
         """
         g, h = self.g, self.h
-        self.stats.refinements += 1
+        stats = self.stats
+        stats.refinements += 1
         base = max(g.n, h.n) + 1  # counts (c1, c2) are packed as c1 * base + c2
+        step = base * base  # larger than any packed count
         new: Sequence[int] = range(len(cells)) if splitters is None else splitters
         while True:
-            spl_g = [cells[i][0] for i in new]
-            spl_h = [cells[i][1] for i in new]
+            live_g = live_h = 0  # the vertices of non-singleton cells
+            for gm, hm in cells:
+                size = gm.bit_count()
+                if size != hm.bit_count():
+                    stats.failed_refinements += 1
+                    return None
+                if size > 1:
+                    live_g |= gm
+                    live_h |= hm
+            sigs_g: Dict[int, List[int]] = {}
+            sigs_h: Dict[int, List[int]] = {}
+            touched_g = touched_h = 0
+            for j, ci in enumerate(new):
+                cg, ch = cells[ci]
+                tg = _count_into(g, cg, live_g, -j * step, base, sigs_g)
+                th = _count_into(h, ch, live_h, -j * step, base, sigs_h)
+                stats.splitter_counts += tg.bit_count() + th.bit_count()
+                touched_g |= tg
+                touched_h |= th
             next_cells: List[Cell] = []
             next_new: List[int] = []
             for gm, hm in cells:
-                if gm.bit_count() == 1 and hm.bit_count() == 1:
+                tg = gm & touched_g
+                th = hm & touched_h
+                if not (tg or th):
                     next_cells.append((gm, hm))
                     continue
                 buckets: Dict[tuple, List[int]] = {}
-                for v in iter_bits(gm):
-                    a1, a2 = g.adj1[v], g.adj2[v]
-                    sig = tuple(
-                        [(a1 & c).bit_count() * base + (a2 & c).bit_count()
-                         for c in spl_g]
-                    )
-                    slot = buckets.setdefault(sig, [0, 0])
-                    slot[0] |= 1 << v
-                for w in iter_bits(hm):
-                    a1, a2 = h.adj1[w], h.adj2[w]
-                    sig = tuple(
-                        [(a1 & c).bit_count() * base + (a2 & c).bit_count()
-                         for c in spl_h]
-                    )
-                    slot = buckets.setdefault(sig, [0, 0])
-                    slot[1] |= 1 << w
+                if gm != tg or hm != th:
+                    buckets[()] = [gm ^ tg, hm ^ th]
+                m = tg
+                while m:
+                    low = m & -m
+                    key = tuple(sigs_g[low.bit_length() - 1])
+                    slot = buckets.get(key)
+                    if slot is None:
+                        buckets[key] = [low, 0]
+                    else:
+                        slot[0] |= low
+                    m ^= low
+                m = th
+                while m:
+                    low = m & -m
+                    key = tuple(sigs_h[low.bit_length() - 1])
+                    slot = buckets.get(key)
+                    if slot is None:
+                        buckets[key] = [0, low]
+                    else:
+                        slot[1] |= low
+                    m ^= low
                 for bg, bh in buckets.values():
                     if bg.bit_count() != bh.bit_count():
-                        self.stats.failed_refinements += 1
+                        stats.failed_refinements += 1
                         return None
                 if len(buckets) == 1:
                     next_cells.append((gm, hm))
                     continue
                 first = len(next_cells)
                 next_new.extend(range(first, first + len(buckets) - 1))
-                for sig in sorted(buckets):
-                    bg, bh = buckets[sig]
+                for key in sorted(buckets):
+                    bg, bh = buckets[key]
                     next_cells.append((bg, bh))
             if not next_new:
                 return next_cells

@@ -269,3 +269,13 @@ def test_oversized_nonbasis_ground_set_refused(files, capsys):
     code, out, err = run(capsys, "matroid", "info", str(big))
     assert code == 2 and out == ""
     assert err.startswith("error: GuardExceeded:")
+
+
+def test_oversized_nonbasis_subset_scan_refused(files, capsys):
+    """C(40, 20) r-subsets are refused by count before any is enumerated."""
+    big = files["dir"] / "wide.json"
+    big.write_text('{"n": 40, "rank": 20, "nonbases": []}')
+    code, out, err = run(capsys, "matroid", "info", str(big))
+    assert code == 2 and out == ""
+    assert err.startswith("error: GuardExceeded: C(40,20) = 137846528820 ")
+    assert "BASES_GUARD = 5000000" in err and "Traceback" not in err

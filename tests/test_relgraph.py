@@ -65,13 +65,15 @@ def test_paper_pair_search_counters(paper_pair):
 
     The initial refinement leaves one 72-vertex root cell.  The first root
     candidate fails, Aut(Q) is transitive, so the other 71 are pruned; the
-    unpruned search needed 1081 refinements.
+    unpruned search needed 1081 refinements.  Refinement evaluates 20074
+    (vertex, splitter) counts, only at neighbours of each splitter.
     """
     gp, gq = (build_graph(m, IsoStructure.NONBASES) for m in paper_pair)
     search = _PairSearch(gp, gq)
     assert search.run(limit=1) == []
     assert search.stats.orbit_prunes == 71
     assert search.stats.refinements <= 100
+    assert search.stats.splitter_counts == 20074
     assert find_isomorphism(gp, gq) is None
 
 

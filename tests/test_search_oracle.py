@@ -1,10 +1,12 @@
 """Differential tests of the relation-graph search against a reference engine.
 
-`OracleSearch` is the search as it was before splitter-restricted
-refinement and root orbit pruning: every refinement round recomputes each
-vertex's counts into every cell, and the backtracking enumerates every
-root candidate.  The production engine must return the same ordered cell
-lists, the same first solution and the same automorphism groups.
+`OracleSearch` is the search as it was before splitter-restricted,
+neighbour-only refinement and root orbit pruning: every refinement round
+recomputes each vertex's counts into every cell, and the backtracking
+enumerates every root candidate.  The production engine must return the
+same ordered cell lists, the same first solution and the same
+automorphism groups.  `_pairwise_adjacency` is the graph build as it was,
+`rel` on every vertex pair, and the oracle for `RelColoredGraph`.
 """
 
 import random
@@ -21,7 +23,8 @@ from mig.relgraph import (
     build_graph,
     find_isomorphism,
 )
-from mig.structures import IsoStructure, PointedSet, covers
+from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
+from mig.structures import IsoStructure, PointedSet, covers, rel
 
 
 class OracleSearch(_PairSearch):
@@ -143,6 +146,54 @@ def small_graphs(catalog5):
 def pq_graphs(paper_pair):
     p, q = paper_pair
     return [build_graph(m, IsoStructure.NONBASES) for m in (p, q)]
+
+
+# grid lines carrying sign -1: the first row and column; the last column
+SIGN_PATTERNS = ([(0, 1, 2), (0, 3, 6)], [(2, 5, 8)])
+DOUBLED_KINDS = (IsoStructure.NONBASES, IsoStructure.HYPERPLANES, IsoStructure.FLATS)
+
+
+@pytest.fixture(scope="module")
+def doubled_graphs():
+    """Doubled-grid graphs of 72, 234 and 270 vertices, each with a relabelling."""
+    grid = grid_matroid()
+    rng = random.Random(11)
+    out = []
+    for negatives in SIGN_PATTERNS:
+        m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        for kind in DOUBLED_KINDS:
+            out.append((build_graph(m, kind), build_graph(m.relabel(perm), kind)))
+    assert sorted({g.n for g, _ in out}) == [72, 234, 270]
+    return out
+
+
+def _pairwise_adjacency(vertices):
+    """Colour-1 and colour-2 rows from `rel` on every vertex pair."""
+    n = len(vertices)
+    adj1 = [0] * n
+    adj2 = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = rel(vertices[i], vertices[j])
+            if r == 1:
+                adj1[i] |= 1 << j
+                adj1[j] |= 1 << i
+            elif r == 2:
+                adj2[i] |= 1 << j
+                adj2[j] |= 1 << i
+    return adj1, adj2
+
+
+def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graphs):
+    graphs = [g for _, _, g in small_graphs] + pq_graphs
+    graphs += [g for pair in doubled_graphs for g in pair]
+    for g in graphs:
+        adj1, adj2 = _pairwise_adjacency(g.vertices)
+        assert g.adj1 == adj1 and g.adj2 == adj2
+        assert g.adj == [a | b for a, b in zip(adj1, adj2)]
+    assert len(graphs) > 1000
 
 
 def _assert_same_partitions(g, h) -> int:
@@ -273,3 +324,49 @@ def test_verdicts_match_networkx_vf2(catalog5):
                 assert (find_isomorphism(g, h) is not None) == want
                 verdicts[want] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_refinement_matches_oracle_along_first_path(doubled_graphs):
+    """Every node on the way to the first solution, with all its siblings."""
+    for g, h in doubled_graphs:
+        solution = find_isomorphism(g, h)
+        new, old = _PairSearch(g, h), OracleSearch(g, h)
+        cells = new._refine(new._initial_cells(()))
+        assert cells == old._refine(old._initial_cells(()))
+        depth = 0
+        branch_at = _branch_cell(cells)
+        while branch_at >= 0:
+            gm = cells[branch_at][0]
+            on_path = 1 << solution[(gm & -gm).bit_length() - 1]
+            child = None
+            for trial in _individualizations(cells, branch_at):
+                got = new._refine(trial, (branch_at,))
+                assert got == old._refine(trial)
+                if trial[branch_at][1] == on_path:
+                    child = got
+            cells = child
+            depth += 1
+            branch_at = _branch_cell(cells)
+        leaf = [0] * g.n
+        for gm, hm in cells:
+            leaf[gm.bit_length() - 1] = hm.bit_length() - 1
+        assert tuple(leaf) == solution and depth >= 2
+
+
+def test_first_solution_matches_oracle_on_doubled_grid(doubled_graphs):
+    for g, h in doubled_graphs:
+        want = OracleSearch(g, h).run(limit=1)
+        assert want and find_isomorphism(g, h) == want[0]
+
+
+@pytest.mark.slow
+def test_automorphism_group_matches_oracle_on_doubled_grid(doubled_graphs):
+    for g, _ in doubled_graphs:
+        got = automorphism_group(g)
+        want = _stabilizer_chain(OracleSearch(g, g))
+        assert (got.generators, got.order, got.base) == (
+            want.generators,
+            want.order,
+            want.base,
+        )
+        assert got.order == 1152
