@@ -268,17 +268,11 @@ def _is_tuple_member(m: Matroid, kind: IsoStructure, tup: Tuple[int, ...]) -> bo
 
 
 def _circuit_set(m: Matroid) -> set:
-    key = "circuit_set"
-    if key not in m._cache:
-        m._cache[key] = set(m.derived_sets().circuits)
-    return m._cache[key]
+    return m.cached("circuit_set", lambda: set(m.derived_sets().circuits))
 
 
 def _hyperplane_set(m: Matroid) -> set:
-    key = "hyperplane_set"
-    if key not in m._cache:
-        m._cache[key] = set(m.derived_sets().hyperplanes)
-    return m._cache[key]
+    return m.cached("hyperplane_set", lambda: set(m.derived_sets().hyperplanes))
 
 
 def export_groundset_relations(

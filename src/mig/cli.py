@@ -18,8 +18,10 @@ from .bitset import elements_of, mask_of
 from .errors import MigError
 from .jsonio import (
     dumps,
+    lbcs_from_json,
     load_matroid,
     matroid_to_json,
+    strategy_from_json,
     subset_report_to_json,
     tutte_to_json,
 )
@@ -151,12 +153,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_game(args) -> int:
-    from .game import (
-        DeterministicStrategy,
-        IsoGameInstance,
-        check_bisynchronous,
-        evaluate_strategy,
-    )
+    from .game import IsoGameInstance, check_bisynchronous, evaluate_strategy
 
     m = load_matroid(args.first)
     n = load_matroid(args.second)
@@ -169,8 +166,8 @@ def cmd_game(args) -> int:
         if not args.strategy:
             raise MigError("eval-strategy needs --strategy FILE")
         with open(args.strategy, "r", encoding="utf-8") as fp:
-            mapping = tuple(json.load(fp)["map"])
-        verdict = evaluate_strategy(inst, DeterministicStrategy(mapping))
+            strategy = strategy_from_json(json.load(fp))
+        verdict = evaluate_strategy(inst, strategy)
         _emit(verdict, args.out)
         return EXIT_OK if verdict["perfect"] else EXIT_NEGATIVE
     raise MigError(f"unknown game action {args.action}")
@@ -185,7 +182,6 @@ def _signs_from_args(m, negate: Optional[List[str]]):
 
 def cmd_lbcs(args) -> int:
     from .game import lbcs_solutions
-    from .game import LBCS
     from .lbcs_construct import grid_matroid, lbcs_from_matroid
 
     if args.action == "build":
@@ -197,7 +193,7 @@ def cmd_lbcs(args) -> int:
         if not args.file:
             raise MigError("lbcs solve needs a system file")
         with open(args.file, "r", encoding="utf-8") as fp:
-            lbcs = LBCS.from_json(json.load(fp))
+            lbcs = lbcs_from_json(json.load(fp))
         sols = lbcs_solutions(lbcs)
         _emit(
             {"count": len(sols), "solutions": [list(s) for s in sols]},
@@ -230,12 +226,12 @@ def cmd_paper_pair(args) -> int:
     if not args.verify_all:
         _emit({"P": matroid_to_json(p), "Q": matroid_to_json(q)}, args.out)
         return EXIT_OK
-    payload = _full_pair_certificate(p, q, args.tolerance)
+    payload = _full_pair_certificate(p, q)
     _emit(payload, args.out)
     return EXIT_OK if payload["allChecksPassed"] else EXIT_NEGATIVE
 
 
-def _full_pair_certificate(p, q, tol: float) -> dict:
+def _full_pair_certificate(p, q) -> dict:
     from .algebra import screen_quantum_iso
     from .game import lbcs_solutions
     from .lbcs_construct import (
@@ -264,11 +260,11 @@ def _full_pair_certificate(p, q, tol: float) -> dict:
     lbcs_report = {
         "homogeneousSolutions": len(lbcs_solutions(hom)),
         "signedSolutions": len(lbcs_solutions(signed)),
-        "quantum": verify_lbcs_quantum_strategy(signed, grid, tol),
+        "quantum": verify_lbcs_quantum_strategy(signed, grid),
     }
     mapping = find_isomorphism(build_graph(p, kind), build_graph(q, kind))
     strategy = iso_game_pvms(p, q, grid)
-    sync = verify_sync_conditions(strategy, p, q, kind, tol)
+    sync = verify_sync_conditions(strategy, p, q, kind)
     invariants = shared_invariant_report(p, q)
     screen = screen_quantum_iso(p, q, kind).to_json()
     minor = minor_obstruction_certificate(p, q)
@@ -399,15 +395,13 @@ def cmd_quantum(args) -> int:
         signed = lbcs_from_matroid(
             base, SignAssignment.with_negatives(base, [BOTTOM_ROW])
         )
-        report = verify_lbcs_quantum_strategy(signed, grid, args.tolerance)
+        report = verify_lbcs_quantum_strategy(signed, grid)
         _emit(report, args.out)
         return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
     if args.action == "verify-iso":
         p, q = build_paper_pair()
         strategy = iso_game_pvms(p, q, grid)
-        report = verify_sync_conditions(
-            strategy, p, q, IsoStructure.NONBASES, args.tolerance
-        )
+        report = verify_sync_conditions(strategy, p, q, IsoStructure.NONBASES)
         _emit(report, args.out)
         return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
     raise MigError(f"unknown quantum action {args.action}")
@@ -472,14 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
-
-    def add_tolerance(p):
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-9,
-            help="numeric tolerance for quantum checks",
-        )
 
     def add_structure(p):
         p.add_argument(
@@ -551,13 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-pair", help="the 18-element demonstration pair")
     p.add_argument("--verify-all", action="store_true")
     add_common(p)
-    add_tolerance(p)
     p.set_defaults(func=cmd_paper_pair)
 
     p = sub.add_parser("quantum", help="quantum strategy verification")
     p.add_argument("action", choices=["magic-square", "verify-iso"])
     add_common(p)
-    add_tolerance(p)
     p.set_defaults(func=cmd_quantum)
 
     p = sub.add_parser("screen", help="necessary-condition screen")

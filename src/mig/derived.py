@@ -55,23 +55,25 @@ def _guard(m, guard_n: int) -> None:
 
 def independence_table(m, guard_n: int = DERIVE_GUARD) -> np.ndarray:
     """uint8 table: 1 iff the mask is an independent set of `m` (cached)."""
-    key = "independence_table"
-    if key not in m._cache:
-        _guard(m, guard_n)
+    _guard(m, guard_n)
+
+    def build() -> np.ndarray:
         t = np.zeros(1 << m.n, dtype=np.uint8)
         t[list(m.bases)] = 1
-        m._cache[key] = or_over_supersets(t, m.n)
-    return m._cache[key]
+        return or_over_supersets(t, m.n)
+
+    return m.cached("independence_table", build)
 
 
 def rank_table(m, guard_n: int = DERIVE_GUARD) -> np.ndarray:
     """uint8 table of subset ranks (cached on the matroid)."""
-    key = "rank_table"
-    if key not in m._cache:
-        ind = independence_table(m, guard_n)
-        sized = popcount_table(m.n) * ind
-        m._cache[key] = max_over_subsets(sized, m.n)
-    return m._cache[key]
+    _guard(m, guard_n)
+    return m.cached(
+        "rank_table",
+        lambda: max_over_subsets(
+            popcount_table(m.n) * independence_table(m, guard_n), m.n
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,12 @@ class SubsetReport:
 
 
 def derive_sets(m, guard_n: int = DERIVE_GUARD) -> SubsetReport:
-    """Enumerate independents, circuits, flats, hyperplanes, cyclic flats."""
-    key = ("derive_sets", guard_n)
-    if key in m._cache:
-        return m._cache[key]
+    """Enumerate independents, circuits, flats, hyperplanes, cyclic flats (cached)."""
     _guard(m, guard_n)
+    return m.cached("derive_sets", lambda: _derive_sets(m, guard_n))
+
+
+def _derive_sets(m, guard_n: int) -> SubsetReport:
     n = m.n
     ind = independence_table(m, guard_n)
     rk = rank_table(m, guard_n)
@@ -132,7 +135,7 @@ def derive_sets(m, guard_n: int = DERIVE_GUARD) -> SubsetReport:
     )
     cyclic = tuple(int(x) for x in np.nonzero(cyclic_mask)[0])
     girth = int(pc[circuits_mask == 1].min()) if circuits else None
-    report = SubsetReport(
+    return SubsetReport(
         independents=independents,
         circuits=circuits,
         flats=flats,
@@ -142,8 +145,6 @@ def derive_sets(m, guard_n: int = DERIVE_GUARD) -> SubsetReport:
         coloops=m.coloops(),
         girth=girth,
     )
-    m._cache[key] = report
-    return report
 
 
 class TuttePolynomial:
@@ -179,11 +180,12 @@ class TuttePolynomial:
 
 
 def tutte_polynomial(m, guard_n: int = DERIVE_GUARD) -> TuttePolynomial:
-    """Corank-nullity sum over all 2^n subsets, exact integers throughout."""
-    key = ("tutte", guard_n)
-    if key in m._cache:
-        return m._cache[key]
+    """Corank-nullity sum over all 2^n subsets, exact integers throughout (cached)."""
     _guard(m, guard_n)
+    return m.cached("tutte", lambda: _tutte_polynomial(m, guard_n))
+
+
+def _tutte_polynomial(m, guard_n: int) -> TuttePolynomial:
     rk = rank_table(m, guard_n).astype(np.int64)
     pc = popcount_table(m.n).astype(np.int64)
     corank = m.rank - rk
@@ -210,7 +212,6 @@ def tutte_polynomial(m, guard_n: int = DERIVE_GUARD) -> TuttePolynomial:
         raise InvariantViolation("negative coefficient in rank polynomial")
     if poly(1, 1) != len(m.bases):
         raise InvariantViolation("polynomial at (1,1) does not count the bases")
-    m._cache[key] = poly
     return poly
 
 

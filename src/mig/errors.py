@@ -88,10 +88,6 @@ class InvariantViolation(MigError):
     """A construction-time self check failed."""
 
 
-class NonCommuting(MigError):
-    """Joint projections require pairwise commuting observables."""
-
-
 class DimensionMismatch(MigError):
     """Operator dimensions or constraint-system shape do not match."""
 

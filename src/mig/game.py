@@ -25,8 +25,6 @@ from .errors import (
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, pointed_sets, require_covering
 
-BISYNC_ALPHABET_CAP = 400
-
 
 class IsoGameInstance:
     """The isomorphism game for (M, N, structure)."""
@@ -85,26 +83,22 @@ class IsoGameInstance:
         return 0
 
 
-def check_bisynchronous(inst: IsoGameInstance, cap: int = BISYNC_ALPHABET_CAP) -> bool:
-    """Scan the diagonal question and answer slices of the predicate.
+def check_bisynchronous(inst: IsoGameInstance) -> bool:
+    """Equal questions force equal answers; distinct ones forbid them.
 
-    Equal questions must force equal answers and distinct questions must
-    forbid equal answers.
+    Both diagonal conditions reduce to one fact about the alphabet.  The
+    predicate compares (same set?, same point?) of two pointed sets, which
+    is rel, and rel is 0 exactly when the two pointed sets are equal.  So
+    predicate(a, a, x, y) wins exactly when x and y sit on the side
+    opposite a and carry the same pointed set, and predicate(a, b, x, x)
+    wins exactly when a and b sit on the side opposite x and carry the
+    same pointed set.  A violation therefore needs two distinct letters
+    on one side with the same pointed set, and a letter on the other side.
     """
-    k = inst.size()
-    if k > cap:
-        raise GuardExceeded(f"alphabet size {k} exceeds bisynchronous scan cap {cap}")
-    for a in range(k):
-        for x in range(k):
-            for y in range(k):
-                if x != y and inst.predicate(a, a, x, y):
-                    return False
-    for x in range(k):
-        for a in range(k):
-            for b in range(k):
-                if a != b and inst.predicate(a, b, x, x):
-                    return False
-    return True
+    sides = (inst.m_points, inst.n_points)
+    if not all(sides):
+        return True
+    return all(len(set(points)) == len(points) for points in sides)
 
 
 @dataclass(frozen=True)
@@ -231,16 +225,6 @@ class LBCS:
                 {"vars": list(c.variables), "sign": c.sign} for c in self.constraints
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "LBCS":
-        return cls(
-            int(data["vars"]),
-            tuple(
-                Constraint(tuple(c["vars"]), int(c["sign"]))
-                for c in data["constraints"]
-            ),
-        )
 
 
 def _check_assignment(c: Constraint, assignment: Sequence[int]) -> None:

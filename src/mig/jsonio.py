@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from .bitset import elements_of
 from .derived import SubsetReport, TuttePolynomial
 from .errors import MigError
+from .game import LBCS, Constraint, DeterministicStrategy
 from .matroid import Matroid, matroid_from_bases, matroid_from_nonbases
 
 
@@ -44,11 +45,13 @@ def _int_field(data: Dict, key: str) -> int:
     return data[key]
 
 
+def _is_int_list(x: object) -> bool:
+    return isinstance(x, list) and all(_is_int(e) for e in x)
+
+
 def _family_field(data: Dict, key: str) -> List[List[int]]:
     fam = data[key]
-    if not isinstance(fam, list) or not all(
-        isinstance(s, list) and all(_is_int(e) for e in s) for s in fam
-    ):
+    if not isinstance(fam, list) or not all(_is_int_list(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} must be a list of integer lists")
     return fam
 
@@ -82,6 +85,39 @@ def matroid_from_json(data: Dict) -> Matroid:
 def load_matroid(path: str) -> Matroid:
     with open(path, "r", encoding="utf-8") as fp:
         return matroid_from_json(json.load(fp))
+
+
+def lbcs_from_json(data: object) -> LBCS:
+    """The constraint system of `LBCS.to_json`, refusing any other shape."""
+    if not (
+        isinstance(data, dict)
+        and _is_int(data.get("vars"))
+        and data["vars"] >= 0
+        and isinstance(data.get("constraints"), list)
+    ):
+        raise MigError(
+            "constraint-system JSON needs a count 'vars' >= 0 and a 'constraints' list"
+        )
+    constraints = []
+    for c in data["constraints"]:
+        if not (
+            isinstance(c, dict)
+            and _is_int_list(c.get("vars"))
+            and _is_int(c.get("sign"))
+        ):
+            raise MigError(
+                "constraint-system JSON constraints need a 'vars' integer list "
+                "and an integer 'sign'"
+            )
+        constraints.append(Constraint(tuple(c["vars"]), c["sign"]))
+    return LBCS(data["vars"], tuple(constraints))
+
+
+def strategy_from_json(data: object) -> DeterministicStrategy:
+    """A `{"map": [int, ...]}` answer function, refusing any other shape."""
+    if not (isinstance(data, dict) and _is_int_list(data.get("map"))):
+        raise MigError("strategy JSON needs a 'map' list of integers")
+    return DeterministicStrategy(tuple(data["map"]))
 
 
 def tutte_to_json(t: TuttePolynomial) -> Dict:

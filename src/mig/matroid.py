@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .bitset import (
     canonical_family,
@@ -35,6 +35,8 @@ from .errors import (
     OutOfRange,
     RankDeficient,
 )
+
+T = TypeVar("T")
 
 MAX_GROUND = 64
 BASES_GUARD = 5_000_000  # largest C(n, r) scanned for bases
@@ -77,6 +79,13 @@ class Matroid:
 
     def label_of(self, e: int) -> str:
         return self.labels[e] if self.labels else str(e)
+
+    def cached(self, key: object, build: Callable[[], T]) -> T:
+        """The value stored under `key`, built by `build()` on first use."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     # -- basic queries ----------------------------------------------------
 

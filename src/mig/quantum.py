@@ -12,6 +12,15 @@ entangled unit vector on C^4 (x) C^4, so every pair probability reduces
 to Tr(A B) / 4 for Hermitian A, B.  The synchronous verification uses
 the same normalized trace, which keeps the two routes numerically
 identical.
+
+Every check is an exact comparison.  `ObservableGrid.validate` refuses a
+cell whose entries are not Gaussian integers; a Hermitian involution is
+unitary, so such a cell has entries in {0, +-1, +-i}.  Each projection
+prod_i (1 + k_i O_i) / 2 then has entries in Z[i]/8 of modulus at most 1,
+and every product, sum and trace the verifiers take is a Gaussian
+rational with a power-of-two denominator and a small numerator.
+complex128 stores all of these exactly, so comparing with `==` decides
+the conditions themselves, not a rounded copy of them.
 """
 
 from __future__ import annotations
@@ -23,17 +32,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitset import elements_of, iter_bits
-from .errors import (
-    ConstructionInconsistency,
-    DimensionMismatch,
-    InvariantViolation,
-    NonCommuting,
-)
+from .errors import ConstructionInconsistency, DimensionMismatch, InvariantViolation
 from .game import LBCS
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, pointed_sets, rel
-
-TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,17 +43,19 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 @dataclass
 class ObservableGrid:
-    """3x3 Hermitian involutions with prescribed row/column sign targets."""
+    """3x3 Hermitian involutions with prescribed row/column sign targets.
+
+    Construction runs `validate`, so the verifiers can rely on it.
+    """
 
     cells: List[List[np.ndarray]]
     row_signs: Tuple[int, int, int]
     col_signs: Tuple[int, int, int]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def dim(self) -> int:
@@ -64,7 +68,7 @@ class ObservableGrid:
         j = idx - 3
         return [self.cells[i][j] for i in range(3)], self.col_signs[j]
 
-    def validate(self, tol: float = TOL) -> None:
+    def validate(self) -> None:
         d = self.dim
         eye = np.eye(d)
         for i in range(3):
@@ -72,51 +76,36 @@ class ObservableGrid:
                 o = self.cells[i][j]
                 if o.shape != (d, d):
                     raise InvariantViolation("ragged observable grid")
-                if np.abs(o - o.conj().T).max() > tol:
+                if not np.array_equal(o, np.round(o)):
+                    raise InvariantViolation(
+                        f"cell ({i},{j}) has an entry that is not a Gaussian integer"
+                    )
+                if not np.array_equal(o, o.conj().T):
                     raise InvariantViolation(f"cell ({i},{j}) is not Hermitian")
-                if np.abs(o @ o - eye).max() > tol:
+                if not np.array_equal(o @ o, eye):
                     raise InvariantViolation(f"cell ({i},{j}) does not square to 1")
         for idx in range(6):
             obs, sign = self.line(idx)
             for a in range(3):
                 for b in range(a + 1, 3):
-                    if np.abs(obs[a] @ obs[b] - obs[b] @ obs[a]).max() > tol:
+                    if not np.array_equal(obs[a] @ obs[b], obs[b] @ obs[a]):
                         raise InvariantViolation(f"line {idx} does not commute")
-            prod = obs[0] @ obs[1] @ obs[2]
-            if np.abs(prod - sign * eye).max() > tol:
+            if not np.array_equal(obs[0] @ obs[1] @ obs[2], sign * eye):
                 raise InvariantViolation(f"line {idx} misses its sign target")
 
 
 def magic_square_observables() -> ObservableGrid:
     """The standard two-qubit Pauli grid; all checks run at construction."""
     z, x, y = PAULI_Z, PAULI_X, PAULI_Y
-    grid = ObservableGrid(
+    return ObservableGrid(
         cells=[
-            [_kron(z, I2), _kron(I2, z), _kron(z, z)],
-            [_kron(I2, x), _kron(x, I2), _kron(x, x)],
-            [_kron(z, x), _kron(x, z), _kron(y, y)],
+            [np.kron(z, I2), np.kron(I2, z), np.kron(z, z)],
+            [np.kron(I2, x), np.kron(x, I2), np.kron(x, x)],
+            [np.kron(z, x), np.kron(x, z), np.kron(y, y)],
         ],
         row_signs=(1, 1, 1),
         col_signs=(1, 1, -1),
     )
-    grid.validate()
-    return grid
-
-
-def joint_projections(
-    grid: ObservableGrid, line_idx: int, tol: float = TOL
-) -> List[Tuple[Tuple[int, int, int], np.ndarray]]:
-    """The four joint eigenprojections of one line, by fulfilling assignment.
-
-    Assignments multiply to the line's sign; each projection is the
-    product of the three spectral factors (1 + k_i O_i) / 2.
-    """
-    obs, sign = grid.line(line_idx)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if np.abs(obs[a] @ obs[b] - obs[b] @ obs[a]).max() > tol:
-                raise NonCommuting(f"line {line_idx} observables do not commute")
-    return _spectral_projections(obs, sign, grid.dim)
 
 
 def _spectral_projections(
@@ -218,14 +207,14 @@ def _constraint_projections(
     return out
 
 
-def verify_lbcs_quantum_strategy(
-    lbcs: LBCS, grid: ObservableGrid, tol: float = TOL
-) -> Dict[str, object]:
+def verify_lbcs_quantum_strategy(lbcs: LBCS, grid: ObservableGrid) -> Dict[str, object]:
     """Score the grid strategy on every ordered constraint pair.
 
     The winning probability of a pair is the sum of Tr(P_A P_B) / dim
     over consistent pairs of fulfilling assignments; perfect means every
-    pair reaches 1 - tol.
+    pair reaches exactly 1.  The traces are summed before the one
+    division, so the sum is exact for any dimension; a sum short of dim
+    misses it by at least 1/64, far more than the rounding of the quotient.
     """
     matching = match_lbcs_to_grid(lbcs, grid)
     tables = _constraint_projections(lbcs, grid, matching)
@@ -235,17 +224,17 @@ def verify_lbcs_quantum_strategy(
     for ia, ca in enumerate(cs):
         for ib, cb in enumerate(cs):
             shared = set(ca.variables) & set(cb.variables)
-            prob = 0.0
+            total = 0.0
             for ka, pa in tables[ia].items():
                 va = dict(zip(ca.variables, ka))
                 for kb, pb in tables[ib].items():
                     vb = dict(zip(cb.variables, kb))
                     if any(va[s] != vb[s] for s in shared):
                         continue
-                    prob += float(np.trace(pa @ pb).real) / dim
-            min_prob = min(min_prob, prob)
+                    total += float(np.trace(pa @ pb).real)
+            min_prob = min(min_prob, total / dim)
     return {
-        "perfect": min_prob >= 1 - tol,
+        "perfect": min_prob == 1,
         "minPairProb": min_prob,
         "signsConsistent": matching.signs_consistent,
     }
@@ -367,13 +356,13 @@ def verify_sync_conditions(
     m: Matroid,
     n: Matroid,
     kind: IsoStructure = IsoStructure.NONBASES,
-    tol: float = TOL,
 ) -> Dict[str, object]:
     """Check the three perfect-strategy conditions under the normalized trace.
 
     (1) answer sums are the identity per question, (2) question sums are
     the identity per answer, (3) mismatched rel pairs have vanishing
-    operator products.  Reports the largest defect of each.
+    operator products.  Reports the largest defect of each; perfect means
+    all three are exactly 0.
     """
     fam = strategy.projections
     nq, na, dim, _ = fam.shape
@@ -386,7 +375,7 @@ def verify_sync_conditions(
     col_defect = float(np.abs(fam.sum(axis=0) - eye).max()) if na else 0.0
 
     norms = np.abs(fam).max(axis=(2, 3))
-    live = np.argwhere(norms > tol)
+    live = np.argwhere(norms != 0)
     rel_q = np.array([[rel(a, b) for b in qs] for a in qs], dtype=np.int8)
     rel_a = np.array([[rel(x, y) for y in ans] for x in ans], dtype=np.int8)
     mismatch_defect = 0.0
@@ -395,22 +384,20 @@ def verify_sync_conditions(
         for qj in range(nq):
             rq = rel_q[live[:, 0], qj]
             for aj in range(na):
-                if norms[qj, aj] <= tol:
+                if norms[qj, aj] == 0:
                     continue
                 bad = rq != rel_a[live[:, 1], aj]
                 if not bad.any():
                     continue
                 prods = np.einsum("nij,jk->nik", lhs[bad], fam[qj, aj])
                 mismatch_defect = max(mismatch_defect, float(np.abs(prods).max()))
-    perfect = max(row_defect, col_defect, mismatch_defect) < tol
     return {
         "conditions": {
             "rowSums": row_defect,
             "colSums": col_defect,
             "relOrthogonality": mismatch_defect,
         },
-        "perfect": perfect,
-        "tolerance": tol,
+        "perfect": max(row_defect, col_defect, mismatch_defect) == 0,
     }
 
 

@@ -16,9 +16,9 @@ is bucketed by mask, not one by one.  This yields the same ordered
 partition as counting every vertex into every cell.  An existence search
 skips root candidates in the Aut(h)-orbit of a failed one (McKay-Piperno,
 arXiv:1301.1493), which never skips a solution.  Results are
-deterministic: the first solution is the first verified leaf in branch
-order, which need not be the least solution in `find_all` order.
-Leaves are verified against the full adjacency before being accepted.
+deterministic: the solution is the first verified leaf in branch order,
+which need not be the least solution in lexicographic order.  Leaves are
+verified against the full adjacency before being accepted.
 """
 
 from __future__ import annotations
@@ -298,27 +298,24 @@ class _PairSearch:
         return orbits
 
     def run(
-        self,
-        prescribed: Sequence[Tuple[int, int]] = (),
-        limit: Optional[int] = 1,
-    ) -> List[Tuple[int, ...]]:
-        """Collect isomorphisms (up to `limit`; None means all).
+        self, prescribed: Sequence[Tuple[int, int]] = ()
+    ) -> Optional[Tuple[int, ...]]:
+        """The first isomorphism extending `prescribed`, or None.
 
-        An existence search (`limit=1`, nothing prescribed) skips every root
-        candidate in the Aut(h)-orbit of one that failed: if an isomorphism
-        sent v to alpha(w), composing it with alpha^-1 would send v to w.
-        Aut(h) is computed at the first failed root candidate, not before.
+        A search with nothing prescribed skips every root candidate in the
+        Aut(h)-orbit of one that failed: if an isomorphism sent v to
+        alpha(w), composing it with alpha^-1 would send v to w.  Aut(h) is
+        computed at the first failed root candidate, not before.
         """
         if self.g.n != self.h.n:
-            return []
+            return None
         if self.g.n == 0:
-            return [()]
-        found: List[Tuple[int, ...]] = []
+            return ()
         cells0 = self._refine(self._initial_cells(prescribed))
 
-        def descend(cells: List[Cell], prune: bool) -> bool:
-            # returns True when the limit has been reached; `prune` skips
-            # candidates in the Aut(h)-orbits of failed ones
+        def descend(cells: List[Cell], prune: bool) -> Optional[Tuple[int, ...]]:
+            # the first isomorphism below `cells`; `prune` skips candidates
+            # in the Aut(h)-orbits of failed ones
             branch_at = -1
             branch_size = 0
             for ci, (gm, hm) in enumerate(cells):
@@ -330,11 +327,7 @@ class _PairSearch:
                 mapping = [0] * self.g.n
                 for gm, hm in cells:
                     mapping[gm.bit_length() - 1] = hm.bit_length() - 1
-                if self._verify(mapping):
-                    found.append(tuple(mapping))
-                    if limit is not None and len(found) >= limit:
-                        return True
-                return False
+                return tuple(mapping) if self._verify(mapping) else None
             gm, hm = cells[branch_at]
             v = (gm & -gm).bit_length() - 1
             rest_g = gm & ~(1 << v)
@@ -352,17 +345,19 @@ class _PairSearch:
                 ]
                 # the rest's counts follow from the singleton's
                 refined = self._refine(trial, (branch_at,))
-                if refined is not None and descend(refined, False):
-                    return True
+                if refined is not None:
+                    hit = descend(refined, False)
+                    if hit is not None:
+                        return hit
                 if prune:
                     if orbits is None:
                         orbits = self._h_orbits()
                     failed |= orbits[w]
-            return False
+            return None
 
-        if cells0 is not None:
-            descend(cells0, limit == 1 and not prescribed)
-        return found
+        if cells0 is None:
+            return None
+        return descend(cells0, not prescribed)
 
 
 def find_isomorphism(
@@ -372,15 +367,7 @@ def find_isomorphism(
 
     The bijection is the first verified leaf in branch order.
     """
-    res = _PairSearch(g, h).run(limit=1)
-    return res[0] if res else None
-
-
-def find_all(
-    g: RelColoredGraph, h: RelColoredGraph, limit: Optional[int] = None
-) -> List[Tuple[int, ...]]:
-    """All rel-preserving bijections, canonically ordered, up to `limit`."""
-    return sorted(_PairSearch(g, h).run(limit=limit))
+    return _PairSearch(g, h).run()
 
 
 def matroid_iso_from_graph_iso(
@@ -541,9 +528,9 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
         for w in iter_bits(hm):
             if orbit >> w & 1:
                 continue
-            res = search.run(prescribed=prescribed_prefix + [(b, w)], limit=1)
-            if res:
-                level_gens.append(res[0])
+            res = search.run(prescribed_prefix + [(b, w)])
+            if res is not None:
+                level_gens.append(res)
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens.extend(level_gens)

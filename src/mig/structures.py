@@ -53,38 +53,32 @@ class PointedSet(NamedTuple):
 
 def structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
     """The subset family of the given kind, canonically ordered (cached)."""
-    key = ("structure", kind)
-    if key in m._cache:
-        return m._cache[key]
+    return m.cached(("structure", kind), lambda: _structure_sets(m, kind))
+
+
+def _structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
     if kind is IsoStructure.BASES:
-        fam = m.bases
-    elif kind is IsoStructure.NONBASES:
-        fam = m.nonbases()
-    elif kind is IsoStructure.INDEPENDENT:
-        fam = m.independent_sets()
-    else:
-        rep = m.derived_sets()
-        fam = {
-            IsoStructure.CIRCUITS: rep.circuits,
-            IsoStructure.FLATS: rep.flats,
-            IsoStructure.HYPERPLANES: rep.hyperplanes,
-        }[kind]
-    m._cache[key] = fam
-    return fam
+        return m.bases
+    if kind is IsoStructure.NONBASES:
+        return m.nonbases()
+    if kind is IsoStructure.INDEPENDENT:
+        return m.independent_sets()
+    rep = m.derived_sets()
+    return {
+        IsoStructure.CIRCUITS: rep.circuits,
+        IsoStructure.FLATS: rep.flats,
+        IsoStructure.HYPERPLANES: rep.hyperplanes,
+    }[kind]
 
 
 def pointed_sets(m: Matroid, kind: IsoStructure) -> Tuple[PointedSet, ...]:
-    """All (member set, point) pairs, ordered by set (colex) then point."""
-    key = ("pointed", kind)
-    if key in m._cache:
-        return m._cache[key]
-    out = tuple(
-        PointedSet(a, p)
-        for a in structure_sets(m, kind)
-        for p in iter_bits(a)
+    """All (member set, point) pairs, ordered by set (colex) then point (cached)."""
+    return m.cached(
+        ("pointed", kind),
+        lambda: tuple(
+            PointedSet(a, p) for a in structure_sets(m, kind) for p in iter_bits(a)
+        ),
     )
-    m._cache[key] = out
-    return out
 
 
 def rel(a: PointedSet, b: PointedSet) -> int:

@@ -123,7 +123,7 @@ def test_criterion_5_classical_quantum_gap(capsys):
 
         report = json.loads(out)
         assert code == 0 and report["perfect"]
-        assert report["minPairProb"] >= 1 - 1e-9
+        assert report["minPairProb"] == 1.0
 
 
 def test_criterion_6_quantum_isomorphism_witness(paper_pair, pauli_grid):
@@ -133,9 +133,9 @@ def test_criterion_6_quantum_isomorphism_witness(paper_pair, pauli_grid):
     with criterion(6, "72x72 projection family passes all conditions", bound_s=300.0):
         strat = iso_game_pvms(p, q, pauli_grid)
         assert strat.projections.shape == (72, 72, 4, 4)
-        report = verify_sync_conditions(strat, p, q, IsoStructure.NONBASES, tol=1e-9)
+        report = verify_sync_conditions(strat, p, q, IsoStructure.NONBASES)
         assert report["perfect"]
-        assert max(report["conditions"].values()) < 1e-9
+        assert max(report["conditions"].values()) == 0
 
 
 def test_criterion_7_oracle_equivalence(catalog5):

@@ -138,7 +138,7 @@ def test_quantum_commands(capsys):
 
 
 # every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
-PAPER_PAIR_SHA256 = "3eecc45bf823c715d487846cc93840e0bb8f2fb8459b750c5a9cc8bec930213f"
+PAPER_PAIR_SHA256 = "4a6b0a48ec0d5e5f0785c380760ff97f73d7faf5bb9ae376ec814236885eea36"
 
 
 def test_paper_pair_commands(files, capsys):
@@ -253,13 +253,45 @@ def test_malformed_matroid_json_exit_code(files, capsys, text):
     assert err.startswith("error: MigError: matroid JSON")
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("strategy", '{"map": 5}'),
+        ("strategy", '{"map": [0, "1"]}'),
+        ("strategy", '{"map": [0, 1.0]}'),
+        ("strategy", "[0, 1]"),
+        ("lbcs", '{"vars": 3, "constraints": 5}'),
+        ("lbcs", '{"vars": 3, "constraints": [{"vars": 2, "sign": 1}]}'),
+        ("lbcs", '{"vars": 3, "constraints": [[0, 1]]}'),
+        ("lbcs", '{"vars": "3", "constraints": []}'),
+        ("lbcs", '{"vars": -1, "constraints": []}'),
+    ],
+)
+def test_malformed_strategy_and_system_json_exit_code(files, capsys, command, text):
+    bad = files["dir"] / "malformed.json"
+    bad.write_text(text)
+    if command == "strategy":
+        argv = ("game", "eval-strategy", files["u23"], files["u23"])
+        argv += ("--structure", "bases", "--strategy", str(bad))
+        prefix = "error: MigError: strategy JSON"
+    else:
+        argv = ("lbcs", "solve", str(bad))
+        prefix = "error: MigError: constraint-system JSON"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(prefix)
+
+
 def test_guard_n_flag(files, capsys):
     assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "3")[0] == 2
     assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "4")[0] == 0
     # the flag is attached only where it is read
     cover = ("cover", files["u23"], "--structure", "bases")
     assert run(capsys, *cover, "--guard-n", "3")[0] == 2
-    assert run(capsys, "quantum", "magic-square", "--tolerance", "1e-6")[0] == 0
+    # quantum checks are exact, so no command takes a tolerance
+    assert run(capsys, "quantum", "magic-square", "--tolerance", "1e-6")[0] == 2
+    assert run(capsys, "quantum", "verify-iso", "--tolerance", "1e-6")[0] == 2
+    assert run(capsys, "paper-pair", "--tolerance", "1e-6")[0] == 2
 
 
 def test_oversized_nonbasis_ground_set_refused(files, capsys):

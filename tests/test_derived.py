@@ -7,6 +7,7 @@ from mig.bitset import elements_of, iter_bits, size
 from mig.derived import (
     characteristic_polynomial,
     derive_sets,
+    independence_table,
     rank_table,
     tutte_polynomial,
 )
@@ -157,6 +158,12 @@ def test_guard():
         derive_sets(uniform_matroid(2, 25))
     with pytest.raises(GuardExceeded):
         tutte_polynomial(uniform_matroid(2, 30))
+    # the guard is checked before the cache lookup
+    u24 = uniform_matroid(2, 4)
+    for fn in (independence_table, rank_table, derive_sets, tutte_polynomial):
+        fn(u24)
+        with pytest.raises(GuardExceeded):
+            fn(u24, guard_n=3)
 
 
 def test_rank_table_matches_queries(catalog5):

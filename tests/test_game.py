@@ -2,7 +2,7 @@
 
 import pytest
 
-from mig import matroid_from_bases, uniform_matroid
+from mig import game, matroid_from_bases, uniform_matroid
 from mig.errors import (
     GuardExceeded,
     MalformedAssignment,
@@ -22,6 +22,7 @@ from mig.game import (
     lbcs_solutions,
     strategy_from_iso,
 )
+from mig.jsonio import lbcs_from_json
 from mig.structures import IsoStructure
 
 
@@ -50,14 +51,51 @@ def test_predicate_basics(u23_game):
         inst.predicate(0, 0, 99, 0)
 
 
+def _diagonal_scan(inst):
+    """Oracle for `check_bisynchronous`: both diagonal slices, O(k^3) predicates.
+
+    Equal questions must force equal answers and distinct questions must
+    forbid equal answers.
+    """
+    k = inst.size()
+    for a in range(k):
+        for x in range(k):
+            for y in range(k):
+                if x != y and inst.predicate(a, a, x, y):
+                    return False
+    for x in range(k):
+        for a in range(k):
+            for b in range(k):
+                if a != b and inst.predicate(a, b, x, x):
+                    return False
+    return True
+
+
 def test_bisynchronous(u23_game):
-    assert check_bisynchronous(u23_game)
+    assert check_bisynchronous(u23_game) and _diagonal_scan(u23_game)
     # vacuous on the empty-alphabet instance
     u00 = matroid_from_bases(0, [[]])
     empty = IsoGameInstance(u00, u00, IsoStructure.BASES)
     assert empty.size() == 0 and check_bisynchronous(empty)
-    with pytest.raises(GuardExceeded):
-        check_bisynchronous(u23_game, cap=3)
+
+
+@pytest.mark.parametrize(
+    "first, second, want",
+    [
+        ((2, 3), (2, 3), False),
+        ((1, 2), (1, 2), False),
+        # one side empty: no letter can answer a repeated one
+        ((0, 0), (1, 1), True),
+    ],
+)
+def test_repeated_letter_breaks_bisynchrony(monkeypatch, first, second, want):
+    """Alphabets that list a pointed set twice, the case the O(k) check tests."""
+    real = game.pointed_sets
+    monkeypatch.setattr(game, "pointed_sets", lambda m, kind: real(m, kind) * 2)
+    inst = IsoGameInstance(
+        uniform_matroid(*first), uniform_matroid(*second), IsoStructure.BASES
+    )
+    assert check_bisynchronous(inst) == _diagonal_scan(inst) == want
 
 
 def test_bisynchronous_across_small_catalog(catalog5):
@@ -74,7 +112,7 @@ def test_bisynchronous_across_small_catalog(catalog5):
                 inst = IsoGameInstance(m, n, kind)
                 if inst.size() > 30:
                     continue
-                assert check_bisynchronous(inst)
+                assert check_bisynchronous(inst) and _diagonal_scan(inst)
                 scanned += 1
     assert scanned > 50
 
@@ -104,7 +142,7 @@ def test_pair_game_bisynchronous_and_hard(paper_pair):
     p, q = paper_pair
     inst = IsoGameInstance(p, q, IsoStructure.NONBASES)
     assert inst.size() == 144
-    assert check_bisynchronous(inst)
+    assert check_bisynchronous(inst) and _diagonal_scan(inst)
     # a side-swapping index shift is not a perfect strategy
     shift = DeterministicStrategy(
         tuple(list(range(72, 144)) + list(range(72)))
@@ -238,4 +276,4 @@ def test_solutions_guard():
 
 def test_lbcs_json_roundtrip():
     lbcs = magic_lbcs(neg_bottom=True)
-    assert LBCS.from_json(lbcs.to_json()) == lbcs
+    assert lbcs_from_json(lbcs.to_json()) == lbcs

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mig import uniform_matroid
-from mig.errors import DimensionMismatch, NonCommuting
+from mig.errors import DimensionMismatch, InvariantViolation
 from mig.game import LBCS, Constraint
 from mig.lbcs_construct import (
     BOTTOM_ROW,
@@ -14,8 +14,9 @@ from mig.lbcs_construct import (
 )
 from mig.quantum import (
     ObservableGrid,
+    _constraint_projections,
+    _spectral_projections,
     iso_game_pvms,
-    joint_projections,
     magic_square_observables,
     match_lbcs_to_grid,
     pair_probabilities,
@@ -57,8 +58,6 @@ def test_grid_invariants(pauli_grid):
 
 
 def test_grid_validation_rejects_broken_cells(pauli_grid):
-    from mig.errors import InvariantViolation
-
     broken = ObservableGrid(
         [list(row) for row in pauli_grid.cells],
         pauli_grid.row_signs,
@@ -72,9 +71,9 @@ def test_grid_validation_rejects_broken_cells(pauli_grid):
 def test_joint_projections(pauli_grid):
     eye = np.eye(4)
     for idx in range(6):
-        projs = joint_projections(pauli_grid, idx)
+        obs, sign = pauli_grid.line(idx)
+        projs = _spectral_projections(obs, sign, pauli_grid.dim)
         assert len(projs) == 4
-        _, sign = pauli_grid.line(idx)
         total = np.zeros((4, 4), dtype=complex)
         for k, proj in projs:
             assert k[0] * k[1] * k[2] == sign
@@ -88,19 +87,53 @@ def test_joint_projections(pauli_grid):
                 assert np.abs(p1 @ p2).max() < 1e-12
 
 
-def test_joint_projections_noncommuting_rejected(pauli_grid):
-    # a diagonal of the grid does not commute
-    diag = ObservableGrid(
-        [
-            [pauli_grid.cells[0][0], pauli_grid.cells[1][1], pauli_grid.cells[2][2]],
-            list(pauli_grid.cells[1]),
-            list(pauli_grid.cells[2]),
-        ],
-        (1, 1, 1),
-        (1, 1, -1),
+def test_noncommuting_line_rejected(pauli_grid):
+    # a diagonal of the grid does not commute; construction validates
+    cells = pauli_grid.cells
+    diagonal = [cells[0][0], cells[1][1], cells[2][2]]
+    with pytest.raises(InvariantViolation, match="line 0 does not commute"):
+        ObservableGrid([diagonal, cells[1], cells[2]], (1, 1, 1), (1, 1, -1))
+
+
+def test_grid_validation_rejects_non_gaussian_integer_entries(pauli_grid):
+    """A Hermitian involution that is not a Gaussian-integer matrix is refused."""
+    c, s = 0.6, 0.8  # cos and sin of a rotation: c X + s Z squares to 1
+    tilted = c * pauli_grid.cells[1][0] + s * pauli_grid.cells[0][1]
+    assert np.allclose(tilted @ tilted, np.eye(4))
+    broken = ObservableGrid(
+        [list(row) for row in pauli_grid.cells],
+        pauli_grid.row_signs,
+        pauli_grid.col_signs,
     )
-    with pytest.raises(NonCommuting):
-        joint_projections(diag, 0)
+    broken.cells[1][1] = tilted
+    with pytest.raises(InvariantViolation, match=r"cell \(1,1\) has an entry"):
+        broken.validate()
+
+
+def _is_gaussian_integer(a):
+    return np.array_equal(a, np.round(a))
+
+
+def test_projections_are_gaussian_integers_over_eight(pauli_grid, paper_pair):
+    """The condition that makes every float check exact: 8 P is in Z[i]^(d x d)."""
+    tables = [
+        proj
+        for system in (signed_system(), homogeneous_system())
+        for table in _constraint_projections(
+            system, pauli_grid, match_lbcs_to_grid(system, pauli_grid)
+        )
+        for proj in table.values()
+    ]
+    assert len(tables) == 2 * 6 * 4
+    assert all(_is_gaussian_integer(8 * proj) for proj in tables)
+    assert not all(_is_gaussian_integer(proj) for proj in tables)
+    fam = iso_game_pvms(*paper_pair, pauli_grid).projections
+    assert fam.shape == (72, 72, 4, 4)
+    assert _is_gaussian_integer(8 * fam)
+    # the family holds each projection of the signed system, not only zeros
+    assert {proj.tobytes() for proj in tables[:24]} <= {
+        fam[i, j].tobytes() for i in range(72) for j in range(72)
+    }
 
 
 def test_matching_prefers_sign_consistent(pauli_grid):
@@ -117,7 +150,7 @@ def test_matching_rejects_non_magic_shapes(pauli_grid):
 
 def test_lbcs_strategy_perfect_on_signed_system(pauli_grid):
     report = verify_lbcs_quantum_strategy(signed_system(), pauli_grid)
-    assert report["perfect"] and report["minPairProb"] >= 1 - 1e-9
+    assert report["perfect"] and report["minPairProb"] == 1.0
 
 
 def test_lbcs_strategy_fails_on_homogeneous_system(pauli_grid):
@@ -129,8 +162,6 @@ def test_lbcs_strategy_fails_on_homogeneous_system(pauli_grid):
 def test_single_constraint_probability_one(pauli_grid):
     """Identical questions agree with probability 1 under any line."""
     lbcs = signed_system()
-    from mig.quantum import _constraint_projections
-
     matching = match_lbcs_to_grid(lbcs, pauli_grid)
     tables = _constraint_projections(lbcs, pauli_grid, matching)
     for table in tables:
@@ -153,7 +184,7 @@ def test_iso_game_pvms_conditions(paper_pair, pauli_grid):
             assert np.abs(f - f.conj().T).max() < 1e-12
     report = verify_sync_conditions(strat, p, q, IsoStructure.NONBASES)
     assert report["perfect"]
-    assert max(report["conditions"].values()) < 1e-9
+    assert max(report["conditions"].values()) == 0
 
 
 def test_pair_probabilities_normalized(paper_pair, pauli_grid):

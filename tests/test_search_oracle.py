@@ -70,37 +70,30 @@ class OracleSearch(_PairSearch):
                 return cells
 
     def run(
-        self,
-        prescribed: Sequence[Tuple[int, int]] = (),
-        limit: Optional[int] = 1,
-    ) -> List[Tuple[int, ...]]:
+        self, prescribed: Sequence[Tuple[int, int]] = ()
+    ) -> Optional[Tuple[int, ...]]:
         if self.g.n != self.h.n:
-            return []
+            return None
         if self.g.n == 0:
-            return [()]
-        found: List[Tuple[int, ...]] = []
-        cells0 = self._refine(self._initial_cells(prescribed))
+            return ()
 
-        def descend(cells) -> bool:
+        def descend(cells) -> Optional[Tuple[int, ...]]:
             branch_at = _branch_cell(cells)
             if branch_at < 0:
                 mapping = [0] * self.g.n
                 for gm, hm in cells:
                     mapping[gm.bit_length() - 1] = hm.bit_length() - 1
-                if self._verify(mapping):
-                    found.append(tuple(mapping))
-                    if limit is not None and len(found) >= limit:
-                        return True
-                return False
+                return tuple(mapping) if self._verify(mapping) else None
             for trial in _individualizations(cells, branch_at):
                 refined = self._refine(trial)
-                if refined is not None and descend(refined):
-                    return True
-            return False
+                if refined is not None:
+                    hit = descend(refined)
+                    if hit is not None:
+                        return hit
+            return None
 
-        if cells0 is not None:
-            descend(cells0)
-        return found
+        cells0 = self._refine(self._initial_cells(prescribed))
+        return None if cells0 is None else descend(cells0)
 
 
 def _branch_cell(cells) -> int:
@@ -240,8 +233,8 @@ def _relabelled_pairs(small_graphs, seed):
 def test_first_solution_matches_oracle_on_relabelled_pairs(small_graphs):
     for seed in (1, 2):
         for g, h in _relabelled_pairs(small_graphs, seed):
-            want = OracleSearch(g, h).run(limit=1)
-            assert want and find_isomorphism(g, h) == want[0]
+            want = OracleSearch(g, h).run()
+            assert want is not None and find_isomorphism(g, h) == want
 
 
 def _cycles_graph(rng):
@@ -269,8 +262,8 @@ def test_orbit_pruning_keeps_first_solution():
     for _ in range(12):
         g, h = _cycles_graph(rng), _cycles_graph(rng)
         search = _PairSearch(g, h)
-        got = search.run(limit=1)
-        assert got and got == OracleSearch(g, h).run(limit=1)
+        got = search.run()
+        assert got is not None and got == OracleSearch(g, h).run()
         prunes += search.stats.orbit_prunes
     assert prunes > 0
 
@@ -283,9 +276,9 @@ def test_first_solution_matches_oracle_on_nonisomorphic_pairs(small_graphs):
     for graphs in by_shape.values():
         for g in graphs[:8]:
             for h in graphs[:8]:
-                want = OracleSearch(g, h).run(limit=1)
-                assert find_isomorphism(g, h) == (want[0] if want else None)
-                negatives += not want
+                want = OracleSearch(g, h).run()
+                assert find_isomorphism(g, h) == want
+                negatives += want is None
     assert negatives > 500
 
 
@@ -355,8 +348,8 @@ def test_refinement_matches_oracle_along_first_path(doubled_graphs):
 
 def test_first_solution_matches_oracle_on_doubled_grid(doubled_graphs):
     for g, h in doubled_graphs:
-        want = OracleSearch(g, h).run(limit=1)
-        assert want and find_isomorphism(g, h) == want[0]
+        want = OracleSearch(g, h).run()
+        assert want is not None and find_isomorphism(g, h) == want
 
 
 @pytest.mark.slow
