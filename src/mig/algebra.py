@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .bitset import iter_bits, size
+from .bitset import iter_bits
 from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
-from .relgraph import build_graph, disjoint_automorphism_pair
+from .relgraph import build_graph, disjoint_automorphism_pair, preserves_adjacency
 from .structures import (
     IsoStructure,
     PointedSet,
@@ -241,7 +241,7 @@ def _tuple_lengths(m: Matroid, kind: IsoStructure) -> List[int]:
     if kind is IsoStructure.INDEPENDENT:
         return list(range(1, m.rank + 1))
     fam = structure_sets(m, kind)
-    lengths = {size(a) for a in fam}
+    lengths = {a.bit_count() for a in fam}
     if kind is IsoStructure.CIRCUITS and m.rank >= 1:
         lengths.add(2)  # the repeated-element convention for nonloops
     return sorted(lengths)
@@ -383,7 +383,7 @@ def screen_quantum_iso(
     def size_profile(mat: Matroid) -> Dict[int, int]:
         prof: Dict[int, int] = {}
         for a in structure_sets(mat, kind):
-            s = size(a)
+            s = a.bit_count()
             if s >= 1:
                 prof[s] = prof.get(s, 0) + 1
         return prof
@@ -447,11 +447,8 @@ def _transposition_vertex_perm(
 
     def move(p: PointedSet) -> PointedSet:
         members = p.members
-        for a, b in ((e1, e2),):
-            has_a = members >> a & 1
-            has_b = members >> b & 1
-            if has_a != has_b:
-                members ^= (1 << a) | (1 << b)
+        if (members >> e1 & 1) != (members >> e2 & 1):
+            members ^= (1 << e1) | (1 << e2)
         return PointedSet(members, swap.get(p.point, p.point))
 
     return tuple(index[move(p)] for p in ps)
@@ -501,15 +498,8 @@ def _verify_disjoint_pair(g, perm1, perm2) -> Dict[str, object]:
     moved2 = [v for v in range(g.n) if perm2[v] != v]
     disjoint = not set(moved1) & set(moved2)
 
-    def preserves(perm) -> bool:
-        for v in range(g.n):
-            for w in range(v + 1, g.n):
-                if g.rel_of(perm[v], perm[w]) != g.rel_of(v, w):
-                    return False
-        return True
-
-    p1 = preserves(perm1)
-    p2 = preserves(perm2)
+    p1 = preserves_adjacency(g, g, perm1)
+    p2 = preserves_adjacency(g, g, perm2)
     nontrivial = perm1 != identity and perm2 != identity
     return {
         "relPreserving": [p1, p2],

@@ -38,10 +38,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .bitset import size, subsets_of_size
+from .bitset import subsets_of_size
 from .errors import AxiomViolation, ConstructionInconsistency
 from .matroid import Matroid, check_basis_scan
 
@@ -80,7 +80,7 @@ def check_presentation(pres: CyclicFlatPresentation) -> None:
         for y in flats:
             if x != y and (x & y) == x:  # x strictly inside y
                 d = rho[y] - rho[x]
-                if not (0 < d < size(y & ~x)):
+                if not (0 < d < (y & ~x).bit_count()):
                     raise AxiomViolation(2, x, y)
     for i, x in enumerate(flats):
         for y in flats[i:]:
@@ -88,7 +88,7 @@ def check_presentation(pres: CyclicFlatPresentation) -> None:
             rhs = (
                 rho[joins[(x, y)]]
                 + rho[meets[(x, y)]]
-                + size((x & y) & ~meets[(x, y)])
+                + (x & y & ~meets[(x, y)]).bit_count()
             )
             if lhs < rhs:
                 raise AxiomViolation(3, x, y)
@@ -102,7 +102,7 @@ def matroid_from_cyclic_flats(pres: CyclicFlatPresentation) -> Matroid:
     rho = pres.rho
 
     def rank_of(a_mask: int) -> int:
-        return min(rho[f] + size(a_mask & ~f) for f in flats)
+        return min(rho[f] + (a_mask & ~f).bit_count() for f in flats)
 
     r = rank_of((1 << n) - 1)
     check_basis_scan(n, r)

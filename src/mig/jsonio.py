@@ -53,6 +53,8 @@ def _family_field(data: Dict, key: str) -> List[List[int]]:
     fam = data[key]
     if not isinstance(fam, list) or not all(_is_int_list(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} must be a list of integer lists")
+    if any(len(set(s)) != len(s) for s in fam):
+        raise MigError(f"matroid JSON field {key!r} repeats an element in a member")
     return fam
 
 

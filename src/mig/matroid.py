@@ -23,7 +23,6 @@ from .bitset import (
     full_mask,
     iter_bits,
     mask_of,
-    size,
     subsets_of_size,
 )
 from .errors import (
@@ -99,10 +98,10 @@ class Matroid:
     def subset_rank(self, a_mask: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
         self._require_subset(a_mask)
-        cap = min(size(a_mask), self.rank)
+        cap = min(a_mask.bit_count(), self.rank)
         best = 0
         for b in self.bases:
-            c = size(a_mask & b)
+            c = (a_mask & b).bit_count()
             if c > best:
                 best = c
                 if best == cap:
@@ -110,7 +109,7 @@ class Matroid:
         return best
 
     def is_independent(self, a_mask: int) -> bool:
-        return self.subset_rank(a_mask) == size(a_mask)
+        return self.subset_rank(a_mask) == a_mask.bit_count()
 
     def closure(self, a_mask: int) -> int:
         """All elements whose addition does not raise the rank."""
@@ -190,7 +189,7 @@ class Matroid:
         new_bases = set()
         for b in self.bases:
             inner = b & a_mask
-            if size(inner) == sub_rank:
+            if inner.bit_count() == sub_rank:
                 new_bases.add(mask_of(pos[e] for e in iter_bits(inner)))
         if sub_rank < self.rank:
             # maximal independents inside A need not sit inside a single
@@ -337,9 +336,9 @@ class Matroid:
         for b in fam:
             if b & ~self.ground_mask():
                 raise OutOfRange(f"basis {b:#x} exceeds ground set")
-            if size(b) != self.rank:
+            if b.bit_count() != self.rank:
                 raise CardinalityMismatch(
-                    f"basis {b:#x} has size {size(b)}, expected {self.rank}"
+                    f"basis {b:#x} has size {b.bit_count()}, expected {self.rank}"
                 )
         check_exchange_axiom(fam)
 
@@ -398,11 +397,11 @@ def matroid_from_bases(
     for b in fam:
         if b & ~full_mask(n):
             raise OutOfRange(f"basis {b:#x} exceeds ground set of size {n}")
-    rank = size(fam[0])
+    rank = fam[0].bit_count()
     for b in fam:
-        if size(b) != rank:
+        if b.bit_count() != rank:
             raise CardinalityMismatch(
-                f"bases of sizes {rank} and {size(b)} in one family"
+                f"bases of sizes {rank} and {b.bit_count()} in one family"
             )
     check_exchange_axiom(fam)
     if labels is not None and len(labels) != n:
@@ -424,7 +423,7 @@ def matroid_from_nonbases(
         mm = _as_mask(m)
         if mm & ~full_mask(n):
             raise OutOfRange(f"nonbasis {mm:#x} exceeds ground set of size {n}")
-        if size(mm) != r:
+        if mm.bit_count() != r:
             raise CardinalityMismatch(f"nonbasis {mm:#x} does not have size {r}")
         nb.add(mm)
     check_basis_scan(n, r)

@@ -9,6 +9,7 @@ preserves both colored adjacencies.
 The search is equitable color refinement on aligned cell pairs followed
 by individualize-and-refine backtracking on the first smallest
 non-singleton cell, trying its candidates in ascending vertex index.
+Automorphism groups come from a stabilizer chain on the same tree.
 Refinement only counts edges into the cells that changed in the round
 before, and only at the neighbours of those cells (Berkholz-Bonsma-Grohe,
 ESA 2013): a vertex with no edge into a splitter has count zero there and
@@ -53,15 +54,6 @@ class RelColoredGraph:
         self.adj1 = [by_point[p] & ~by_set[a] for a, p in self.vertices]
         self.adj2 = [by_set[a] & ~by_point[p] for a, p in self.vertices]
         self.adj = [by_set[a] ^ by_point[p] for a, p in self.vertices]
-
-    def rel_of(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        if self.adj1[i] >> j & 1:
-            return 1
-        if self.adj2[i] >> j & 1:
-            return 2
-        return 3
 
     def edges(self, color: int) -> List[Tuple[int, int]]:
         adj = self.adj1 if color == 1 else self.adj2
@@ -258,33 +250,12 @@ class _PairSearch:
                 return next_cells
             cells, new = next_cells, next_new
 
-    def _initial_cells(self, prescribed: Sequence[Tuple[int, int]]) -> List[Cell]:
-        rest_g = (1 << self.g.n) - 1
-        rest_h = (1 << self.h.n) - 1
-        cells: List[Cell] = []
-        for gv, hv in prescribed:
-            cells.append((1 << gv, 1 << hv))
-            rest_g &= ~(1 << gv)
-            rest_h &= ~(1 << hv)
-        if rest_g or rest_h:
-            cells.append((rest_g, rest_h))
-        return cells
+    def _initial_cells(self) -> List[Cell]:
+        return [((1 << self.g.n) - 1, (1 << self.h.n) - 1)]
 
     def _verify(self, mapping: List[int]) -> bool:
-        g, h = self.g, self.h
         self.stats.leaves += 1
-        for v in range(g.n):
-            img1 = 0
-            for u in iter_bits(g.adj1[v]):
-                img1 |= 1 << mapping[u]
-            if img1 != h.adj1[mapping[v]]:
-                return False
-            img2 = 0
-            for u in iter_bits(g.adj2[v]):
-                img2 |= 1 << mapping[u]
-            if img2 != h.adj2[mapping[v]]:
-                return False
-        return True
+        return preserves_adjacency(self.g, self.h, mapping)
 
     def _h_orbits(self) -> List[int]:
         """The Aut(h)-orbit of each vertex of h, as a bitset."""
@@ -297,67 +268,91 @@ class _PairSearch:
                     orbits[u] = orbit
         return orbits
 
-    def run(
-        self, prescribed: Sequence[Tuple[int, int]] = ()
-    ) -> Optional[Tuple[int, ...]]:
-        """The first isomorphism extending `prescribed`, or None.
+    def _individualize(
+        self, cells: List[Cell], ci: int, v: int, w: int
+    ) -> Optional[List[Cell]]:
+        """The equitable `cells` with v -> w split off cell ci, refined.
 
-        A search with nothing prescribed skips every root candidate in the
-        Aut(h)-orbit of one that failed: if an isomorphism sent v to
-        alpha(w), composing it with alpha^-1 would send v to w.  Aut(h) is
-        computed at the first failed root candidate, not before.
+        The rest's counts follow from the singleton's, so the singleton is
+        the only splitter.  None on a G/H mismatch.
         """
+        gm, hm = cells[ci]
+        trial = list(cells)
+        trial[ci : ci + 1] = [(1 << v, 1 << w), (gm & ~(1 << v), hm & ~(1 << w))]
+        return self._refine(trial, (ci,))
+
+    def _descend(
+        self, cells: Optional[List[Cell]], prune: bool
+    ) -> Optional[Tuple[int, ...]]:
+        """The first isomorphism below the equitable `cells`, or None.
+
+        A failed refinement, None, has none.  `prune` skips every candidate
+        in the Aut(h)-orbit of one that failed: if an isomorphism sent v to
+        alpha(w), composing it with alpha^-1 would send v to w.  Aut(h) is
+        computed at the first failed candidate, not before.
+        """
+        if cells is None:
+            return None
+        ci = _branch_cell(cells)
+        if ci < 0:
+            mapping = [0] * self.g.n
+            for gm, hm in cells:
+                mapping[gm.bit_length() - 1] = hm.bit_length() - 1
+            return tuple(mapping) if self._verify(mapping) else None
+        gm, hm = cells[ci]
+        v = (gm & -gm).bit_length() - 1
+        orbits: Optional[List[int]] = None
+        failed = 0  # union of the Aut(h)-orbits of failed candidates
+        for w in iter_bits(hm):
+            if failed >> w & 1:
+                self.stats.orbit_prunes += 1
+                continue
+            hit = self._descend(self._individualize(cells, ci, v, w), False)
+            if hit is not None:
+                return hit
+            if prune:
+                if orbits is None:
+                    orbits = self._h_orbits()
+                failed |= orbits[w]
+        return None
+
+    def run(self) -> Optional[Tuple[int, ...]]:
+        """The first isomorphism, pruning root candidates by Aut(h), or None."""
         if self.g.n != self.h.n:
             return None
         if self.g.n == 0:
             return ()
-        cells0 = self._refine(self._initial_cells(prescribed))
+        return self._descend(self._refine(self._initial_cells()), True)
 
-        def descend(cells: List[Cell], prune: bool) -> Optional[Tuple[int, ...]]:
-            # the first isomorphism below `cells`; `prune` skips candidates
-            # in the Aut(h)-orbits of failed ones
-            branch_at = -1
-            branch_size = 0
-            for ci, (gm, hm) in enumerate(cells):
-                c = gm.bit_count()
-                if c > 1 and (branch_at < 0 or c < branch_size):
-                    branch_at = ci
-                    branch_size = c
-            if branch_at < 0:
-                mapping = [0] * self.g.n
-                for gm, hm in cells:
-                    mapping[gm.bit_length() - 1] = hm.bit_length() - 1
-                return tuple(mapping) if self._verify(mapping) else None
-            gm, hm = cells[branch_at]
-            v = (gm & -gm).bit_length() - 1
-            rest_g = gm & ~(1 << v)
-            orbits: Optional[List[int]] = None
-            failed = 0  # union of the Aut(h)-orbits of failed candidates
-            for w in iter_bits(hm):
-                if failed >> w & 1:
-                    self.stats.orbit_prunes += 1
-                    continue
-                rest_h = hm & ~(1 << w)
-                trial = list(cells)
-                trial[branch_at : branch_at + 1] = [
-                    (1 << v, 1 << w),
-                    (rest_g, rest_h),
-                ]
-                # the rest's counts follow from the singleton's
-                refined = self._refine(trial, (branch_at,))
-                if refined is not None:
-                    hit = descend(refined, False)
-                    if hit is not None:
-                        return hit
-                if prune:
-                    if orbits is None:
-                        orbits = self._h_orbits()
-                    failed |= orbits[w]
-            return None
 
-        if cells0 is None:
-            return None
-        return descend(cells0, not prescribed)
+def _branch_cell(cells: Sequence[Cell]) -> int:
+    """Index of the first smallest non-singleton cell, or -1 if there is none."""
+    branch_at = -1
+    branch_size = 0
+    for ci, (gm, _) in enumerate(cells):
+        c = gm.bit_count()
+        if c > 1 and (branch_at < 0 or c < branch_size):
+            branch_at = ci
+            branch_size = c
+    return branch_at
+
+
+def preserves_adjacency(
+    g: RelColoredGraph, h: RelColoredGraph, mapping: Sequence[int]
+) -> bool:
+    """Whether the bijection `mapping` carries g's colored adjacencies onto h's."""
+    for v in range(g.n):
+        img1 = 0
+        for u in iter_bits(g.adj1[v]):
+            img1 |= 1 << mapping[u]
+        if img1 != h.adj1[mapping[v]]:
+            return False
+        img2 = 0
+        for u in iter_bits(g.adj2[v]):
+            img2 |= 1 << mapping[u]
+        if img2 != h.adj2[mapping[v]]:
+            return False
+    return True
 
 
 def find_isomorphism(
@@ -500,41 +495,41 @@ def _close_orbit(orbit: int, generators: Sequence[Tuple[int, ...]]) -> int:
 
 
 def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
-    """Automorphism group of `search.g`, which must be `search.h`."""
+    """Automorphism group of `search.g`, which must be `search.h`.
+
+    Each level keeps its equitable partition, and tests each image w of its
+    base point b by individualizing b -> w on it; b -> b gives the next
+    level.  As a set of cells that is the coarsest equitable partition with
+    the base points so far as singletons, as refining from them would give.
+    """
     g = search.g
     fixed: List[int] = []
     gens: List[Tuple[int, ...]] = []
     order = 1
     if g.n == 0:
         return AutomorphismGroup([], 1, [])
+    cells = search._refine(search._initial_cells())
     while True:
-        cells = search._refine(search._initial_cells([(f, f) for f in fixed]))
         if cells is None:
             raise NotInduced("self-refinement failed; graph data is inconsistent")
-        target = -1
-        tsize = 0
-        for ci, (gm, hm) in enumerate(cells):
-            c = gm.bit_count()
-            if c > 1 and (target < 0 or c < tsize):
-                target = ci
-                tsize = c
-        if target < 0:
+        ci = _branch_cell(cells)
+        if ci < 0:
             break
-        gm, hm = cells[target]
+        gm, hm = cells[ci]
         b = (gm & -gm).bit_length() - 1
         orbit = 1 << b
         level_gens: List[Tuple[int, ...]] = []
-        prescribed_prefix = [(f, f) for f in fixed]
         for w in iter_bits(hm):
             if orbit >> w & 1:
                 continue
-            res = search.run(prescribed_prefix + [(b, w)])
+            res = search._descend(search._individualize(cells, ci, b, w), False)
             if res is not None:
                 level_gens.append(res)
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens.extend(level_gens)
         fixed.append(b)
+        cells = search._individualize(cells, ci, b, b)
     return AutomorphismGroup(gens, order, fixed)
 
 

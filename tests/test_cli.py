@@ -139,6 +139,10 @@ def test_quantum_commands(capsys):
 
 # every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
 PAPER_PAIR_SHA256 = "4a6b0a48ec0d5e5f0785c380760ff97f73d7faf5bb9ae376ec814236885eea36"
+GRAPH_AUT_SHA256 = {
+    "P": "c4d337c53b40623e84c70e6ef7deb8cb318b5730926097a4d4d0f6f0739893b6",
+    "Q": "d09549e517316916c4b7bcfaec5be42dbafdd12a1dc3e141d1a488615d7f0f2b",
+}
 
 
 def test_paper_pair_commands(files, capsys):
@@ -153,6 +157,14 @@ def test_paper_pair_commands(files, capsys):
     assert cert["allChecksPassed"] is True
     assert cert["minorObstruction"]["pSideScan"]["subsets"] == 48620
     assert cert["oracleSpotCheck"]["mismatches"] == 0
+
+
+def test_graph_aut_on_paper_pair(files, capsys):
+    for name, digest in GRAPH_AUT_SHA256.items():
+        argv = ("graph", "aut", files[name], "--structure", "nonbases")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["order"] == "1152"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_screen_exit_codes(files, capsys):
@@ -242,6 +254,8 @@ def test_error_exit_code(files, capsys):
         '{"n": 3, "bases": 5}',
         '{"n": null, "bases": [[0]]}',
         '{"n": 3, "bases": [["a"]]}',
+        '{"n": 3, "bases": [[0, 0]]}',
+        '{"n": 3, "rank": 2, "nonbases": [[1, 1]]}',
         "[1,2]",
     ],
 )

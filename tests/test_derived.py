@@ -3,7 +3,7 @@
 import pytest
 
 from mig import matroid_from_nonbases, uniform_matroid
-from mig.bitset import elements_of, iter_bits, size
+from mig.bitset import elements_of, iter_bits
 from mig.derived import (
     characteristic_polynomial,
     derive_sets,
@@ -103,7 +103,7 @@ def test_tutte_u23_brute_force():
     coeffs = {}
     for a in range(8):
         c = m.rank - m.subset_rank(a)
-        u = size(a) - m.subset_rank(a)
+        u = a.bit_count() - m.subset_rank(a)
         coeffs[(c, u)] = coeffs.get((c, u), 0) + 1
     # (x-1)^c (y-1)^u accumulated naively over integer polynomials
     acc = {}

@@ -1,11 +1,15 @@
-"""No module of `mig` imports a name it never uses.
+"""No module of `mig` imports a name it never uses or keeps dead private code.
 
 No linter ships with the project, so this walks the syntax tree of each
 source file: every name bound by an import must be read somewhere in the
-file, in code, in a string annotation, or in `__all__`.
+file, in code, in a string annotation, or in `__all__`; and every private
+(`_`-prefixed, not dunder) function, method or class must be referenced
+somewhere in `src/mig` outside its own body, since code with no caller
+outside tests is deleted.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mig"
@@ -73,3 +77,55 @@ def test_no_unused_imports_in_src():
         if (bad := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _referenced(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """Private defs of `sources` (name -> text) that nothing else refers to."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs: Counter = Counter()
+    for tree in trees.values():
+        refs += _referenced(tree)
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            private = node.name.startswith("_") and not node.name.endswith("__")
+            if private and refs[node.name] == _referenced(node)[node.name]:
+                out.append(f"{name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_checker_flags_an_unreferenced_private_def():
+    sources = {
+        "a.py": "def _used(): ...\ndef _dead(): ...\n"
+        "class _C:\n    def __init__(self): ...\n",
+        "b.py": "from .a import _used\ndef _rec(n):\n    return _rec(n - 1)\n",
+    }
+    assert unreferenced_private_defs(sources) == [
+        "a.py:2: _dead",
+        "a.py:3: _C",
+        "b.py:2: _rec",
+    ]
+    method = "class K:\n    def _m(self): ...\n    def f(self):\n        self._m()\n"
+    assert unreferenced_private_defs({"c.py": method}) == []
+
+
+def test_no_unreferenced_private_defs_in_src():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

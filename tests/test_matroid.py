@@ -11,7 +11,7 @@ from mig import (
     matroid_from_vectors,
     uniform_matroid,
 )
-from mig.bitset import mask_of, size
+from mig.bitset import mask_of
 from mig.errors import (
     CardinalityMismatch,
     EmptyFamily,
@@ -196,7 +196,7 @@ def test_rank3_sparse_paving_criterion(catalog5, catalog6, grid, paper_pair):
     seen = set()
     for m in mats:
         criterion = m.is_simple() and all(
-            size(h) == 3 for h in m.cyclic_hyperplanes()
+            h.bit_count() == 3 for h in m.cyclic_hyperplanes()
         )
         assert criterion == m.is_sparse_paving()
         seen.add(criterion)

@@ -13,7 +13,7 @@ from mig.relgraph import (
     find_isomorphism,
     matroid_iso_from_graph_iso,
 )
-from mig.structures import IsoStructure
+from mig.structures import IsoStructure, rel
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,11 @@ def test_self_isomorphism_is_identity_first(g_u23):
 
 
 def test_found_isos_preserve_rel(g_u23):
+    vs = g_u23.vertices
     for mapping in automorphism_group(g_u23).elements():
         for i in range(g_u23.n):
             for j in range(g_u23.n):
-                assert g_u23.rel_of(i, j) == g_u23.rel_of(mapping[i], mapping[j])
+                assert rel(vs[i], vs[j]) == rel(vs[mapping[i]], vs[mapping[j]])
 
 
 def test_nontrivial_pair_found_and_extracted():
@@ -64,15 +65,17 @@ def test_paper_pair_search_counters(paper_pair):
 
     The initial refinement leaves one 72-vertex root cell.  The first root
     candidate fails, Aut(Q) is transitive, so the other 71 are pruned; the
-    unpruned search needed 1081 refinements.  Refinement evaluates 20074
-    (vertex, splitter) counts, only at neighbours of each splitter.
+    unpruned search needed 1081 refinements.  Refinement evaluates 13334
+    (vertex, splitter) counts, only at neighbours of each splitter; Aut(Q)
+    is found on one tree that keeps each level's partition (20074 when it
+    refined every candidate of the chain from the unit cell).
     """
     gp, gq = (build_graph(m, IsoStructure.NONBASES) for m in paper_pair)
     search = _PairSearch(gp, gq)
     assert search.run() is None
     assert search.stats.orbit_prunes == 71
     assert search.stats.refinements <= 100
-    assert search.stats.splitter_counts == 20074
+    assert search.stats.splitter_counts == 13334
     assert find_isomorphism(gp, gq) is None
 
 

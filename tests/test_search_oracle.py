@@ -2,11 +2,15 @@
 
 `OracleSearch` is the search as it was before splitter-restricted,
 neighbour-only refinement and root orbit pruning: every refinement round
-recomputes each vertex's counts into every cell, and the backtracking
-enumerates every root candidate.  The production engine must return the
-same ordered cell lists, the same first solution and the same
-automorphism groups.  `_pairwise_adjacency` is the graph build as it was,
-`rel` on every vertex pair, and the oracle for `RelColoredGraph`.
+recomputes each vertex's counts into every cell, the backtracking
+enumerates every root candidate, and a search can start from prescribed
+vertex pairs.  `_oracle_chain` is the stabilizer chain as it was: it
+refines every level and every candidate from the prescribed pairs of its
+prefix.  The production engine must return the same ordered cell lists,
+the same first solution and the same automorphism groups; the production
+chain walks one tree, so its generators may differ from the oracle's, but
+not the group they generate.  `_pairwise_adjacency` is the graph build as
+it was, `rel` on every vertex pair, and the oracle for `RelColoredGraph`.
 """
 
 import random
@@ -15,13 +19,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from mig.bitset import iter_bits
+from mig.errors import NotInduced
 from mig.relgraph import (
+    AutomorphismGroup,
     RelColoredGraph,
+    _close_orbit,
     _PairSearch,
-    _stabilizer_chain,
     automorphism_group,
     build_graph,
     find_isomorphism,
+    preserves_adjacency,
 )
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
 from mig.structures import IsoStructure, PointedSet, covers, rel
@@ -69,6 +76,18 @@ class OracleSearch(_PairSearch):
             if not changed:
                 return cells
 
+    def _initial_cells(self, prescribed: Sequence[Tuple[int, int]] = ()) -> List:
+        rest_g = (1 << self.g.n) - 1
+        rest_h = (1 << self.h.n) - 1
+        cells = []
+        for gv, hv in prescribed:
+            cells.append((1 << gv, 1 << hv))
+            rest_g &= ~(1 << gv)
+            rest_h &= ~(1 << hv)
+        if rest_g or rest_h:
+            cells.append((rest_g, rest_h))
+        return cells
+
     def run(
         self, prescribed: Sequence[Tuple[int, int]] = ()
     ) -> Optional[Tuple[int, ...]]:
@@ -106,6 +125,45 @@ def _branch_cell(cells) -> int:
             branch_at = ci
             branch_size = c
     return branch_at
+
+
+def _oracle_chain(search: OracleSearch) -> AutomorphismGroup:
+    """Automorphism group of `search.g`, which must be `search.h`."""
+    g = search.g
+    fixed: List[int] = []
+    gens: List[Tuple[int, ...]] = []
+    order = 1
+    if g.n == 0:
+        return AutomorphismGroup([], 1, [])
+    while True:
+        cells = search._refine(search._initial_cells([(f, f) for f in fixed]))
+        if cells is None:
+            raise NotInduced("self-refinement failed; graph data is inconsistent")
+        target = -1
+        tsize = 0
+        for ci, (gm, hm) in enumerate(cells):
+            c = gm.bit_count()
+            if c > 1 and (target < 0 or c < tsize):
+                target = ci
+                tsize = c
+        if target < 0:
+            break
+        gm, hm = cells[target]
+        b = (gm & -gm).bit_length() - 1
+        orbit = 1 << b
+        level_gens: List[Tuple[int, ...]] = []
+        prescribed_prefix = [(f, f) for f in fixed]
+        for w in iter_bits(hm):
+            if orbit >> w & 1:
+                continue
+            res = search.run(prescribed_prefix + [(b, w)])
+            if res is not None:
+                level_gens.append(res)
+                orbit = _close_orbit(orbit | (1 << w), level_gens)
+        order *= orbit.bit_count()
+        gens.extend(level_gens)
+        fixed.append(b)
+    return AutomorphismGroup(gens, order, fixed)
 
 
 def _individualizations(cells, branch_at):
@@ -191,9 +249,11 @@ def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graph
 
 def _assert_same_partitions(g, h) -> int:
     """Root refinement and every root individualization agree with the oracle."""
+    if g.n == 0:  # the search returns before it refines an empty graph
+        return 0
     new, old = _PairSearch(g, h), OracleSearch(g, h)
-    root = new._refine(new._initial_cells(()))
-    assert root == old._refine(old._initial_cells(()))
+    root = new._refine(new._initial_cells())
+    assert root == old._refine(old._initial_cells())
     if root is None:
         return 1
     compared = 1
@@ -282,16 +342,65 @@ def test_first_solution_matches_oracle_on_nonisomorphic_pairs(small_graphs):
     assert negatives > 500
 
 
+def _assert_same_group(g, got: AutomorphismGroup, want: AutomorphismGroup) -> None:
+    """Same order, generators that are automorphisms, same group as a set."""
+    assert got.order == want.order
+    assert all(preserves_adjacency(g, g, gen) for gen in got.generators)
+    assert got.elements() == want.elements()
+
+
 def test_automorphism_group_matches_oracle(small_graphs, pq_graphs):
-    graphs = [g for _, _, g in small_graphs[::4]] + pq_graphs
-    for g in graphs:
+    for i, (_, _, g) in enumerate(small_graphs):
         got = automorphism_group(g)
-        want = _stabilizer_chain(OracleSearch(g, g))
-        assert (got.generators, got.order, got.base) == (
-            want.generators,
-            want.order,
-            want.base,
-        )
+        want = _oracle_chain(OracleSearch(g, g))
+        if i % 4:
+            assert got.order == want.order
+        else:
+            _assert_same_group(g, got, want)
+    for g in pq_graphs:
+        _assert_same_group(g, automorphism_group(g), _oracle_chain(OracleSearch(g, g)))
+
+
+def _cell_set(cells):
+    return None if cells is None else set(cells)
+
+
+def _assert_chain_partitions(g) -> int:
+    """Every level's partition and every candidate's, against the oracle's.
+
+    The production chain individualizes each candidate b -> w, and b -> b
+    for the next level, on the level's partition; the oracle refines from
+    the prescribed singletons of the prefix.  As sets of cells they agree.
+    """
+    if g.n == 0:  # the chain returns before it refines an empty graph
+        return 0
+    new, old = _PairSearch(g, g), OracleSearch(g, g)
+    base = automorphism_group(g).base
+    cells = new._refine(new._initial_cells())
+    compared = 0
+    for k, b in enumerate(base):
+        prefix = [(f, f) for f in base[:k]]
+        assert set(cells) == set(old._refine(old._initial_cells(prefix)))
+        ci = _branch_cell(cells)
+        gm, hm = cells[ci]
+        assert b == (gm & -gm).bit_length() - 1
+        for w in iter_bits(hm):
+            want = old._refine(old._initial_cells(prefix + [(b, w)]))
+            assert _cell_set(new._individualize(cells, ci, b, w)) == _cell_set(want)
+            compared += 1
+        cells = new._individualize(cells, ci, b, b)
+    assert _branch_cell(cells) < 0
+    assert set(cells) == set(old._refine(old._initial_cells([(f, f) for f in base])))
+    return compared
+
+
+def test_chain_partitions_match_oracle(small_graphs, pq_graphs):
+    compared = 0
+    for _, _, g in small_graphs[::4]:
+        compared += _assert_chain_partitions(g)
+    for g in pq_graphs:
+        compared += _assert_chain_partitions(g)
+    assert compared > 1000
 
 
 def test_verdicts_match_networkx_vf2(catalog5):
@@ -324,8 +433,8 @@ def test_refinement_matches_oracle_along_first_path(doubled_graphs):
     for g, h in doubled_graphs:
         solution = find_isomorphism(g, h)
         new, old = _PairSearch(g, h), OracleSearch(g, h)
-        cells = new._refine(new._initial_cells(()))
-        assert cells == old._refine(old._initial_cells(()))
+        cells = new._refine(new._initial_cells())
+        assert cells == old._refine(old._initial_cells())
         depth = 0
         branch_at = _branch_cell(cells)
         while branch_at >= 0:
@@ -356,10 +465,5 @@ def test_first_solution_matches_oracle_on_doubled_grid(doubled_graphs):
 def test_automorphism_group_matches_oracle_on_doubled_grid(doubled_graphs):
     for g, _ in doubled_graphs:
         got = automorphism_group(g)
-        want = _stabilizer_chain(OracleSearch(g, g))
-        assert (got.generators, got.order, got.base) == (
-            want.generators,
-            want.order,
-            want.base,
-        )
+        _assert_same_group(g, got, _oracle_chain(OracleSearch(g, g)))
         assert got.order == 1152

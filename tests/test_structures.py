@@ -3,7 +3,7 @@
 import pytest
 
 from mig import matroid_from_nonbases, uniform_matroid
-from mig.bitset import elements_of, size
+from mig.bitset import elements_of
 from mig.errors import NotCovering, UnsupportedKind
 from mig.structures import (
     IsoStructure,
@@ -48,11 +48,11 @@ def test_grid_matroid_hyperplanes():
         9, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8]]
     )
     fam = structure_sets(grid, IsoStructure.HYPERPLANES)
-    triples = [elements_of(h) for h in fam if size(h) == 3]
+    triples = [elements_of(h) for h in fam if h.bit_count() == 3]
     assert sorted(triples) == sorted(
         [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8]]
     )
-    assert sum(1 for h in fam if size(h) == 2) == 18
+    assert sum(1 for h in fam if h.bit_count() == 2) == 18
 
 
 def test_pointed_sets_order_and_count(paper_pair):
@@ -75,7 +75,7 @@ def test_pointed_count_matches_member_sizes(catalog5):
     for m in catalog5[4][::3]:
         for kind in ALL_KINDS:
             fam = structure_sets(m, kind)
-            assert len(pointed_sets(m, kind)) == sum(size(a) for a in fam)
+            assert len(pointed_sets(m, kind)) == sum(a.bit_count() for a in fam)
 
 
 def test_rel_values():
