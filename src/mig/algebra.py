@@ -288,8 +288,12 @@ def export_groundset_relations(
         raise UnsupportedKind(f"{kind.value} is not a tuple structure")
     lengths = sorted(set(_tuple_lengths(m, kind)) | set(_tuple_lengths(n, kind)))
     for s in lengths:
-        if m.n**s + n.n**s > TUPLE_SPACE_GUARD:
-            raise GuardExceeded(f"tuple space at length {s} exceeds the guard")
+        space = m.n**s + n.n**s
+        if space > TUPLE_SPACE_GUARD:
+            raise GuardExceeded(
+                f"{space} tuples at length {s} exceed the guard"
+                f" TUPLE_SPACE_GUARD = {TUPLE_SPACE_GUARD}"
+            )
 
     def tuple_products() -> Iterator[Relation]:
         for s in lengths:

@@ -26,6 +26,7 @@ from .errors import ExchangeAxiomViolation, GuardExceeded
 from .matroid import Matroid, check_exchange_axiom
 
 CATALOG_GUARD = 7
+BRUTE_FAMILY_GUARD = 15  # most candidate bases whose 2^k families are scanned
 
 
 def _is_basis_family(masks: List[int]) -> bool:
@@ -40,8 +41,11 @@ def brute_force_matroids(n: int, r: int) -> List[Matroid]:
     """All matroids of rank r on [n] by scanning every basis family."""
     candidates = list(subsets_of_size(n, r))
     k = len(candidates)
-    if k > 15:
-        raise GuardExceeded(f"2^{k} families is too many to scan")
+    if k > BRUTE_FAMILY_GUARD:
+        raise GuardExceeded(
+            f"2^{k} families of {k} candidate bases exceed the guard"
+            f" BRUTE_FAMILY_GUARD = {BRUTE_FAMILY_GUARD} candidates"
+        )
     out = []
     for pick in range(1, 1 << k):
         fam = [candidates[i] for i in iter_bits(pick)]
@@ -155,7 +159,10 @@ def extensions(m: Matroid) -> List[Matroid]:
 def all_matroids(n: int) -> Tuple[Matroid, ...]:
     """Every labeled matroid on ground set [n], canonically ordered."""
     if n > CATALOG_GUARD:
-        raise GuardExceeded(f"catalog generation is guarded at n <= {CATALOG_GUARD}")
+        raise GuardExceeded(
+            f"catalog generation on n={n} exceeds the guard"
+            f" CATALOG_GUARD = {CATALOG_GUARD}"
+        )
     if n == 0:
         return (Matroid(0, 0, (0,)),)
     if n <= 5:

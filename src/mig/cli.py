@@ -116,11 +116,13 @@ def cmd_cover(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from .relgraph import automorphism_group, build_graph
+    from .relgraph import SearchStats, automorphism_group, build_graph
 
     m = load_matroid(args.file)
     kind = _structure(args)
     g = build_graph(m, kind)
+    if args.stats and args.action != "aut":
+        raise MigError("--stats applies to graph aut")
     if args.action == "build":
         payload = {
             "vertices": [v.to_json() for v in g.vertices],
@@ -129,27 +131,31 @@ def cmd_graph(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
     if args.action == "aut":
-        grp = automorphism_group(g)
-        _emit(grp.to_json(), args.out)
+        stats = SearchStats()
+        payload = automorphism_group(g, stats).to_json()
+        if args.stats:
+            payload["stats"] = stats.to_json()
+        _emit(payload, args.out)
         return EXIT_OK
     raise MigError(f"unknown graph action {args.action}")
 
 
 def cmd_iso(args) -> int:
-    from .relgraph import find_matroid_isomorphism
+    from .relgraph import SearchStats, find_matroid_isomorphism
 
     m = load_matroid(args.first)
     n = load_matroid(args.second)
-    hit = find_matroid_isomorphism(m, n, _structure(args))
+    stats = SearchStats()
+    hit = find_matroid_isomorphism(m, n, _structure(args), stats)
     if hit is None:
-        _emit({"isomorphic": False, "groundMap": None}, args.out)
-        return EXIT_NEGATIVE
-    ground, mapping = hit
-    _emit(
-        {"isomorphic": True, "map": list(mapping), "groundMap": list(ground)},
-        args.out,
-    )
-    return EXIT_OK
+        payload: dict = {"isomorphic": False, "groundMap": None}
+    else:
+        ground, mapping = hit
+        payload = {"isomorphic": True, "map": list(mapping), "groundMap": list(ground)}
+    if args.stats:
+        payload["stats"] = stats.to_json()
+    _emit(payload, args.out)
+    return EXIT_NEGATIVE if hit is None else EXIT_OK
 
 
 def cmd_game(args) -> int:
@@ -467,6 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
 
+    def add_stats(p):
+        p.add_argument(
+            "--stats",
+            action="store_true",
+            help="add the search's work counts to the JSON",
+        )
+
     def add_structure(p):
         p.add_argument(
             "--structure",
@@ -498,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build", "aut"])
     p.add_argument("file")
     add_structure(p)
+    add_stats(p)
     add_common(p)
     p.set_defaults(func=cmd_graph)
 
@@ -505,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     add_structure(p)
+    add_stats(p)
     add_common(p)
     p.set_defaults(func=cmd_iso)
 

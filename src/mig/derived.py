@@ -10,6 +10,7 @@ rather than truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -20,11 +21,16 @@ from .errors import GuardExceeded, InvariantViolation
 DERIVE_GUARD = 24
 
 
+@lru_cache(maxsize=None)
 def popcount_table(n: int) -> np.ndarray:
-    """uint8 array t with t[mask] = popcount(mask), for masks < 2^n."""
+    """uint8 array t with t[mask] = popcount(mask), for masks < 2^n.
+
+    Built once per n and shared, so it is read-only.
+    """
     t = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         t[1 << i : 1 << (i + 1)] = t[: 1 << i] + 1
+    t.flags.writeable = False
     return t
 
 
@@ -49,7 +55,8 @@ def max_over_subsets(vals: np.ndarray, n: int) -> np.ndarray:
 def _guard(m, guard_n: int) -> None:
     if m.n > guard_n:
         raise GuardExceeded(
-            f"full-lattice enumeration on n={m.n} exceeds guard {guard_n}"
+            f"full-lattice enumeration on n={m.n} exceeds the guard n <= {guard_n}"
+            f" (DERIVE_GUARD = {DERIVE_GUARD}, set by `mig matroid --guard-n`)"
         )
 
 

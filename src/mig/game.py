@@ -25,6 +25,9 @@ from .errors import (
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, pointed_sets, require_covering
 
+FUNCTIONAL_SEARCH_CAP = 8  # largest alphabet the exhaustive strategy scan takes
+LBCS_VARS_GUARD = 24  # most variables whose 2^v assignments are scanned
+
 
 class IsoGameInstance:
     """The isomorphism game for (M, N, structure)."""
@@ -159,12 +162,15 @@ def strategy_from_iso(
 
 
 def exhaustive_perfect_strategy(
-    inst: IsoGameInstance, cap: int = 8
+    inst: IsoGameInstance, cap: int = FUNCTIONAL_SEARCH_CAP
 ) -> Optional[DeterministicStrategy]:
     """Backtracking scan over all answer functions (test oracle only)."""
     k = inst.size()
     if k > cap:
-        raise GuardExceeded(f"functional search is an oracle for alphabets <= {cap}")
+        raise GuardExceeded(
+            f"alphabet of {k} exceeds the functional-search guard"
+            f" FUNCTIONAL_SEARCH_CAP = {cap}"
+        )
     choice: List[int] = []
 
     def extend(a: int) -> bool:
@@ -266,11 +272,16 @@ def lbcs_predicate(
     return 1
 
 
-def lbcs_solutions(lbcs: LBCS, guard_vars: int = 24) -> List[Tuple[int, ...]]:
+def lbcs_solutions(
+    lbcs: LBCS, guard_vars: int = LBCS_VARS_GUARD
+) -> List[Tuple[int, ...]]:
     """All global +/-1 assignments satisfying every constraint (brute force)."""
     v = lbcs.num_vars
     if v > guard_vars:
-        raise GuardExceeded(f"{v} variables exceed the solution-scan guard")
+        raise GuardExceeded(
+            f"{v} variables exceed the solution-scan guard"
+            f" LBCS_VARS_GUARD = {guard_vars}"
+        )
     import numpy as np
 
     codes = np.arange(1 << v, dtype=np.uint32)

@@ -222,7 +222,7 @@ class Matroid:
     def free_extension(self) -> "Matroid":
         """Add a new element (index n) in general position."""
         if self.n + 1 > MAX_GROUND:
-            raise GuardExceeded("ground set would exceed 64 elements")
+            raise _ground_guard(self.n + 1)
         new_bit = 1 << self.n
         fam = set(self.bases)
         for b in self.bases:
@@ -280,7 +280,8 @@ class Matroid:
         """
         if self.n > guard_n:
             raise GuardExceeded(
-                f"connectivity scan needs 2^{self.n} ranks (guard {guard_n})"
+                f"connectivity scan on n={self.n} exceeds the guard"
+                f" CONNECTIVITY_GUARD = {guard_n}"
             )
         if self.n < 2:
             return None
@@ -374,6 +375,12 @@ def check_exchange_axiom(bases: Sequence[int]) -> None:
 # -- constructors -----------------------------------------------------------
 
 
+def _ground_guard(n: int) -> GuardExceeded:
+    return GuardExceeded(
+        f"ground set of {n} elements exceeds the guard MAX_GROUND = {MAX_GROUND}"
+    )
+
+
 def check_basis_scan(n: int, r: int) -> None:
     """Refuse to scan more than BASES_GUARD r-subsets of n elements for bases."""
     if 0 <= r <= n and comb(n, r) > BASES_GUARD:
@@ -390,7 +397,7 @@ def matroid_from_bases(
 ) -> Matroid:
     """Validate a basis family and build the matroid."""
     if n > MAX_GROUND:
-        raise GuardExceeded(f"ground sets are limited to {MAX_GROUND} elements")
+        raise _ground_guard(n)
     fam = canonical_family(_as_mask(b) for b in bases)
     if not fam:
         raise EmptyFamily("basis family is empty")
@@ -417,7 +424,7 @@ def matroid_from_nonbases(
 ) -> Matroid:
     """Build a matroid from the r-subsets that are NOT bases."""
     if n > MAX_GROUND:
-        raise GuardExceeded(f"ground sets are limited to {MAX_GROUND} elements")
+        raise _ground_guard(n)
     nb = set()
     for m in nonbases:
         mm = _as_mask(m)
@@ -485,7 +492,7 @@ def matroid_from_graph(edges: Sequence[Tuple[object, object]]) -> Matroid:
     """
     n = len(edges)
     if n > MAX_GROUND:
-        raise GuardExceeded(f"ground sets are limited to {MAX_GROUND} elements")
+        raise _ground_guard(n)
     verts: List[object] = []
     vidx: Dict[object, int] = {}
     for u, v in edges:
@@ -546,7 +553,10 @@ def brute_force_isomorphic(
     partial-map consistency.  Returns the image tuple or None.
     """
     if m1.n > guard_n or m2.n > guard_n:
-        raise GuardExceeded(f"brute-force isomorphism is guarded at n <= {guard_n}")
+        raise GuardExceeded(
+            f"brute-force isomorphism on n={max(m1.n, m2.n)} exceeds the guard"
+            f" BRUTE_ISO_GUARD = {guard_n}"
+        )
     if m1.n != m2.n or m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
         return None
     n = m1.n
@@ -603,7 +613,10 @@ def brute_force_isomorphic(
 def brute_force_automorphism_count(m: Matroid, guard_n: int = BRUTE_ISO_GUARD) -> int:
     """Count all basis-preserving ground permutations (oracle-scale)."""
     if m.n > guard_n:
-        raise GuardExceeded(f"guarded at n <= {guard_n}")
+        raise GuardExceeded(
+            f"brute-force automorphism count on n={m.n} exceeds the guard"
+            f" BRUTE_ISO_GUARD = {guard_n}"
+        )
     bset = set(m.bases)
     count = 0
     for perm in permutations(range(m.n)):

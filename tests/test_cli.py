@@ -167,6 +167,51 @@ def test_graph_aut_on_paper_pair(files, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_stats_flag(files, capsys):
+    """--stats adds the search counts; without it the JSON is unchanged."""
+    pq = ("iso", files["P"], files["Q"], "--structure", "nonbases")
+    code, plain, _ = run(capsys, *pq)
+    assert code == 1
+    code, out, _ = run(capsys, *pq, "--stats")
+    data = json.loads(out)
+    assert code == 1 and data.pop("stats") == {
+        "refinements": 62,
+        "failedRefinements": 8,
+        "splitterCounts": 7402,
+        "orbitPrunes": 71,
+        "leaves": 9,
+    }
+    assert dumps(data) == plain
+    aut = ("graph", "aut", files["P"], "--structure", "nonbases")
+    code, plain, _ = run(capsys, *aut)
+    code, out, _ = run(capsys, *aut, "--stats")
+    data = json.loads(out)
+    stats = data.pop("stats")
+    assert code == 0 and dumps(data) == plain
+    assert stats["leaves"] >= len(data["generators"]) and stats["orbitPrunes"] == 0
+    u23 = ("iso", files["u23"], files["u23"], "--structure", "bases", "--stats")
+    code, out, _ = run(capsys, *u23)
+    assert code == 0 and json.loads(out)["stats"]["leaves"] == 1
+    build = ("graph", "build", files["u23"], "--structure", "bases", "--stats")
+    assert run(capsys, *build)[0] == 2
+
+
+def test_paper_pair_computes_each_group_once(capsys, monkeypatch):
+    """Aut(Q) serves the P vs Q pruning and the shared-invariant report."""
+    from mig import relgraph
+
+    chain = relgraph._stabilizer_chain
+    runs = []
+
+    def counted(search):
+        runs.append(search.g.n)
+        return chain(search)
+
+    monkeypatch.setattr(relgraph, "_stabilizer_chain", counted)
+    assert run(capsys, "paper-pair", "--verify-all")[0] == 0
+    assert runs == [72, 72]
+
+
 def test_screen_exit_codes(files, capsys):
     assert (
         run(capsys, "screen", files["P"], files["Q"], "--structure", "nonbases")[0]

@@ -8,6 +8,7 @@ from mig.derived import (
     characteristic_polynomial,
     derive_sets,
     independence_table,
+    popcount_table,
     rank_table,
     tutte_polynomial,
 )
@@ -171,3 +172,11 @@ def test_rank_table_matches_queries(catalog5):
         table = rank_table(m)
         for a in range(1 << m.n):
             assert int(table[a]) == m.subset_rank(a)
+
+
+def test_popcount_table_is_shared_and_read_only():
+    table = popcount_table(6)
+    assert popcount_table(6) is table
+    assert [int(table[a]) for a in range(64)] == [a.bit_count() for a in range(64)]
+    with pytest.raises(ValueError):
+        table[3] = 0

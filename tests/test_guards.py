@@ -1,0 +1,103 @@
+"""Every guard fails loudly: its message names the size, the guard and its flag."""
+
+import pytest
+
+from mig import matroid_from_bases, matroid_from_graph, matroid_from_nonbases
+from mig.algebra import export_groundset_relations
+from mig.catalog import all_matroids, brute_force_matroids
+from mig.derived import derive_sets
+from mig.errors import GuardExceeded
+from mig.game import LBCS, Constraint, IsoGameInstance, exhaustive_perfect_strategy
+from mig.game import lbcs_solutions
+from mig.matroid import (
+    Matroid,
+    brute_force_automorphism_count,
+    brute_force_isomorphic,
+    check_basis_scan,
+    uniform_matroid,
+)
+from mig.relgraph import automorphism_group, build_graph
+from mig.structures import IsoStructure
+
+
+def _u23_game():
+    u23 = uniform_matroid(2, 3)
+    return IsoGameInstance(u23, u23, IsoStructure.BASES)
+
+
+CASES = {
+    "derive": (
+        lambda: derive_sets(uniform_matroid(2, 25)),
+        ["n=25", "n <= 24", "DERIVE_GUARD = 24", "--guard-n"],
+    ),
+    "derive-flag": (
+        lambda: derive_sets(uniform_matroid(2, 4), guard_n=3),
+        ["n=4", "n <= 3", "DERIVE_GUARD = 24", "--guard-n"],
+    ),
+    "bases-ground": (
+        lambda: matroid_from_bases(65, [[0]]),
+        ["65 elements", "MAX_GROUND = 64"],
+    ),
+    "nonbases-ground": (
+        lambda: matroid_from_nonbases(65, 1, []),
+        ["65 elements", "MAX_GROUND = 64"],
+    ),
+    "graph-ground": (
+        lambda: matroid_from_graph([(0, 1)] * 65),
+        ["65 elements", "MAX_GROUND = 64"],
+    ),
+    "free-extension": (
+        lambda: Matroid(64, 0, (0,)).free_extension(),
+        ["65 elements", "MAX_GROUND = 64"],
+    ),
+    "basis-scan": (
+        lambda: check_basis_scan(40, 20),
+        ["C(40,20) = 137846528820", "BASES_GUARD = 5000000"],
+    ),
+    "connectivity": (
+        lambda: uniform_matroid(3, 21).connectivity(),
+        ["n=21", "CONNECTIVITY_GUARD = 20"],
+    ),
+    "brute-iso": (
+        lambda: brute_force_isomorphic(uniform_matroid(2, 10), uniform_matroid(2, 10)),
+        ["n=10", "BRUTE_ISO_GUARD = 9"],
+    ),
+    "brute-aut": (
+        lambda: brute_force_automorphism_count(uniform_matroid(2, 10)),
+        ["n=10", "BRUTE_ISO_GUARD = 9"],
+    ),
+    "catalog": (lambda: all_matroids(8), ["n=8", "CATALOG_GUARD = 7"]),
+    "brute-families": (
+        lambda: brute_force_matroids(6, 3),
+        ["2^20", "20 candidate bases", "BRUTE_FAMILY_GUARD = 15"],
+    ),
+    "functional-search": (
+        lambda: exhaustive_perfect_strategy(_u23_game()),
+        ["alphabet of 12", "FUNCTIONAL_SEARCH_CAP = 8"],
+    ),
+    "lbcs-solutions": (
+        lambda: lbcs_solutions(LBCS(30, (Constraint((0,), 1),))),
+        ["30 variables", "LBCS_VARS_GUARD = 24"],
+    ),
+    "group-elements": (
+        lambda: automorphism_group(
+            build_graph(uniform_matroid(1, 8), IsoStructure.BASES)
+        ).elements(),
+        ["group order 40320", "GROUP_ENUM_CAP = 20000"],
+    ),
+    "tuple-space": (
+        lambda: export_groundset_relations(
+            Matroid(40, 4, (0b1111,)), Matroid(40, 4, (0b1111,)), IsoStructure.BASES
+        ),
+        ["5120000 tuples", "length 4", "TUPLE_SPACE_GUARD = 2000000"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_guard_message_names_size_guard_and_flag(name):
+    call, parts = CASES[name]
+    with pytest.raises(GuardExceeded) as info:
+        call()
+    for part in parts:
+        assert part in str(info.value)

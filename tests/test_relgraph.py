@@ -13,7 +13,7 @@ from mig.relgraph import (
     find_isomorphism,
     matroid_iso_from_graph_iso,
 )
-from mig.structures import IsoStructure, rel
+from mig.structures import IsoStructure, pointed_sets, rel
 
 
 @pytest.fixture(scope="module")
@@ -65,17 +65,21 @@ def test_paper_pair_search_counters(paper_pair):
 
     The initial refinement leaves one 72-vertex root cell.  The first root
     candidate fails, Aut(Q) is transitive, so the other 71 are pruned; the
-    unpruned search needed 1081 refinements.  Refinement evaluates 13334
+    unpruned search needed 1081 refinements.  Refinement evaluates 7402
     (vertex, splitter) counts, only at neighbours of each splitter; Aut(Q)
-    is found on one tree that keeps each level's partition (20074 when it
-    refined every candidate of the chain from the unit cell).
+    is found on one tree, and each node of g's first path is refined once,
+    every candidate refining h alone against its trace (13334 when each
+    candidate refined both sides, 20074 when the chain refined every
+    candidate from the unit cell).  The graphs are built here, not taken
+    from `build_graph`, so that no automorphism group is already known.
     """
-    gp, gq = (build_graph(m, IsoStructure.NONBASES) for m in paper_pair)
+    kind = IsoStructure.NONBASES
+    gp, gq = (RelColoredGraph(pointed_sets(m, kind)) for m in paper_pair)
     search = _PairSearch(gp, gq)
     assert search.run() is None
     assert search.stats.orbit_prunes == 71
     assert search.stats.refinements <= 100
-    assert search.stats.splitter_counts == 13334
+    assert search.stats.splitter_counts == 7402
     assert find_isomorphism(gp, gq) is None
 
 

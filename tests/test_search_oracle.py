@@ -1,16 +1,20 @@
 """Differential tests of the relation-graph search against a reference engine.
 
 `OracleSearch` is the search as it was before splitter-restricted,
-neighbour-only refinement and root orbit pruning: every refinement round
-recomputes each vertex's counts into every cell, the backtracking
-enumerates every root candidate, and a search can start from prescribed
-vertex pairs.  `_oracle_chain` is the stabilizer chain as it was: it
-refines every level and every candidate from the prescribed pairs of its
-prefix.  The production engine must return the same ordered cell lists,
-the same first solution and the same automorphism groups; the production
-chain walks one tree, so its generators may differ from the oracle's, but
-not the group they generate.  `_pairwise_adjacency` is the graph build as
-it was, `rel` on every vertex pair, and the oracle for `RelColoredGraph`.
+neighbour-only refinement, one-sided refinement and root orbit pruning:
+every refinement round refines both graphs jointly, recomputing each
+vertex's counts into every cell, the backtracking enumerates every root
+candidate, a search can start from prescribed vertex pairs, and leaves
+are checked by walking every neighbour bit (`_bitwalk_preserves`).
+`_oracle_chain` is the stabilizer chain as it was: it refines every level
+and every candidate from the prescribed pairs of its prefix.  The
+production engine refines g alone and h against g's trace; it must fail
+exactly where the joint refinement fails, and otherwise its zipped cells
+must be the joint refinement's.  It must return the same first solution
+and the same automorphism groups; the production chain walks one tree, so
+its generators may differ from the oracle's, but not the group they
+generate.  `_pairwise_adjacency` is the graph build as it was, `rel` on
+every vertex pair, and the oracle for `RelColoredGraph`.
 """
 
 import random
@@ -19,12 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from mig.bitset import iter_bits
-from mig.errors import NotInduced
+from mig.errors import InvariantViolation, NotInduced
 from mig.relgraph import (
     AutomorphismGroup,
     RelColoredGraph,
+    SearchStats,
     _close_orbit,
     _PairSearch,
+    _refine,
     automorphism_group,
     build_graph,
     find_isomorphism,
@@ -34,10 +40,30 @@ from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
 from mig.structures import IsoStructure, PointedSet, covers, rel
 
 
-class OracleSearch(_PairSearch):
-    """Full-signature refinement and unpruned backtracking."""
+def _bitwalk_preserves(g, h, mapping) -> bool:
+    """The leaf check as it was: map every neighbour bit of every vertex."""
+    for v in range(g.n):
+        img1 = 0
+        for u in iter_bits(g.adj1[v]):
+            img1 |= 1 << mapping[u]
+        if img1 != h.adj1[mapping[v]]:
+            return False
+        img2 = 0
+        for u in iter_bits(g.adj2[v]):
+            img2 |= 1 << mapping[u]
+        if img2 != h.adj2[mapping[v]]:
+            return False
+    return True
 
-    def _refine(self, cells, splitters=None):
+
+class OracleSearch:
+    """Joint full-signature refinement and unpruned backtracking."""
+
+    def __init__(self, g, h):
+        self.g = g
+        self.h = h
+
+    def _refine(self, cells):
         g, h = self.g, self.h
         while True:
             changed = False
@@ -87,6 +113,9 @@ class OracleSearch(_PairSearch):
         if rest_g or rest_h:
             cells.append((rest_g, rest_h))
         return cells
+
+    def _verify(self, mapping) -> bool:
+        return _bitwalk_preserves(self.g, self.h, mapping)
 
     def run(
         self, prescribed: Sequence[Tuple[int, int]] = ()
@@ -247,13 +276,32 @@ def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graph
     assert len(graphs) > 1000
 
 
+def _sided(g, h, trial, splitters):
+    """g's refinement alone, then h's against g's trace: zipped cells or None."""
+    stats = SearchStats()
+    g_cells, trace = _refine(g, [gm for gm, _ in trial], splitters, stats)
+    h_trial = [hm for _, hm in trial]
+    hit = _refine(h, h_trial, splitters, stats, trace)
+    if hit is None:
+        assert stats.failed_refinements == 1
+        return None
+    # on success h's cells are also h's refinement alone
+    assert hit[0] == _refine(h, h_trial, splitters, stats)[0]
+    return list(zip(g_cells, hit[0]))
+
+
 def _assert_same_partitions(g, h) -> int:
-    """Root refinement and every root individualization agree with the oracle."""
+    """Root refinement and every root individualization agree with the oracle.
+
+    The one-sided refinement returns None exactly when the joint one does,
+    and otherwise zips to the same ordered cells.
+    """
     if g.n == 0:  # the search returns before it refines an empty graph
         return 0
-    new, old = _PairSearch(g, h), OracleSearch(g, h)
-    root = new._refine(new._initial_cells())
-    assert root == old._refine(old._initial_cells())
+    old = OracleSearch(g, h)
+    unit = old._initial_cells()
+    root = _sided(g, h, unit, (0,))
+    assert root == old._refine(unit)
     if root is None:
         return 1
     compared = 1
@@ -263,8 +311,8 @@ def _assert_same_partitions(g, h) -> int:
     for trial in _individualizations(root, branch_at):
         want = old._refine(trial)
         # the search passes the singleton alone; both new cells give the same
-        assert new._refine(trial, (branch_at,)) == want
-        assert new._refine(trial, (branch_at, branch_at + 1)) == want
+        assert _sided(g, h, trial, (branch_at,)) == want
+        assert _sided(g, h, trial, (branch_at, branch_at + 1)) == want
         compared += 1
     return compared
 
@@ -368,29 +416,33 @@ def _cell_set(cells):
 def _assert_chain_partitions(g) -> int:
     """Every level's partition and every candidate's, against the oracle's.
 
-    The production chain individualizes each candidate b -> w, and b -> b
-    for the next level, on the level's partition; the oracle refines from
-    the prescribed singletons of the prefix.  As sets of cells they agree.
+    Level k of the production chain is node k of g's first path; each
+    candidate b -> w refines h alone on the level's cells against the
+    trace of node k + 1.  The oracle refines from the prescribed
+    singletons of the prefix.  As sets of cell pairs they agree.
     """
     if g.n == 0:  # the chain returns before it refines an empty graph
         return 0
     new, old = _PairSearch(g, g), OracleSearch(g, g)
     base = automorphism_group(g).base
-    cells = new._refine(new._initial_cells())
     compared = 0
     for k, b in enumerate(base):
         prefix = [(f, f) for f in base[:k]]
-        assert set(cells) == set(old._refine(old._initial_cells(prefix)))
-        ci = _branch_cell(cells)
-        gm, hm = cells[ci]
-        assert b == (gm & -gm).bit_length() - 1
-        for w in iter_bits(hm):
+        cells, _, ci = new._node(k)
+        assert set(zip(cells, cells)) == set(old._refine(old._initial_cells(prefix)))
+        assert b == (cells[ci] & -cells[ci]).bit_length() - 1
+        child_cells, trace, _ = new._node(k + 1)
+        for w in iter_bits(cells[ci]):
             want = old._refine(old._initial_cells(prefix + [(b, w)]))
-            assert _cell_set(new._individualize(cells, ci, b, w)) == _cell_set(want)
+            got = new._individualize(cells, ci, w, trace)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert set(zip(child_cells, got)) == set(want)
             compared += 1
-        cells = new._individualize(cells, ci, b, b)
-    assert _branch_cell(cells) < 0
-    assert set(cells) == set(old._refine(old._initial_cells([(f, f) for f in base])))
+    cells, _, ci = new._node(len(base))
+    assert ci < 0
+    want = old._refine(old._initial_cells([(f, f) for f in base]))
+    assert set(zip(cells, cells)) == set(want)
     return compared
 
 
@@ -432,9 +484,10 @@ def test_refinement_matches_oracle_along_first_path(doubled_graphs):
     """Every node on the way to the first solution, with all its siblings."""
     for g, h in doubled_graphs:
         solution = find_isomorphism(g, h)
-        new, old = _PairSearch(g, h), OracleSearch(g, h)
-        cells = new._refine(new._initial_cells())
-        assert cells == old._refine(old._initial_cells())
+        old = OracleSearch(g, h)
+        unit = old._initial_cells()
+        cells = _sided(g, h, unit, (0,))
+        assert cells == old._refine(unit)
         depth = 0
         branch_at = _branch_cell(cells)
         while branch_at >= 0:
@@ -442,7 +495,7 @@ def test_refinement_matches_oracle_along_first_path(doubled_graphs):
             on_path = 1 << solution[(gm & -gm).bit_length() - 1]
             child = None
             for trial in _individualizations(cells, branch_at):
-                got = new._refine(trial, (branch_at,))
+                got = _sided(g, h, trial, (branch_at,))
                 assert got == old._refine(trial)
                 if trial[branch_at][1] == on_path:
                     child = got
@@ -467,3 +520,32 @@ def test_automorphism_group_matches_oracle_on_doubled_grid(doubled_graphs):
         got = automorphism_group(g)
         _assert_same_group(g, got, _oracle_chain(OracleSearch(g, g)))
         assert got.order == 1152
+
+
+def test_leaf_check_matches_bitwalk(small_graphs):
+    """The O(n) set/point-map check against the neighbour-bit walk."""
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for _, _, g in small_graphs:
+        maps = list(automorphism_group(g).generators)
+        for gen in list(maps):  # a generator with two images swapped
+            near = list(gen)
+            i, j = rng.sample(range(g.n), 2)
+            near[i], near[j] = near[j], near[i]
+            maps.append(near)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            maps.append(perm)
+        for mapping in maps:
+            want = _bitwalk_preserves(g, g, mapping)
+            assert preserves_adjacency(g, g, mapping) == want
+            verdicts[want] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def test_duplicate_vertex_refused():
+    """The O(n) leaf check needs distinct pointed sets; a repeat is refused."""
+    vertices = [PointedSet(0b11, 0), PointedSet(0b11, 1), PointedSet(0b11, 0)]
+    with pytest.raises(InvariantViolation):
+        RelColoredGraph(vertices)
