@@ -20,6 +20,7 @@ from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bitset import iter_bits
+from .derived import derive_sets
 from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
 from .relgraph import build_graph, disjoint_automorphism_pair, preserves_adjacency
@@ -268,11 +269,11 @@ def _is_tuple_member(m: Matroid, kind: IsoStructure, tup: Tuple[int, ...]) -> bo
 
 
 def _circuit_set(m: Matroid) -> set:
-    return m.cached("circuit_set", lambda: set(m.derived_sets().circuits))
+    return m.cached("circuit_set", lambda: set(derive_sets(m).circuits))
 
 
 def _hyperplane_set(m: Matroid) -> set:
-    return m.cached("hyperplane_set", lambda: set(m.derived_sets().hyperplanes))
+    return m.cached("hyperplane_set", lambda: set(derive_sets(m).hyperplanes))
 
 
 def export_groundset_relations(

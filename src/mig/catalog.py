@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .bitset import iter_bits, subsets_of_size
+from .derived import derive_sets
 from .errors import ExchangeAxiomViolation, GuardExceeded
 from .matroid import Matroid, check_exchange_axiom
 
@@ -56,7 +57,7 @@ def brute_force_matroids(n: int, r: int) -> List[Matroid]:
 
 def _flat_data(m: Matroid):
     """Flats, their ranks, and lattice tables used for modular cuts."""
-    rep = m.derived_sets()
+    rep = derive_sets(m)
     flats = list(rep.flats)
     idx = {f: i for i, f in enumerate(flats)}
     t = len(flats)

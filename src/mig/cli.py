@@ -15,6 +15,12 @@ import sys
 from typing import List, Optional
 
 from .bitset import elements_of, mask_of
+from .derived import (
+    DERIVE_GUARD,
+    characteristic_polynomial,
+    derive_sets,
+    tutte_polynomial,
+)
 from .errors import MigError
 from .jsonio import (
     dumps,
@@ -62,7 +68,7 @@ def cmd_matroid(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
     if args.action == "derive":
-        _emit(subset_report_to_json(m.derived_sets(guard_n=args.guard_n)), args.out)
+        _emit(subset_report_to_json(derive_sets(m, args.guard_n)), args.out)
         return EXIT_OK
     if args.action == "dual":
         _emit(matroid_to_json(m.dual()), args.out)
@@ -83,10 +89,9 @@ def cmd_matroid(args) -> int:
         _emit(matroid_to_json(out), args.out)
         return EXIT_OK
     if args.action == "tutte":
-        t = m.tutte_polynomial(guard_n=args.guard_n)
         payload = {
-            "tutte": tutte_to_json(t),
-            "characteristic": list(m.characteristic_polynomial(guard_n=args.guard_n)),
+            "tutte": tutte_to_json(tutte_polynomial(m, args.guard_n)),
+            "characteristic": list(characteristic_polynomial(m, args.guard_n)),
         }
         _emit(payload, args.out)
         return EXIT_OK
@@ -269,7 +274,7 @@ def _full_pair_certificate(p, q) -> dict:
         "quantum": verify_lbcs_quantum_strategy(signed, grid),
     }
     mapping = find_isomorphism(build_graph(p, kind), build_graph(q, kind))
-    strategy = iso_game_pvms(p, q, grid)
+    strategy = iso_game_pvms(p, q, signed, grid)
     sync = verify_sync_conditions(strategy, p, q, kind)
     invariants = shared_invariant_report(p, q)
     screen = screen_quantum_iso(p, q, kind).to_json()
@@ -396,17 +401,15 @@ def cmd_quantum(args) -> int:
     )
 
     grid = magic_square_observables()
+    base = grid_matroid()
+    signed = lbcs_from_matroid(base, SignAssignment.with_negatives(base, [BOTTOM_ROW]))
     if args.action == "magic-square":
-        base = grid_matroid()
-        signed = lbcs_from_matroid(
-            base, SignAssignment.with_negatives(base, [BOTTOM_ROW])
-        )
         report = verify_lbcs_quantum_strategy(signed, grid)
         _emit(report, args.out)
         return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
     if args.action == "verify-iso":
         p, q = build_paper_pair()
-        strategy = iso_game_pvms(p, q, grid)
+        strategy = iso_game_pvms(p, q, signed, grid)
         report = verify_sync_conditions(strategy, p, q, IsoStructure.NONBASES)
         _emit(report, args.out)
         return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
@@ -495,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--guard-n",
         type=int,
-        default=24,
+        default=DERIVE_GUARD,
         help="full-lattice enumeration guard",
     )
     add_common(p)

@@ -162,14 +162,14 @@ def strategy_from_iso(
 
 
 def exhaustive_perfect_strategy(
-    inst: IsoGameInstance, cap: int = FUNCTIONAL_SEARCH_CAP
+    inst: IsoGameInstance,
 ) -> Optional[DeterministicStrategy]:
     """Backtracking scan over all answer functions (test oracle only)."""
     k = inst.size()
-    if k > cap:
+    if k > FUNCTIONAL_SEARCH_CAP:
         raise GuardExceeded(
             f"alphabet of {k} exceeds the functional-search guard"
-            f" FUNCTIONAL_SEARCH_CAP = {cap}"
+            f" FUNCTIONAL_SEARCH_CAP = {FUNCTIONAL_SEARCH_CAP}"
         )
     choice: List[int] = []
 
@@ -272,15 +272,13 @@ def lbcs_predicate(
     return 1
 
 
-def lbcs_solutions(
-    lbcs: LBCS, guard_vars: int = LBCS_VARS_GUARD
-) -> List[Tuple[int, ...]]:
+def lbcs_solutions(lbcs: LBCS) -> List[Tuple[int, ...]]:
     """All global +/-1 assignments satisfying every constraint (brute force)."""
     v = lbcs.num_vars
-    if v > guard_vars:
+    if v > LBCS_VARS_GUARD:
         raise GuardExceeded(
             f"{v} variables exceed the solution-scan guard"
-            f" LBCS_VARS_GUARD = {guard_vars}"
+            f" LBCS_VARS_GUARD = {LBCS_VARS_GUARD}"
         )
     import numpy as np
 

@@ -13,15 +13,22 @@ the reconstruction.
 homogeneous system, Q from the system with the bottom-line sign flipped.
 The two are the standard example of matroids that share every classical
 invariant yet admit no isomorphism.
+
+`lifted_element`, `lifted_set` and `lifted_pointed_sets` are the one
+encoding of E x {+1,-1} as 0..2n-1; `quantum` places its projections
+through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .bitset import elements_of, mask_of, subsets_of_size
 from .cyclic import CyclicFlatPresentation, matroid_from_cyclic_flats
+from .derived import derive_sets, tutte_polynomial
 from .errors import (
     ConstructionInconsistency,
     NotSparsePavingRank3,
@@ -30,7 +37,7 @@ from .errors import (
 from .game import LBCS, Constraint
 from .matroid import Matroid, brute_force_isomorphic, matroid_from_nonbases
 from .relgraph import build_graph, find_isomorphism, matroid_iso_from_graph_iso
-from .structures import IsoStructure
+from .structures import IsoStructure, PointedSet
 
 
 @dataclass(frozen=True)
@@ -84,19 +91,28 @@ def lifted_element(a: int, sign: int) -> int:
     return 2 * a + (0 if sign == 1 else 1)
 
 
+def lifted_set(variables: Sequence[int], signs: Sequence[int]) -> int:
+    """Mask of the doubled elements (variables[i], signs[i])."""
+    return mask_of(lifted_element(a, s) for a, s in zip(variables, signs))
+
+
+def lifted_pointed_sets(
+    variables: Sequence[int], signs: Sequence[int]
+) -> Tuple[PointedSet, ...]:
+    """The lifted set of an assignment, pointed at each of its elements in turn."""
+    members = lifted_set(variables, signs)
+    return tuple(
+        PointedSet(members, lifted_element(a, s)) for a, s in zip(variables, signs)
+    )
+
+
 def _lifted_nonbases(hyper: Sequence[int], signs: SignAssignment) -> List[int]:
     out = []
     for h in hyper:
         elems = elements_of(h)
-        target = signs.signs[h]
-        for code in range(1 << len(elems)):
-            t = [-1 if code >> i & 1 else 1 for i in range(len(elems))]
-            prod = 1
-            for v in t:
-                prod *= v
-            if prod != target:
-                continue
-            out.append(mask_of(lifted_element(a, s) for a, s in zip(elems, t)))
+        for t in product((1, -1), repeat=len(elems)):
+            if prod(t) == signs.signs[h]:
+                out.append(lifted_set(elems, t))
     return sorted(out)
 
 
@@ -232,7 +248,7 @@ def shared_invariant_report(p: Matroid, q: Matroid) -> Dict[str, object]:
         "rank": [p.rank, q.rank],
         "bases": [len(p.bases), len(q.bases)],
     }
-    reps = [m.derived_sets() for m in (p, q)]
+    reps = [derive_sets(m) for m in (p, q)]
     for name, attr in (
         ("independents", "independents"),
         ("circuits", "circuits"),
@@ -242,7 +258,7 @@ def shared_invariant_report(p: Matroid, q: Matroid) -> Dict[str, object]:
     ):
         out[name] = [len(getattr(r, attr)) for r in reps]
     out["connectivity"] = [p.connectivity(), q.connectivity()]
-    out["tutteEqual"] = p.tutte_polynomial() == q.tutte_polynomial()
+    out["tutteEqual"] = tutte_polynomial(p) == tutte_polynomial(q)
     orders = [
         automorphism_group(build_graph(m, IsoStructure.NONBASES)).order
         for m in (p, q)

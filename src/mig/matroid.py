@@ -191,13 +191,6 @@ class Matroid:
             inner = b & a_mask
             if inner.bit_count() == sub_rank:
                 new_bases.add(mask_of(pos[e] for e in iter_bits(inner)))
-        if sub_rank < self.rank:
-            # maximal independents inside A need not sit inside a single
-            # basis trace, so enumerate directly
-            for cand in subsets_of_size(len(keep), sub_rank):
-                orig = mask_of(keep[i] for i in iter_bits(cand))
-                if self.is_independent(orig):
-                    new_bases.add(cand)
         labels = tuple(self.label_of(e) for e in keep) if self.labels else None
         return Matroid(len(keep), sub_rank, canonical_family(new_bases), labels)
 
@@ -271,17 +264,17 @@ class Matroid:
                     return k
         return None
 
-    def connectivity(self, guard_n: int = CONNECTIVITY_GUARD) -> Optional[int]:
+    def connectivity(self) -> Optional[int]:
         """Smallest k admitting a k-separation, or None if none exists.
 
         A bipartition (A, E\\A) witnesses k = rk(A) + rk(E\\A) - rk(M) + 1
         provided both sides have at least k elements.  Scans all
         bipartitions through the full rank table.
         """
-        if self.n > guard_n:
+        if self.n > CONNECTIVITY_GUARD:
             raise GuardExceeded(
                 f"connectivity scan on n={self.n} exceeds the guard"
-                f" CONNECTIVITY_GUARD = {guard_n}"
+                f" CONNECTIVITY_GUARD = {CONNECTIVITY_GUARD}"
             )
         if self.n < 2:
             return None
@@ -309,23 +302,6 @@ class Matroid:
             "girth": g,
             "connectivity": self.connectivity(),
         }
-
-    # -- heavyweight derived data (delegates) -------------------------------
-
-    def derived_sets(self, guard_n: int = 24):
-        from .derived import derive_sets
-
-        return derive_sets(self, guard_n=guard_n)
-
-    def tutte_polynomial(self, guard_n: int = 24):
-        from .derived import tutte_polynomial
-
-        return tutte_polynomial(self, guard_n=guard_n)
-
-    def characteristic_polynomial(self, guard_n: int = 24) -> Tuple[int, ...]:
-        from .derived import characteristic_polynomial
-
-        return characteristic_polynomial(self, guard_n=guard_n)
 
     def validate(self) -> None:
         """Re-check every structural invariant; raises on failure."""
@@ -544,18 +520,16 @@ def _as_mask(subset: Iterable[int] | int) -> int:
 # -- brute-force isomorphism (oracle) ----------------------------------------
 
 
-def brute_force_isomorphic(
-    m1: Matroid, m2: Matroid, guard_n: int = BRUTE_ISO_GUARD
-) -> Optional[Tuple[int, ...]]:
+def brute_force_isomorphic(m1: Matroid, m2: Matroid) -> Optional[Tuple[int, ...]]:
     """Search all ground bijections for one preserving the basis family.
 
     Oracle-scale only (guarded); prunes on per-element basis counts and on
     partial-map consistency.  Returns the image tuple or None.
     """
-    if m1.n > guard_n or m2.n > guard_n:
+    if max(m1.n, m2.n) > BRUTE_ISO_GUARD:
         raise GuardExceeded(
             f"brute-force isomorphism on n={max(m1.n, m2.n)} exceeds the guard"
-            f" BRUTE_ISO_GUARD = {guard_n}"
+            f" BRUTE_ISO_GUARD = {BRUTE_ISO_GUARD}"
         )
     if m1.n != m2.n or m1.rank != m2.rank or len(m1.bases) != len(m2.bases):
         return None
@@ -610,12 +584,12 @@ def brute_force_isomorphic(
     return None
 
 
-def brute_force_automorphism_count(m: Matroid, guard_n: int = BRUTE_ISO_GUARD) -> int:
+def brute_force_automorphism_count(m: Matroid) -> int:
     """Count all basis-preserving ground permutations (oracle-scale)."""
-    if m.n > guard_n:
+    if m.n > BRUTE_ISO_GUARD:
         raise GuardExceeded(
             f"brute-force automorphism count on n={m.n} exceeds the guard"
-            f" BRUTE_ISO_GUARD = {guard_n}"
+            f" BRUTE_ISO_GUARD = {BRUTE_ISO_GUARD}"
         )
     bset = set(m.bases)
     count = 0

@@ -13,6 +13,11 @@ to Tr(A B) / 4 for Hermitian A, B.  The synchronous verification uses
 the same normalized trace, which keeps the two routes numerically
 identical.
 
+The (P, Q) projection family is built forward from the signed system's
+strategy: each constraint's projections are placed at the pointed
+nonbases that `lbcs_construct` encodes for it on the two doubled ground
+sets, so this module never decodes a doubled element.
+
 Every check is an exact comparison.  `ObservableGrid.validate` refuses a
 cell whose entries are not Gaussian integers; a Hermitian involution is
 unitary, so such a cell has entries in {0, +-1, +-i}.  Each projection
@@ -27,13 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import elements_of, iter_bits
+from .bitset import iter_bits
 from .errors import ConstructionInconsistency, DimensionMismatch, InvariantViolation
 from .game import LBCS
+from .lbcs_construct import lifted_pointed_sets
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, pointed_sets, rel
 
@@ -258,79 +265,50 @@ class SyncStrategyPVM:
     answers: Tuple[PointedSet, ...]
 
 
-def _decode_lifted_set(mask: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Split a doubled-ground subset into base variables and their signs."""
-    pairs = sorted((e // 2, 1 if e % 2 == 0 else -1) for e in elements_of(mask))
-    return tuple(v for v, _ in pairs), tuple(s for _, s in pairs)
-
-
-def _decode_lifted_pointed(
-    ps: PointedSet,
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, int]:
-    """Split a doubled-ground pointed set into (variables, signs, var, sign)."""
-    variables, signs = _decode_lifted_set(ps.members)
-    return variables, signs, ps.point // 2, 1 if ps.point % 2 == 0 else -1
-
-
 def iso_game_pvms(
-    p: Matroid, q: Matroid, grid: ObservableGrid
+    p: Matroid, q: Matroid, signed: LBCS, grid: ObservableGrid
 ) -> SyncStrategyPVM:
-    """The projection family induced by the grid strategy on the (P,Q) game.
+    """The projection family the grid strategy for `signed` induces on the (P,Q) game.
 
-    Question (H, t) pointed at (x, a) gets the joint projection of line H
-    at assignment t * t' exactly when the answer lifts the same
-    constraint H pointed at the same variable x; all other entries are 0.
+    Built forward from the signed system, whose doubling is Q; P doubles
+    its homogeneous version.  For constraint H, each assignment t of H
+    with sign product +1 and each fulfilling assignment k of H in
+    `signed`, question (H, t) pointed at x gets answer (H, t * k) pointed
+    at x with the projection of k.  All other entries are 0.  A pointed
+    set missing from P or Q, or a question or answer left without an
+    entry, raises ConstructionInconsistency.
     """
-    from .lbcs_construct import SignAssignment, grid_matroid, lbcs_from_matroid
-
-    base = grid_matroid()
-    hyper = base.cyclic_hyperplanes()
-
-    def side_signs(mat: Matroid) -> SignAssignment:
-        sgn = {}
-        for h in hyper:
-            vs = tuple(elements_of(h))
-            prods = set()
-            for nb in mat.nonbases():
-                variables, signs = _decode_lifted_set(nb)
-                if variables == vs:
-                    prod = 1
-                    for s in signs:
-                        prod *= s
-                    prods.add(prod)
-            if len(prods) != 1:
-                raise ConstructionInconsistency(f"mixed sign products over {vs}")
-            sgn[h] = prods.pop()
-        return SignAssignment(sgn)
-
-    q_lbcs = lbcs_from_matroid(base, side_signs(q))
-    p_lbcs = lbcs_from_matroid(base, side_signs(p))
-    for c in p_lbcs.constraints:
-        if c.sign != 1:
-            raise ConstructionInconsistency("first matroid must lift the homogeneous system")
-    matching = match_lbcs_to_grid(q_lbcs, grid)
+    matching = match_lbcs_to_grid(signed, grid)
     if not matching.signs_consistent:
         raise ConstructionInconsistency("grid cannot realize the signed system")
-    tables = _constraint_projections(q_lbcs, grid, matching)
-    var_index = {c.variables: i for i, c in enumerate(q_lbcs.constraints)}
-
+    tables = _constraint_projections(signed, grid, matching)
     qs = pointed_sets(p, IsoStructure.NONBASES)
     ans = pointed_sets(q, IsoStructure.NONBASES)
+    q_index = {ps: i for i, ps in enumerate(qs)}
+    a_index = {ps: i for i, ps in enumerate(ans)}
+
+    def lookup(index: Dict[PointedSet, int], ps: PointedSet, side: str) -> int:
+        if ps not in index:
+            raise ConstructionInconsistency(
+                f"the {side} matroid has no pointed nonbasis {ps.to_json()}"
+            )
+        return index[ps]
+
     dim = grid.dim
     fam = np.zeros((len(qs), len(ans), dim, dim), dtype=complex)
-    for qi, ps_q in enumerate(qs):
-        variables, t, x, a = _decode_lifted_pointed(ps_q)
-        if variables not in var_index:
-            raise ConstructionInconsistency(
-                "question does not lift a constraint of the base system"
-            )
-        ci = var_index[variables]
-        for ai, ps_a in enumerate(ans):
-            variables2, t2, y, b = _decode_lifted_pointed(ps_a)
-            if variables2 != variables or y != x:
+    for c, table in zip(signed.constraints, tables):
+        for t in product((1, -1), repeat=len(c.variables)):
+            if prod(t) != 1:
                 continue
-            k = tuple(u * v for u, v in zip(t, t2))
-            fam[qi, ai] = tables[ci][k]
+            asked = lifted_pointed_sets(c.variables, t)
+            for k, proj in table.items():
+                u = [a * b for a, b in zip(t, k)]
+                for x, y in zip(asked, lifted_pointed_sets(c.variables, u)):
+                    qi, ai = lookup(q_index, x, "first"), lookup(a_index, y, "second")
+                    fam[qi, ai] = proj
+    live = fam.any(axis=(2, 3))
+    if not (live.any(axis=1).all() and live.any(axis=0).all()):
+        raise ConstructionInconsistency("a question or an answer gets no projection")
     return SyncStrategyPVM(dim, fam, qs, ans)
 
 

@@ -512,12 +512,12 @@ class AutomorphismGroup:
         self.order = order
         self.base = base
 
-    def elements(self, cap: int = GROUP_ENUM_CAP) -> List[Tuple[int, ...]]:
+    def elements(self) -> List[Tuple[int, ...]]:
         """Every group element via closure of the generators (guarded)."""
-        if self.order > cap:
+        if self.order > GROUP_ENUM_CAP:
             raise GuardExceeded(
                 f"group order {self.order} exceeds the element-enumeration guard"
-                f" GROUP_ENUM_CAP = {cap}"
+                f" GROUP_ENUM_CAP = {GROUP_ENUM_CAP}"
             )
         n_pts = len(self.generators[0]) if self.generators else 0
         identity = tuple(range(n_pts))
@@ -612,21 +612,18 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
 
 def disjoint_automorphism_pair(
     g: RelColoredGraph,
-    group: Optional[AutomorphismGroup] = None,
-    cap: int = GROUP_ENUM_CAP,
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Two nontrivial automorphisms with disjoint moved-vertex supports.
 
-    Scans the full group (guarded by `cap`), trying involution pairs
+    Scans the full group (guarded by GROUP_ENUM_CAP), trying involution pairs
     first so that certificates compose to a Klein four-group when
     possible.  Returns the canonically least pair found, or None after
     an exhaustive scan.
     """
-    if group is None:
-        group = automorphism_group(g)
+    group = automorphism_group(g)
     if group.order == 1:
         return None
-    elems = group.elements(cap)
+    elems = group.elements()
     identity = tuple(range(g.n))
     nontrivial = [p for p in elems if p != identity]
     moved = []

@@ -20,6 +20,7 @@ from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .bitset import elements_of, full_mask, iter_bits
+from .derived import derive_sets
 from .errors import NotCovering, UnsupportedKind
 from .matroid import Matroid
 
@@ -63,7 +64,7 @@ def _structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
         return m.nonbases()
     if kind is IsoStructure.INDEPENDENT:
         return m.independent_sets()
-    rep = m.derived_sets()
+    rep = derive_sets(m)
     return {
         IsoStructure.CIRCUITS: rep.circuits,
         IsoStructure.FLATS: rep.flats,

@@ -127,11 +127,19 @@ def test_criterion_5_classical_quantum_gap(capsys):
 
 
 def test_criterion_6_quantum_isomorphism_witness(paper_pair, pauli_grid):
+    from mig.lbcs_construct import (
+        BOTTOM_ROW,
+        SignAssignment,
+        grid_matroid,
+        lbcs_from_matroid,
+    )
     from mig.quantum import iso_game_pvms, verify_sync_conditions
 
     p, q = paper_pair
+    base = grid_matroid()
+    signed = lbcs_from_matroid(base, SignAssignment.with_negatives(base, [BOTTOM_ROW]))
     with criterion(6, "72x72 projection family passes all conditions", bound_s=300.0):
-        strat = iso_game_pvms(p, q, pauli_grid)
+        strat = iso_game_pvms(p, q, signed, pauli_grid)
         assert strat.projections.shape == (72, 72, 4, 4)
         report = verify_sync_conditions(strat, p, q, IsoStructure.NONBASES)
         assert report["perfect"]

@@ -135,10 +135,12 @@ def test_quantum_commands(capsys):
     assert code == 0 and json.loads(out)["perfect"]
     code, out, _ = run(capsys, "quantum", "verify-iso")
     assert code == 0 and json.loads(out)["perfect"]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO_SHA256
 
 
 # every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
 PAPER_PAIR_SHA256 = "4a6b0a48ec0d5e5f0785c380760ff97f73d7faf5bb9ae376ec814236885eea36"
+VERIFY_ISO_SHA256 = "c0f5056ae9f4a617fa97135e2f4f6067c6fbb0afaad05d346b5c31173d38450c"
 GRAPH_AUT_SHA256 = {
     "P": "c4d337c53b40623e84c70e6ef7deb8cb318b5730926097a4d4d0f6f0739893b6",
     "Q": "d09549e517316916c4b7bcfaec5be42dbafdd12a1dc3e141d1a488615d7f0f2b",

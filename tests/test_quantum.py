@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from mig import uniform_matroid
-from mig.errors import DimensionMismatch, InvariantViolation
+from mig.bitset import elements_of, mask_of
+from mig.errors import ConstructionInconsistency, DimensionMismatch, InvariantViolation
 from mig.game import LBCS, Constraint
 from mig.lbcs_construct import (
     BOTTOM_ROW,
     SignAssignment,
     grid_matroid,
     lbcs_from_matroid,
+    lifted_element,
 )
+from mig.matroid import Matroid
 from mig.quantum import (
     ObservableGrid,
+    SyncStrategyPVM,
     _constraint_projections,
     _spectral_projections,
     iso_game_pvms,
@@ -24,7 +28,7 @@ from mig.quantum import (
     verify_lbcs_quantum_strategy,
     verify_sync_conditions,
 )
-from mig.structures import IsoStructure
+from mig.structures import IsoStructure, pointed_sets
 
 
 def signed_system():
@@ -127,7 +131,7 @@ def test_projections_are_gaussian_integers_over_eight(pauli_grid, paper_pair):
     assert len(tables) == 2 * 6 * 4
     assert all(_is_gaussian_integer(8 * proj) for proj in tables)
     assert not all(_is_gaussian_integer(proj) for proj in tables)
-    fam = iso_game_pvms(*paper_pair, pauli_grid).projections
+    fam = iso_game_pvms(*paper_pair, signed_system(), pauli_grid).projections
     assert fam.shape == (72, 72, 4, 4)
     assert _is_gaussian_integer(8 * fam)
     # the family holds each projection of the signed system, not only zeros
@@ -171,7 +175,7 @@ def test_single_constraint_probability_one(pauli_grid):
 
 def test_iso_game_pvms_conditions(paper_pair, pauli_grid):
     p, q = paper_pair
-    strat = iso_game_pvms(p, q, pauli_grid)
+    strat = iso_game_pvms(p, q, signed_system(), pauli_grid)
     assert strat.dim == 4 and strat.projections.shape == (72, 72, 4, 4)
     # every entry is Hermitian idempotent; 4 live answers per question
     fam = strat.projections
@@ -187,9 +191,81 @@ def test_iso_game_pvms_conditions(paper_pair, pauli_grid):
     assert max(report["conditions"].values()) == 0
 
 
+def _decode_lifted_set(mask):
+    """Split a doubled-ground subset into base variables and their signs."""
+    pairs = sorted((e // 2, 1 if e % 2 == 0 else -1) for e in elements_of(mask))
+    return tuple(v for v, _ in pairs), tuple(s for _, s in pairs)
+
+
+def _decoded_pvms(p, q, grid):
+    """The family built backwards: decode every pointed nonbasis into signs.
+
+    Reads the sign of each grid line off the nonbases of Q, then gives
+    question (H, t) pointed at x the projection of t * t' for every
+    answer (H, t') pointed at x.
+    """
+    base = grid_matroid()
+    signs = {}
+    for h in base.cyclic_hyperplanes():
+        products = set()
+        for nb in q.nonbases():
+            variables, t = _decode_lifted_set(nb)
+            if variables == tuple(elements_of(h)):
+                products.add(int(np.prod(t)))
+        (signs[h],) = products
+    system = lbcs_from_matroid(base, SignAssignment(signs))
+    tables = _constraint_projections(system, grid, match_lbcs_to_grid(system, grid))
+    var_index = {c.variables: i for i, c in enumerate(system.constraints)}
+    qs = pointed_sets(p, IsoStructure.NONBASES)
+    ans = pointed_sets(q, IsoStructure.NONBASES)
+    fam = np.zeros((len(qs), len(ans), grid.dim, grid.dim), dtype=complex)
+    for qi, ps_q in enumerate(qs):
+        variables, t = _decode_lifted_set(ps_q.members)
+        for ai, ps_a in enumerate(ans):
+            variables2, t2 = _decode_lifted_set(ps_a.members)
+            if variables2 != variables or ps_a.point // 2 != ps_q.point // 2:
+                continue
+            k = tuple(u * v for u, v in zip(t, t2))
+            fam[qi, ai] = tables[var_index[variables]][k]
+    return SyncStrategyPVM(grid.dim, fam, qs, ans)
+
+
+def test_forward_family_matches_decoded_oracle(paper_pair, pauli_grid):
+    p, q = paper_pair
+    got = iso_game_pvms(p, q, signed_system(), pauli_grid)
+    want = _decoded_pvms(p, q, pauli_grid)
+    assert got.dim == want.dim == 4
+    assert got.questions == want.questions and got.answers == want.answers
+    assert got.projections.tobytes() == want.projections.tobytes()
+
+
+def test_forward_family_refuses_mismatched_sides(paper_pair, pauli_grid):
+    p, q = paper_pair
+    with pytest.raises(ConstructionInconsistency, match="first matroid"):
+        iso_game_pvms(q, p, signed_system(), pauli_grid)
+    swapped = q.relabel([2, 1, 0] + list(range(3, q.n)))
+    with pytest.raises(ConstructionInconsistency, match="second matroid"):
+        iso_game_pvms(p, swapped, signed_system(), pauli_grid)
+
+
+def test_forward_family_refuses_an_unanswered_question(paper_pair, pauli_grid):
+    """A diagonal nonbasis added to P is a question no constraint answers."""
+    p, q = paper_pair
+    diagonal = mask_of(lifted_element(a, 1) for a in (0, 4, 8))
+    extended = Matroid(p.n, p.rank, tuple(b for b in p.bases if b != diagonal))
+    assert len(extended.nonbases()) == len(p.nonbases()) + 1
+    with pytest.raises(ConstructionInconsistency, match="no projection"):
+        iso_game_pvms(extended, q, signed_system(), pauli_grid)
+
+
+def test_forward_family_refuses_an_unrealizable_system(paper_pair, pauli_grid):
+    with pytest.raises(ConstructionInconsistency, match="cannot realize"):
+        iso_game_pvms(*paper_pair, homogeneous_system(), pauli_grid)
+
+
 def test_pair_probabilities_normalized(paper_pair, pauli_grid):
     p, q = paper_pair
-    strat = iso_game_pvms(p, q, pauli_grid)
+    strat = iso_game_pvms(p, q, signed_system(), pauli_grid)
     for qi, qj in ((0, 0), (0, 1), (3, 40), (71, 5)):
         vals = pair_probabilities(strat, qi, qj)
         assert np.abs(vals.imag).max() < 1e-12
@@ -199,7 +275,7 @@ def test_pair_probabilities_normalized(paper_pair, pauli_grid):
 
 def test_perturbation_breaks_conditions(paper_pair, pauli_grid):
     p, q = paper_pair
-    strat = iso_game_pvms(p, q, pauli_grid)
+    strat = iso_game_pvms(p, q, signed_system(), pauli_grid)
     rng = np.random.default_rng(7)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (h + h.conj().T) / 2
@@ -223,7 +299,7 @@ def test_classical_strategy_is_quantum():
 
 def test_shape_mismatch_rejected(paper_pair, pauli_grid):
     p, q = paper_pair
-    strat = iso_game_pvms(p, q, pauli_grid)
+    strat = iso_game_pvms(p, q, signed_system(), pauli_grid)
     u23 = uniform_matroid(2, 3)
     with pytest.raises(DimensionMismatch):
         verify_sync_conditions(strat, u23, u23, IsoStructure.BASES)

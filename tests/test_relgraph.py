@@ -158,7 +158,7 @@ def test_automorphism_group_u23(g_u23):
     grp = automorphism_group(g_u23)
     assert grp.order == 6
     assert len(grp.elements()) == 6
-    assert disjoint_automorphism_pair(g_u23, grp) is None
+    assert disjoint_automorphism_pair(g_u23) is None
 
 
 def test_group_json(g_u23):
