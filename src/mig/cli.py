@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from time import perf_counter
+from typing import List, Optional, Tuple
 
 from .bitset import elements_of, mask_of
 from .derived import (
@@ -82,9 +83,7 @@ def cmd_matroid(args) -> int:
         if dmask:
             # translate original indices to the re-indexed minor
             survivors = [e for e in range(m.n) if not cmask >> e & 1]
-            shifted = mask_of(
-                survivors.index(e) for e in elements_of(dmask)
-            )
+            shifted = mask_of(survivors.index(e) for e in elements_of(dmask))
             out = out.delete(shifted)
         _emit(matroid_to_json(out), args.out)
         return EXIT_OK
@@ -99,24 +98,15 @@ def cmd_matroid(args) -> int:
 
 
 def _jsonable_predicates(m) -> dict:
-    p = m.predicates()
-    return {
-        k: (v if v is not None else "infinite") for k, v in p.items()
-    }
+    return {k: "infinite" if v is None else v for k, v in m.predicates().items()}
 
 
 def cmd_cover(args) -> int:
     m = load_matroid(args.file)
     kind = _structure(args)
     res = covers(m, kind)
-    _emit(
-        {
-            "structure": kind.value,
-            "covers": res.covered,
-            "witness": res.witness,
-        },
-        args.out,
-    )
+    payload = {"structure": kind.value, "covers": res.covered, "witness": res.witness}
+    _emit(payload, args.out)
     return EXIT_OK if res.covered else EXIT_NEGATIVE
 
 
@@ -206,10 +196,7 @@ def cmd_lbcs(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fp:
             lbcs = lbcs_from_json(json.load(fp))
         sols = lbcs_solutions(lbcs)
-        _emit(
-            {"count": len(sols), "solutions": [list(s) for s in sols]},
-            args.out,
-        )
+        _emit({"count": len(sols), "solutions": [list(s) for s in sols]}, args.out)
         return EXIT_OK if sols else EXIT_NEGATIVE
     if args.action == "from-matroid":
         if not args.file:
@@ -233,16 +220,23 @@ def cmd_ms_construct(args) -> int:
 def cmd_paper_pair(args) -> int:
     from .lbcs_construct import build_paper_pair
 
+    if args.timings and not args.verify_all:
+        raise MigError("--timings applies to paper-pair --verify-all")
     p, q = build_paper_pair()
     if not args.verify_all:
         _emit({"P": matroid_to_json(p), "Q": matroid_to_json(q)}, args.out)
         return EXIT_OK
-    payload = _full_pair_certificate(p, q)
+    marks: List[Tuple[str, float]] = []
+    payload = _full_pair_certificate(p, q, marks)
+    if args.timings:
+        for (_, t0), (stage, t1) in zip(marks, marks[1:]):
+            sys.stderr.write(f"{stage} {t1 - t0:.6f}\n")
     _emit(payload, args.out)
     return EXIT_OK if payload["allChecksPassed"] else EXIT_NEGATIVE
 
 
-def _full_pair_certificate(p, q) -> dict:
+def _full_pair_certificate(p, q, marks: List[Tuple[str, float]]) -> dict:
+    """Every check of `paper-pair --verify-all`; marks (stage, end time)."""
     from .algebra import screen_quantum_iso
     from .game import lbcs_solutions
     from .lbcs_construct import (
@@ -259,8 +253,14 @@ def _full_pair_certificate(p, q) -> dict:
         verify_lbcs_quantum_strategy,
         verify_sync_conditions,
     )
+    from .matroid import uniform_matroid as uniform
     from .relgraph import build_graph, find_isomorphism
 
+    def lap(stage: str, value):
+        marks.append((stage, perf_counter()))
+        return value
+
+    lap("start", None)
     kind = IsoStructure.NONBASES
     base = grid_matroid()
     hom = lbcs_from_matroid(base, SignAssignment.homogeneous(base))
@@ -268,23 +268,30 @@ def _full_pair_certificate(p, q) -> dict:
         base, SignAssignment.with_negatives(base, [BOTTOM_ROW])
     )
     grid = magic_square_observables()
-    lbcs_report = {
-        "homogeneousSolutions": len(lbcs_solutions(hom)),
-        "signedSolutions": len(lbcs_solutions(signed)),
-        "quantum": verify_lbcs_quantum_strategy(signed, grid),
-    }
-    mapping = find_isomorphism(build_graph(p, kind), build_graph(q, kind))
-    strategy = iso_game_pvms(p, q, signed, grid)
-    sync = verify_sync_conditions(strategy, p, q, kind)
-    invariants = shared_invariant_report(p, q)
-    screen = screen_quantum_iso(p, q, kind).to_json()
-    minor = minor_obstruction_certificate(p, q)
-    oracle = _oracle_spot_check()
-    covering = _covering_spot_check()
-    certificates = _certificate_spot_check()
-    mismatch_screen = screen_quantum_iso(
-        _u(2, 3), _u(2, 4), IsoStructure.BASES
-    ).to_json()
+    lbcs_report = lap(
+        "lbcs",
+        {
+            "homogeneousSolutions": len(lbcs_solutions(hom)),
+            "signedSolutions": len(lbcs_solutions(signed)),
+            "quantum": verify_lbcs_quantum_strategy(signed, grid),
+        },
+    )
+    mapping = lap(
+        "isomorphismSearch",
+        find_isomorphism(build_graph(p, kind), build_graph(q, kind)),
+    )
+    strategy = lap("strategy", iso_game_pvms(p, q, signed, grid))
+    sync = lap("syncConditions", verify_sync_conditions(strategy, p, q, kind))
+    invariants = lap("sharedInvariants", shared_invariant_report(p, q))
+    screen = lap("screen", screen_quantum_iso(p, q, kind).to_json())
+    minor = lap("minorObstruction", minor_obstruction_certificate(p, q))
+    oracle = lap("oracleSpotCheck", _oracle_spot_check())
+    covering = lap("coveringSpotCheck", _covering_spot_check())
+    certificates = lap("noncommCertificates", _certificate_spot_check())
+    mismatch_screen = lap(
+        "screenMismatchControl",
+        screen_quantum_iso(uniform(2, 3), uniform(2, 4), IsoStructure.BASES).to_json(),
+    )
     checks = {
         "pairShape": p.n == q.n == 18
         and p.rank == q.rank == 3
@@ -319,12 +326,6 @@ def _full_pair_certificate(p, q) -> dict:
         "checks": checks,
         "allChecksPassed": all(checks.values()),
     }
-
-
-def _u(r, n):
-    from .matroid import uniform_matroid
-
-    return uniform_matroid(r, n)
 
 
 def _oracle_spot_check() -> dict:
@@ -554,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-pair", help="the 18-element demonstration pair")
     p.add_argument("--verify-all", action="store_true")
+    p.add_argument("--timings", action="store_true", help="stage seconds to stderr")
     add_common(p)
     p.set_defaults(func=cmd_paper_pair)
 

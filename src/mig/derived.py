@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 from typing import Dict, Optional, Tuple
 
@@ -34,22 +35,34 @@ def popcount_table(n: int) -> np.ndarray:
     return t
 
 
+def _bit_passes(tables, n: int, visit) -> list:
+    """Call visit(*views) once per bit i, on views of shape (-1, 2, 2^i).
+
+    numpy is slow over runs shorter than 2^(n // 2), so the low bits run on
+    copies with those index bits moved to the top.  Returns the swept copies.
+    """
+    h = n // 2
+    low = [t.reshape(-1, 1 << h).T.flatten() for t in tables]
+    for i in range(n - h, n):
+        visit(*(t.reshape(-1, 2, 1 << i) for t in low))
+    high = [t.reshape(-1, 1 << (n - h)).T.flatten() for t in low]
+    for i in range(h, n):
+        visit(*(t.reshape(-1, 2, 1 << i) for t in high))
+    return high
+
+
 def or_over_supersets(flags: np.ndarray, n: int) -> np.ndarray:
     """out[A] = OR of flags[B] over B >= A (supersets)."""
-    a = flags.copy()
-    for i in range(n):
-        v = a.reshape(-1, 2, 1 << i)
-        v[:, 0, :] |= v[:, 1, :]
-    return a
+    return _bit_passes(
+        [flags], n, lambda v: np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+    )[0]
 
 
 def max_over_subsets(vals: np.ndarray, n: int) -> np.ndarray:
     """out[A] = max of vals[B] over B <= A (subsets)."""
-    a = vals.copy()
-    for i in range(n):
-        v = a.reshape(-1, 2, 1 << i)
-        np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    return a
+    return _bit_passes(
+        [vals], n, lambda v: np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    )[0]
 
 
 def _guard(m, guard_n: int) -> None:
@@ -105,52 +118,36 @@ def derive_sets(m, guard_n: int = DERIVE_GUARD) -> SubsetReport:
 
 def _derive_sets(m, guard_n: int) -> SubsetReport:
     n = m.n
-    ind = independence_table(m, guard_n)
     rk = rank_table(m, guard_n)
     pc = popcount_table(n)
-    dep = 1 - ind
 
-    # circuits: dependent, and dropping any one element leaves independent
-    has_dep_child = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        v = has_dep_child.reshape(-1, 2, 1 << i)
-        d = dep.reshape(-1, 2, 1 << i)
-        v[:, 1, :] |= d[:, 0, :]
-    circuits_mask = dep & (1 - has_dep_child)
+    # One sweep: per bit i, the rank step d = r[A+i] - r[A] (0 or 1) over
+    # the sets A without i.  A is a flat iff every step out of it is 1, and
+    # A+i has a coloop iff some step into it is 1.  Circuits are the sets
+    # of nullity 1 without a coloop, cyclic flats the flats without one.
+    def visit(r, flat, has_coloop):
+        d = step.reshape(-1, r.shape[2])
+        np.subtract(r[:, 1, :], r[:, 0, :], out=d)
+        flat[:, 0, :] &= d
+        has_coloop[:, 1, :] |= d
 
-    # flats: adding any outside element raises the rank
-    not_flat = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        v = not_flat.reshape(-1, 2, 1 << i)
-        r = rk.reshape(-1, 2, 1 << i)
-        v[:, 0, :] |= (r[:, 0, :] == r[:, 1, :]).astype(np.uint8)
-    flats_mask = 1 - not_flat
+    step = np.empty(1 << max(n - 1, 0), dtype=np.uint8)
+    fresh = (np.ones(1 << n, dtype=np.uint8), np.zeros(1 << n, dtype=np.uint8))
+    _, flat, has_coloop = _bit_passes((rk, *fresh), n, visit)
+    circuits_mask = (pc == rk + 1) & (has_coloop == 0)
 
-    # cyclic flats: flats whose restriction has no coloop
-    has_coloop = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        v = has_coloop.reshape(-1, 2, 1 << i)
-        r = rk.reshape(-1, 2, 1 << i)
-        v[:, 1, :] |= (r[:, 0, :] + 1 == r[:, 1, :]).astype(np.uint8)
-    cyclic_mask = flats_mask & (1 - has_coloop)
+    def listed(mask: np.ndarray) -> Tuple[int, ...]:
+        return tuple(np.flatnonzero(mask).tolist())
 
-    independents = tuple(int(x) for x in np.nonzero(ind)[0])
-    circuits = tuple(int(x) for x in np.nonzero(circuits_mask)[0])
-    flats = tuple(int(x) for x in np.nonzero(flats_mask)[0])
-    hyper = tuple(
-        int(x) for x in np.nonzero(flats_mask & (rk == m.rank - 1))[0]
-    )
-    cyclic = tuple(int(x) for x in np.nonzero(cyclic_mask)[0])
-    girth = int(pc[circuits_mask == 1].min()) if circuits else None
     return SubsetReport(
-        independents=independents,
-        circuits=circuits,
-        flats=flats,
-        hyperplanes=hyper,
-        cyclic_flats=cyclic,
+        independents=listed(independence_table(m, guard_n)),
+        circuits=listed(circuits_mask),
+        flats=listed(flat),
+        hyperplanes=listed(flat & (rk == m.rank - 1)),
+        cyclic_flats=listed(flat > has_coloop),
         loops=m.loops(),
         coloops=m.coloops(),
-        girth=girth,
+        girth=int(pc[circuits_mask].min()) if circuits_mask.any() else None,
     )
 
 
@@ -193,27 +190,21 @@ def tutte_polynomial(m, guard_n: int = DERIVE_GUARD) -> TuttePolynomial:
 
 
 def _tutte_polynomial(m, guard_n: int) -> TuttePolynomial:
-    rk = rank_table(m, guard_n).astype(np.int64)
-    pc = popcount_table(m.n).astype(np.int64)
-    corank = m.rank - rk
-    nullity = pc - rk
-    counts = np.zeros((m.rank + 1, m.n - m.rank + 1), dtype=np.int64)
-    np.add.at(counts, (corank, nullity), 1)
+    rk = rank_table(m, guard_n)
+    width = m.n - m.rank + 1
+    # key = corank * width + nullity < (rank + 1) * width, well inside uint16
+    key = np.subtract(m.rank, rk, dtype=np.uint16)
+    key *= width
+    key += popcount_table(m.n)
+    key -= rk
+    counts = np.bincount(key, minlength=(m.rank + 1) * width).reshape(-1, width)
 
     coeffs: Dict[Tuple[int, int], int] = {}
-    for c in range(m.rank + 1):
-        for u in range(m.n - m.rank + 1):
-            cnt = int(counts[c, u])
-            if cnt == 0:
-                continue
-            # (x-1)^c (y-1)^u expanded with binomials
-            for i in range(c + 1):
-                xi = comb(c, i) * ((-1) ** (c - i))
-                for j in range(u + 1):
-                    yj = comb(u, j) * ((-1) ** (u - j))
-                    kcoef = cnt * xi * yj
-                    if kcoef:
-                        coeffs[(i, j)] = coeffs.get((i, j), 0) + kcoef
+    for c, u in np.argwhere(counts).tolist():
+        # counts[c, u] * (x-1)^c (y-1)^u expanded with binomials
+        for i, j in product(range(c + 1), range(u + 1)):
+            k = int(counts[c, u]) * comb(c, i) * comb(u, j) * (-1) ** (c + u - i - j)
+            coeffs[(i, j)] = coeffs.get((i, j), 0) + k
     poly = TuttePolynomial(coeffs)
     if any(v < 0 for v in poly.coeffs.values()):
         raise InvariantViolation("negative coefficient in rank polynomial")
@@ -227,10 +218,7 @@ def characteristic_polynomial(m, guard_n: int = DERIVE_GUARD) -> Tuple[int, ...]
     t = tutte_polynomial(m, guard_n)
     out = [0] * (m.rank + 1)
     for (i, j), c in t.coeffs.items():
-        if j != 0:
-            continue
-        # c * (1 - t)^i
-        for k in range(i + 1):
-            out[k] += c * comb(i, k) * ((-1) ** k)
-    sign = (-1) ** m.rank
-    return tuple(sign * v for v in out)
+        if j == 0:  # c * (1 - t)^i
+            for k in range(i + 1):
+                out[k] += c * comb(i, k) * (-1) ** k
+    return tuple((-1) ** m.rank * v for v in out)

@@ -26,9 +26,11 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .bitset import elements_of, mask_of, subsets_of_size
+import numpy as np
+
+from .bitset import elements_of, mask_of
 from .cyclic import CyclicFlatPresentation, matroid_from_cyclic_flats
-from .derived import derive_sets, tutte_polynomial
+from .derived import derive_sets, popcount_table, tutte_polynomial
 from .errors import (
     ConstructionInconsistency,
     NotSparsePavingRank3,
@@ -117,11 +119,7 @@ def _lifted_nonbases(hyper: Sequence[int], signs: SignAssignment) -> List[int]:
 
 
 def doubled_labels(m: Matroid) -> Tuple[str, ...]:
-    out = []
-    for a in range(m.n):
-        base = m.label_of(a)
-        out.extend((f"{base}+", f"{base}-"))
-    return tuple(out)
+    return tuple(f"{m.label_of(a)}{s}" for a in range(m.n) for s in "+-")
 
 
 def m_s_matroid(m: Matroid, signs: SignAssignment) -> Matroid:
@@ -184,11 +182,22 @@ WITNESS_Y = tuple(
 )
 
 
-def _matches_disjoint_triples(nonbases_inside: List[int]) -> bool:
-    if len(nonbases_inside) != 3:
-        return False
-    a, b, c = nonbases_inside
-    return not (a & b or a & c or b & c)
+def _triple_scan(m: Matroid, k: int) -> Tuple[int, List[int]]:
+    """Scan every k-subset in colex order; return (number scanned, matches).
+
+    A match holds exactly three nonbases, pairwise disjoint: their union has
+    3 * rank elements.  One numpy pass per nonbasis."""
+    pc = popcount_table(m.n)
+    xs = np.flatnonzero(pc == k)
+    inside = np.empty(len(xs), dtype=bool)
+    count = np.zeros(len(xs), dtype=np.uint8)
+    union = np.zeros_like(xs)
+    for nb in m.nonbases():
+        np.equal(xs & nb, nb, out=inside)
+        count += inside
+        np.bitwise_or(union, nb, out=union, where=inside)
+    hit = (count == 3) & (pc[union] == 3 * m.rank)
+    return len(xs), xs[hit].tolist()
 
 
 def minor_obstruction_certificate(p: Matroid, q: Matroid) -> Dict[str, object]:
@@ -212,14 +221,7 @@ def minor_obstruction_certificate(p: Matroid, q: Matroid) -> Dict[str, object]:
         qy, n_target, IsoStructure.NONBASES, vertex_iso
     )
 
-    p_nonbases = p.nonbases()
-    scanned = 0
-    matches: List[int] = []
-    for x_mask in subsets_of_size(p.n, 9):
-        scanned += 1
-        inside = [nb for nb in p_nonbases if nb & x_mask == nb]
-        if _matches_disjoint_triples(inside):
-            matches.append(x_mask)
+    scanned, matches = _triple_scan(p, n_target.n)
     # anything surviving the filter gets the full isomorphism treatment
     confirmed = [
         x

@@ -284,9 +284,8 @@ class Matroid:
 
         rk = rank_table(self).astype(np.int16)
         pc = popcount_table(self.n).astype(np.int16)
-        fullm = self.ground_mask()
-        rk_comp = rk[np.arange(fullm + 1) ^ fullm]
-        lam1 = rk + rk_comp - self.rank + 1
+        # rk[::-1][A] is the rank of the complement: full ^ A == full - A
+        lam1 = rk + rk[::-1] - self.rank + 1
         min_side = np.minimum(pc, self.n - pc)
         ok = (pc > 0) & (pc < self.n) & (lam1 <= min_side)
         if not ok.any():
@@ -321,31 +320,35 @@ class Matroid:
 
 
 def check_exchange_axiom(bases: Sequence[int]) -> None:
-    """Raise ExchangeAxiomViolation with a witness on the first failure."""
+    """Raise ExchangeAxiomViolation with a witness on the first failure.
+
+    For a basis A and e in A, B admits no exchange for e exactly when B
+    misses S_e = {e} + {f not in A : A - e + f is a basis}.  Bit j of
+    `holding[x]` marks the j-th basis holding x; the witness is the first
+    (A, B, e) in the order A, then B, then e ascending.
+    """
     fam = list(bases)
     bset = set(fam)
+    holding: Dict[int, int] = {}
+    for j, b in enumerate(fam):
+        for x in iter_bits(b):
+            holding[x] = holding.get(x, 0) | 1 << j
+    everyone = (1 << len(fam)) - 1
     for a_mask in fam:
-        for b_mask in fam:
-            if a_mask == b_mask:
-                continue
-            movable = a_mask & ~b_mask
-            incoming_bits = []
-            inc = b_mask & ~a_mask
-            while inc:
-                low = inc & -inc
-                incoming_bits.append(low)
-                inc ^= low
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                stripped = a_mask ^ low
-                for ib in incoming_bits:
-                    if stripped | ib in bset:
-                        break
-                else:
-                    raise ExchangeAxiomViolation(
-                        a_mask, b_mask, low.bit_length() - 1
-                    )
+        outside = [(1 << f, h) for f, h in holding.items() if not a_mask >> f & 1]
+        firsts = []
+        for e in iter_bits(a_mask):
+            stripped = a_mask ^ (1 << e)
+            meets = holding[e]
+            for bit, held in outside:
+                if stripped | bit in bset:
+                    meets |= held
+            missing = everyone & ~meets
+            if missing:
+                firsts.append(((missing & -missing).bit_length() - 1, e))
+        if firsts:
+            j, e = min(firsts)
+            raise ExchangeAxiomViolation(a_mask, fam[j], e)
 
 
 # -- constructors -----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+from mig.bitset import iter_bits, subsets_of_size
 from mig.catalog import all_matroids, brute_force_matroids, catalog_counts, extensions
+from mig.errors import ExchangeAxiomViolation
 from mig.matroid import check_exchange_axiom
 
 # totals fixed after cross-validating the brute-force and extension routes
@@ -64,3 +66,57 @@ def test_catalog_seven(catalog7):
     # a fixed sample of the exchange check (the full sweep is quadratic in |B|)
     for m in catalog7[:: max(1, len(catalog7) // 500)]:
         check_exchange_axiom(m.bases)
+
+
+def _pairwise_exchange_witness(bases):
+    """The exchange check pair by pair: for A, then B, then e in A - B,
+    look for f in B - A with A - e + f a basis."""
+    fam = list(bases)
+    bset = set(fam)
+    for a_mask in fam:
+        for b_mask in fam:
+            if a_mask == b_mask:
+                continue
+            movable = a_mask & ~b_mask
+            incoming_bits = []
+            inc = b_mask & ~a_mask
+            while inc:
+                low = inc & -inc
+                incoming_bits.append(low)
+                inc ^= low
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                stripped = a_mask ^ low
+                for ib in incoming_bits:
+                    if stripped | ib in bset:
+                        break
+                else:
+                    return (a_mask, b_mask, low.bit_length() - 1)
+    return None
+
+
+def _witness(bases):
+    try:
+        check_exchange_axiom(bases)
+    except ExchangeAxiomViolation as exc:
+        return exc.witness
+    return None
+
+
+def test_exchange_witness_matches_pairwise_oracle(catalog5, paper_pair):
+    """Same first witness (or none) on every family the brute-force route
+    scans through n = 5, in both orders, and on the catalog and the pair."""
+    violating = 0
+    for n in range(6):
+        for r in range(n + 1):
+            candidates = list(subsets_of_size(n, r))
+            for pick in range(1, 1 << len(candidates)):
+                fam = [candidates[i] for i in iter_bits(pick)]
+                for order in (fam, fam[::-1]):
+                    expected = _pairwise_exchange_witness(order)
+                    assert _witness(order) == expected
+                    violating += expected is not None
+    assert violating > 1000
+    for m in [m for n in range(6) for m in catalog5[n]] + list(paper_pair):
+        assert _witness(m.bases) is None is _pairwise_exchange_witness(m.bases)

@@ -161,6 +161,33 @@ def test_paper_pair_commands(files, capsys):
     assert cert["oracleSpotCheck"]["mismatches"] == 0
 
 
+PAPER_PAIR_STAGES = [
+    "lbcs",
+    "isomorphismSearch",
+    "strategy",
+    "syncConditions",
+    "sharedInvariants",
+    "screen",
+    "minorObstruction",
+    "oracleSpotCheck",
+    "coveringSpotCheck",
+    "noncommCertificates",
+    "screenMismatchControl",
+]
+
+
+def test_paper_pair_timings(capsys):
+    """--timings writes one stage line each to stderr; stdout is unchanged."""
+    code, out, err = run(capsys, "paper-pair", "--verify-all", "--timings")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_PAIR_SHA256
+    lines = [line.split(" ") for line in err.splitlines()]
+    assert [stage for stage, _ in lines] == PAPER_PAIR_STAGES
+    assert all(float(seconds) >= 0 for _, seconds in lines)
+    code, out, err = run(capsys, "paper-pair", "--timings")
+    assert code == 2 and out == "" and "--timings" in err
+
+
 def test_graph_aut_on_paper_pair(files, capsys):
     for name, digest in GRAPH_AUT_SHA256.items():
         argv = ("graph", "aut", files[name], "--structure", "nonbases")

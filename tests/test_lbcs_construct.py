@@ -1,15 +1,18 @@
 """Matroid <-> constraint system pipeline and the 18-element pair."""
 
+from itertools import combinations
+
 import pytest
 
 from mig import uniform_matroid
-from mig.bitset import elements_of, mask_of
+from mig.bitset import elements_of, mask_of, subsets_of_size
 from mig.errors import NotSparsePavingRank3, SignDomainMismatch
 from mig.lbcs_construct import (
     BOTTOM_ROW,
     WITNESS_Y,
     SignAssignment,
     _lifted_nonbases,
+    _triple_scan,
     build_paper_pair,
     disjoint_triple_matroid,
     grid_matroid,
@@ -194,6 +197,49 @@ def test_scan_filter_matches_brute_force(paper_pair):
             )
             truth = brute_force_isomorphic(mat.restrict(x), n) is not None
             assert filt == truth
+
+
+def _scan_oracle(m, k):
+    """The scan one subset at a time: Gosper's hack over the k-subsets."""
+    nbs = m.nonbases()
+    scanned, matches = 0, []
+    for x in subsets_of_size(m.n, k):
+        scanned += 1
+        inside = [nb for nb in nbs if nb & x == nb]
+        if len(inside) == 3 and not (
+            inside[0] & inside[1] or inside[0] & inside[2] or inside[1] & inside[2]
+        ):
+            matches.append(x)
+    return scanned, matches
+
+
+def _disjoint_triple_unions(m):
+    """Unions of three pairwise disjoint nonbases holding no other nonbasis."""
+    nbs = m.nonbases()
+    out = []
+    for a, b, c in combinations(nbs, 3):
+        if a & b or a & c or b & c:
+            continue
+        u = a | b | c
+        if sum(1 for nb in nbs if nb & u == nb) == 3:
+            out.append(u)
+    return sorted(out)
+
+
+def test_vectorized_scan_matches_oracles(paper_pair):
+    """Three routes to the 9-subset matches agree; Q's 32 are all genuine."""
+    from mig import brute_force_isomorphic
+
+    n = disjoint_triple_matroid()
+    p, q = paper_pair
+    for mat, expected in ((p, 0), (q, 32)):
+        scanned, matches = _triple_scan(mat, 9)
+        assert scanned == 48620 and len(matches) == expected
+        assert (scanned, matches) == _scan_oracle(mat, 9)
+        assert matches == _disjoint_triple_unions(mat)
+        for x in matches:
+            assert brute_force_isomorphic(mat.restrict(x), n) is not None
+    assert mask_of(WITNESS_Y) in _triple_scan(q, 9)[1]
 
 
 def test_shared_invariants(paper_pair):
