@@ -137,10 +137,8 @@ class Matroid:
         return u
 
     def nonbases(self) -> Tuple[int, ...]:
-        bset = set(self.bases)
-        return tuple(
-            m for m in subsets_of_size(self.n, self.rank) if m not in bset
-        )
+        every = subsets_of_size(self.n, self.rank)
+        return self.cached("nonbases", lambda: tuple(sorted({*every} - {*self.bases})))
 
     def independent_sets(self) -> Tuple[int, ...]:
         """All independent sets (subsets of bases), canonical order."""

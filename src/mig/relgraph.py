@@ -10,15 +10,15 @@ The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton cell, trying its
 candidates in ascending vertex index.  Automorphism groups come from a
 stabilizer chain on the same tree.  Refinement only counts edges into the
-cells that changed in the round before, and only at the neighbours of
-those cells (Berkholz-Bonsma-Grohe, ESA 2013): a vertex with no edge into
-a splitter has count zero there and is bucketed by mask, not one by one.
-This yields the same ordered partition as counting every vertex into
-every cell.  An existence search skips root candidates in the Aut(h)-orbit
-of a failed one (McKay-Piperno, arXiv:1301.1493), which never skips a
-solution.  Results are deterministic: the solution is the first verified
-leaf in branch order, which need not be the least solution in
-lexicographic order.
+cells that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013),
+which yields the same ordered partition as counting every vertex into
+every cell.  The graph is the line graph of the set-point incidence
+graph: a vertex's neighbours are the rest of its row (set) and column
+(point), so a walk over a splitter's own vertices, tallied by row and by
+column, gives every count into it.  Pruning skips candidates in the orbit
+of a failed one (McKay-Piperno, arXiv:1301.1493), never a solution.
+Results are deterministic: the solution is the first verified leaf in
+branch order, which need not be the least in lexicographic order.
 
 The search from g to h refines each side alone.  The g side always
 individualizes the first vertex of its branch cell, so its partition at a
@@ -44,7 +44,7 @@ from __future__ import annotations
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitset import iter_bits
+from .bitset import elements_of, iter_bits
 from .errors import GuardExceeded, InvariantViolation, NotInduced
 from .matroid import Matroid
 from .structures import IsoStructure, PointedSet, covers, pointed_sets
@@ -53,11 +53,13 @@ GROUP_ENUM_CAP = 20_000
 
 
 class RelColoredGraph:
-    """Colored graph on distinct pointed sets with per-color adjacency bitsets.
+    """Colored graph on distinct pointed sets, kept as rows and columns.
 
-    The rows come from two masks, the vertices sharing a set and those
-    sharing a point, so building is linear in the number of vertices.
-    The automorphism group is computed at most once and kept here.
+    Row r, `by_set[r]`, is the mask of the vertices with one set, and
+    column p, `by_point[p]`, of those with point p; vertex v lies in row
+    `row_of[v]` and column `point_of[v]`.  Its colour-2 neighbours are the
+    rest of its row, its colour-1 neighbours the rest of its column.  The
+    automorphism group is computed at most once and kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -66,19 +68,23 @@ class RelColoredGraph:
         if len(set(self.vertices)) != self.n:
             raise InvariantViolation("relation graph vertices repeat a pointed set")
         by_set: Dict[int, int] = {}
-        by_point: Dict[int, int] = {}
+        self.by_point = [0] * (max((p for _, p in self.vertices), default=-1) + 1)
         for i, (a, p) in enumerate(self.vertices):
             by_set[a] = by_set.get(a, 0) | 1 << i
-            by_point[p] = by_point.get(p, 0) | 1 << i
-        # same point, other set; same set, other point; either
-        self.adj1 = [by_point[p] & ~by_set[a] for a, p in self.vertices]
-        self.adj2 = [by_set[a] & ~by_point[p] for a, p in self.vertices]
-        self.adj = [by_set[a] ^ by_point[p] for a, p in self.vertices]
+            self.by_point[p] |= 1 << i
+        row_id = {a: r for r, a in enumerate(by_set)}
+        self.by_set = list(by_set.values())
+        self.row_of = [row_id[a] for a, _ in self.vertices]
+        self.point_of = [p for _, p in self.vertices]
         self._aut: Optional[AutomorphismGroup] = None
 
     def edges(self, color: int) -> List[Tuple[int, int]]:
-        adj = self.adj1 if color == 1 else self.adj2
-        return [(i, j) for i in range(self.n) for j in iter_bits(adj[i]) if i < j]
+        out = []
+        for i in range(self.n):
+            row, col = self.by_set[self.row_of[i]], self.by_point[self.point_of[i]]
+            adj = col & ~row if color == 1 else row & ~col
+            out += [(i, j) for j in iter_bits(adj >> i + 1 << i + 1)]
+        return out
 
 
 def build_graph(
@@ -96,7 +102,7 @@ def build_graph(
 # -- search ------------------------------------------------------------------
 
 # per round, each touched cell's index -> its (count key, size) buckets in key order
-Trace = List[Dict[int, List[Tuple[tuple, int]]]]
+Trace = List[Dict[int, List[Tuple[int, int]]]]
 
 
 class SearchStats:
@@ -105,10 +111,12 @@ class SearchStats:
     `refinements` counts one-sided refinements: one per node of g's first
     path and one per h candidate (the root included); `failed_refinements`
     counts the h refinements whose trace differed from g's.
-    `splitter_counts` counts the (vertex, splitter) edge counts evaluated,
-    once per g node and once per h candidate; `orbit_prunes` counts root
-    candidates skipped as Aut(h)-images of failed ones; `leaves` counts
-    discrete partitions checked against the full adjacency.
+    `splitter_counts` sums |N(c) & live| over the splitters c of every
+    round, N(c) being c's rows and columns but the members of c alone in
+    both within c; `orbit_prunes` counts candidates skipped as images of
+    failed ones, under Aut(h) at the root of an existence search and under
+    the deeper levels' generators in the chain; `leaves` counts discrete
+    partitions checked against the full adjacency.
     """
 
     __slots__ = (
@@ -136,40 +144,6 @@ class SearchStats:
         }
 
 
-def _count_into(
-    graph: RelColoredGraph,
-    c: int,
-    live: int,
-    entry0: int,
-    base: int,
-    sigs: Dict[int, List[int]],
-) -> int:
-    """Append `entry0` plus the packed count into `c` to each live neighbour.
-
-    Returns the mask of the vertices counted: those of `live` with an edge
-    into `c`, so every appended count is positive.
-    """
-    adj1, adj2, adj = graph.adj1, graph.adj2, graph.adj
-    nbrs = 0
-    m = c
-    while m:
-        low = m & -m
-        nbrs |= adj[low.bit_length() - 1]
-        m ^= low
-    touched = m = nbrs & live
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        entry = entry0 + (adj1[v] & c).bit_count() * base + (adj2[v] & c).bit_count()
-        sig = sigs.get(v)
-        if sig is None:
-            sigs[v] = [entry]
-        else:
-            sig.append(entry)
-        m ^= low
-    return touched
-
-
 def _refine(
     graph: RelColoredGraph,
     cells: List[int],
@@ -189,16 +163,15 @@ def _refine(
     count into a last piece follows from the counts into its siblings,
     which come before it in the signature.
 
-    Only the neighbours of a splitter are counted.  A vertex's signature
-    lists `(-j, count)` for each splitter j it has an edge into, in order
-    of j (packed into one int, `count - j * base**2`); a missing j stands
-    for a zero count.  These lists order as the dense count tuples do: up
-    to the first j where two tuples differ the lists agree, and at j
-    either both counts are listed and compare directly, or only the
-    larger, positive one is, and the other list goes on with a smaller
-    `-j'` or ends.  So the untouched vertices of a cell form the bucket
-    `()`, first in order, taken as a mask, and a cell no splitter's
-    neighbourhood meets keeps its place.
+    Vertex v's count into splitter c is the pair (|col(p_v) & c| - [v in c],
+    |row(A_v) & c| - [v in c]), packed as c1 * base + c2 < base**2.  Of the
+    k splitters, the counts into the j-th fill the `width` bits from
+    `width * (k - 1 - j)` of three keys: one per row, one per column and
+    one per member of c (its [v in c] terms).  v's key is its row's plus
+    its column's minus its own; no field carries, so keys order as the
+    count tuples do.  Only live vertices in a splitter's rows and columns
+    are read; key 0, no edge into any splitter, is the first bucket, and a
+    cell without a nonzero key keeps its place.
 
     Without `against`, returns the cells and the trace of this refinement.
     With `against`, the trace of another graph's refinement from cells of
@@ -207,63 +180,86 @@ def _refine(
     differ from it; on success the trace returned is `against`.
     """
     stats.refinements += 1
-    base = graph.n + 1  # counts (c1, c2) are packed as c1 * base + c2
-    step = base * base  # larger than any packed count
+    rows, cols = graph.by_set, graph.by_point
+    row_of, point_of = graph.row_of, graph.point_of
+    base = graph.n + 1
+    width = (base * base).bit_length()
     trace: Trace = [] if against is None else against
     new = splitters
+    live = sum(c for c in cells if c & (c - 1))  # non-singleton cells' vertices
     rnd = 0
     while True:
-        live = 0  # the vertices of non-singleton cells
-        for c in cells:
-            if c & (c - 1):
-                live |= c
-        sigs: Dict[int, List[int]] = {}
-        touched = 0
-        for j, ci in enumerate(new):
-            t = _count_into(graph, cells[ci], live, -j * step, base, sigs)
-            stats.splitter_counts += t.bit_count()
-            touched |= t
+        row_key = [0] * len(rows)
+        col_key = [0] * len(cols)
+        own = [0] * graph.n  # a live splitter member's count of itself
+        reach = 0
+        shift = width * len(new)
+        for ci in new:
+            shift -= width
+            members = elements_of(cells[ci])
+            row_n: Dict[int, int] = {}
+            col_n: Dict[int, int] = {}
+            for u in members:
+                r, p = row_of[u], point_of[u]
+                row_n[r] = row_n.get(r, 0) + 1
+                col_n[p] = col_n.get(p, 0) + 1
+            nbrs = 0
+            for r, x in row_n.items():
+                row_key[r] += x << shift
+                nbrs |= rows[r]
+            for p, x in col_n.items():
+                col_key[p] += x * base << shift
+                nbrs |= cols[p]
+            # N(c): c's rows and columns but the members alone in both
+            counted = (nbrs & live).bit_count()
+            if len(members) > 1:
+                mine = (base + 1) << shift
+                for u in members:
+                    own[u] = mine
+                    counted -= row_n[row_of[u]] == 1 and col_n[point_of[u]] == 1
+            stats.splitter_counts += counted
+            reach |= nbrs
+        reach &= live
         if against is None:
-            spec: Dict[int, List[Tuple[tuple, int]]] = {}
-            trace.append(spec)
-        else:
-            spec = against[rnd]
+            trace.append({})
+        spec = trace[rnd]
         rnd += 1
         matched = 0  # touched cells checked against `spec`
         next_cells: List[int] = []
         next_new: List[int] = []
         for ci, c in enumerate(cells):
-            t = c & touched
+            t = c & reach
             if not t:
                 next_cells.append(c)
                 continue
-            buckets: Dict[tuple, int] = {}
-            if c != t:
-                buckets[()] = c ^ t
+            buckets: Dict[int, int] = {}
             m = t
             while m:
                 low = m & -m
-                key = tuple(sigs[low.bit_length() - 1])
+                v = low.bit_length() - 1
+                key = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
                 buckets[key] = buckets.get(key, 0) | low
                 m ^= low
-            if against is None:
-                want = spec[ci] = [
-                    (key, buckets[key].bit_count()) for key in sorted(buckets)
-                ]
-            else:
-                want = spec.get(ci)
-                if want is None or len(want) != len(buckets) or any(
-                    buckets.get(key, 0).bit_count() != size for key, size in want
-                ):
-                    stats.failed_refinements += 1
-                    return None
-                matched += 1
-            if len(want) == 1:
+            if c != t:
+                buckets[0] = buckets.get(0, 0) | (c ^ t)
+            if len(buckets) == 1 and 0 in buckets:
                 next_cells.append(c)
                 continue
+            want = [(key, buckets[key].bit_count()) for key in sorted(buckets)]
+            if against is None:
+                spec[ci] = want
+            elif spec.get(ci) != want:
+                stats.failed_refinements += 1
+                return None
+            else:
+                matched += 1
             first = len(next_cells)
             next_new.extend(range(first, first + len(want) - 1))
-            next_cells.extend(buckets[key] for key, _ in want)
+            for key, _ in want:
+                piece = buckets[key]
+                if not piece & (piece - 1):
+                    live ^= piece
+                next_cells.append(piece)
         if against is not None and matched != len(spec):
             stats.failed_refinements += 1
             return None
@@ -575,39 +571,45 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     """Automorphism group of `search.g`, which must be `search.h`.
 
     Level k is node k of g's first path, whose branch cell starts with the
-    base point b.  Each image w of b is tested by refining h alone, with
-    b -> w individualized on the level's cells, against the trace of node
-    k + 1, which is b -> b; node k + 1 is the next level.  As a set of
-    cells each node is the coarsest equitable partition with the base
-    points so far as singletons, as refining from them would give.
+    base point b_k.  Each image w of b_k is tested by refining h alone,
+    with b_k -> w individualized on the level's cells, against the trace
+    of node k + 1, which is b_k -> b_k; node k + 1 is the next level.  As a
+    set of cells each node is the coarsest equitable partition with the
+    base points so far as singletons, as refining from them would give.
+    The levels run from the deepest up: the generators below level k fix
+    b_0 .. b_k, so they carry a failed w to others that fail, and those
+    are skipped as orbit prunes.  The generators found do not change.
     """
     if search.g.n == 0:
         return AutomorphismGroup([], 1, [])
-    fixed: List[int] = []
-    gens: List[Tuple[int, ...]] = []
-    order = 1
     depth = 0
-    while True:
-        cells, _, ci = search._node(depth)
-        if ci < 0:
-            break
-        trace = search._node(depth + 1)[1]
-        b = _first(cells[ci])
-        orbit = 1 << b
+    while search._node(depth)[2] >= 0:
+        depth += 1
+    gens: List[Tuple[int, ...]] = []  # the levels below this one, in level order
+    order = 1
+    for k in range(depth - 1, -1, -1):
+        cells, _, ci = search._node(k)
+        trace = search._node(k + 1)[1]
+        orbit = 1 << _first(cells[ci])
+        failed = 0  # the orbits of failed candidates under `gens`
         level_gens: List[Tuple[int, ...]] = []
         for w in iter_bits(cells[ci]):
             if orbit >> w & 1:
                 continue
+            if failed >> w & 1:
+                search.stats.orbit_prunes += 1
+                continue
             child = search._individualize(cells, ci, w, trace)
-            res = search._descend(depth + 1, child, False)
-            if res is not None:
+            res = search._descend(k + 1, child, False)
+            if res is None:
+                failed = _close_orbit(failed | 1 << w, gens)
+            else:
                 level_gens.append(res)
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
-        gens.extend(level_gens)
-        fixed.append(b)
-        depth += 1
-    return AutomorphismGroup(gens, order, fixed)
+        gens = level_gens + gens
+    base = [_first(cells[ci]) for cells, _, ci in search._path[:depth]]
+    return AutomorphismGroup(gens, order, base)
 
 
 def disjoint_automorphism_pair(

@@ -14,10 +14,16 @@ must be the joint refinement's.  It must return the same first solution
 and the same automorphism groups; the production chain walks one tree, so
 its generators may differ from the oracle's, but not the group they
 generate.  `_pairwise_adjacency` is the graph build as it was, `rel` on
-every vertex pair, and the oracle for `RelColoredGraph`.
+every vertex pair, and the oracle for `RelColoredGraph`; the reference
+engine reads its adjacency from it, not from the graph under test.
+`_refine_by_pairs` is the refinement as it was before counting through
+rows and columns: two popcounts per (neighbour, splitter).
+`_top_down_chain` is the stabilizer chain as it was before its levels ran
+from the deepest up, pruning by the orbits of failed candidates.
 """
 
 import random
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -30,29 +36,52 @@ from mig.relgraph import (
     SearchStats,
     _close_orbit,
     _PairSearch,
+    _first,
     _refine,
+    _split,
+    _stabilizer_chain,
     automorphism_group,
     build_graph,
     find_isomorphism,
     preserves_adjacency,
 )
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
-from mig.structures import IsoStructure, PointedSet, covers, rel
+from mig.structures import IsoStructure, PointedSet, covers, pointed_sets, rel
+
+
+def _pairwise_adjacency(vertices):
+    """Colour-1 and colour-2 rows from `rel` on every vertex pair."""
+    n = len(vertices)
+    adj1 = [0] * n
+    adj2 = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = rel(vertices[i], vertices[j])
+            if r == 1:
+                adj1[i] |= 1 << j
+                adj1[j] |= 1 << i
+            elif r == 2:
+                adj2[i] |= 1 << j
+                adj2[j] |= 1 << i
+    return adj1, adj2
+
+
+@lru_cache(maxsize=None)
+def _adjacency(g):
+    """`_pairwise_adjacency` of a graph's vertices, once per graph."""
+    return _pairwise_adjacency(g.vertices)
 
 
 def _bitwalk_preserves(g, h, mapping) -> bool:
     """The leaf check as it was: map every neighbour bit of every vertex."""
+    g_adj, h_adj = _adjacency(g), _adjacency(h)
     for v in range(g.n):
-        img1 = 0
-        for u in iter_bits(g.adj1[v]):
-            img1 |= 1 << mapping[u]
-        if img1 != h.adj1[mapping[v]]:
-            return False
-        img2 = 0
-        for u in iter_bits(g.adj2[v]):
-            img2 |= 1 << mapping[u]
-        if img2 != h.adj2[mapping[v]]:
-            return False
+        for g_rows, h_rows in zip(g_adj, h_adj):
+            img = 0
+            for u in iter_bits(g_rows[v]):
+                img |= 1 << mapping[u]
+            if img != h_rows[mapping[v]]:
+                return False
     return True
 
 
@@ -64,7 +93,7 @@ class OracleSearch:
         self.h = h
 
     def _refine(self, cells):
-        g, h = self.g, self.h
+        (g1, g2), (h1, h2) = _adjacency(self.g), _adjacency(self.h)
         while True:
             changed = False
             new_cells = []
@@ -74,7 +103,7 @@ class OracleSearch:
                     continue
                 buckets: Dict[tuple, List[int]] = {}
                 for v in iter_bits(gm):
-                    a1, a2 = g.adj1[v], g.adj2[v]
+                    a1, a2 = g1[v], g2[v]
                     sig = tuple(
                         ((a1 & cg).bit_count(), (a2 & cg).bit_count())
                         for cg, _ in cells
@@ -82,7 +111,7 @@ class OracleSearch:
                     slot = buckets.setdefault(sig, [0, 0])
                     slot[0] |= 1 << v
                 for w in iter_bits(hm):
-                    a1, a2 = h.adj1[w], h.adj2[w]
+                    a1, a2 = h1[w], h2[w]
                     sig = tuple(
                         ((a1 & ch).bit_count(), (a2 & ch).bit_count())
                         for _, ch in cells
@@ -249,30 +278,22 @@ def doubled_graphs():
     return out
 
 
-def _pairwise_adjacency(vertices):
-    """Colour-1 and colour-2 rows from `rel` on every vertex pair."""
-    n = len(vertices)
-    adj1 = [0] * n
-    adj2 = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rel(vertices[i], vertices[j])
-            if r == 1:
-                adj1[i] |= 1 << j
-                adj1[j] |= 1 << i
-            elif r == 2:
-                adj2[i] |= 1 << j
-                adj2[j] |= 1 << i
-    return adj1, adj2
-
-
 def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graphs):
+    """Row and column masks against `rel`, and `edges` against its rows."""
     graphs = [g for _, _, g in small_graphs] + pq_graphs
     graphs += [g for pair in doubled_graphs for g in pair]
     for g in graphs:
-        adj1, adj2 = _pairwise_adjacency(g.vertices)
-        assert g.adj1 == adj1 and g.adj2 == adj2
-        assert g.adj == [a | b for a, b in zip(adj1, adj2)]
+        want = _adjacency(g)
+        rows = [g.by_set[r] for r in g.row_of]
+        cols = [g.by_point[p] for p in g.point_of]
+        assert [c & ~r for r, c in zip(rows, cols)] == want[0]
+        assert [r & ~c for r, c in zip(rows, cols)] == want[1]
+        for v in range(g.n):
+            assert rows[v] >> v & 1 and cols[v] >> v & 1
+        assert sum(r.bit_count() for r in g.by_set) == g.n
+        for color, adj in zip((1, 2), want):
+            pairs = [(i, j) for i in range(g.n) for j in iter_bits(adj[i]) if i < j]
+            assert g.edges(color) == pairs
     assert len(graphs) > 1000
 
 
@@ -328,6 +349,143 @@ def test_refinement_matches_oracle_on_paper_pair(pq_graphs):
     p, q = pq_graphs
     for g, h in ((p, p), (q, q), (p, q), (q, p)):
         assert _assert_same_partitions(g, h) == 73
+
+
+def _refine_by_pairs(adjacency, cells, splitters, stats, against=None):
+    """`_refine` as it was: per (neighbour, splitter), two masked popcounts.
+
+    `adjacency` is a graph's (colour-1, colour-2) rows.  A vertex's
+    signature lists `count - j * base**2` for each splitter j it has an
+    edge into, and its bucket key is that list as a tuple.
+    """
+    adj1, adj2 = adjacency
+    adj = [a | b for a, b in zip(adj1, adj2)]
+    stats.refinements += 1
+    base = len(adj1) + 1
+    step = base * base
+    trace = [] if against is None else against
+    new = splitters
+    rnd = 0
+    while True:
+        live = 0
+        for c in cells:
+            if c & (c - 1):
+                live |= c
+        sigs: Dict[int, List[int]] = {}
+        touched = 0
+        for j, ci in enumerate(new):
+            c = cells[ci]
+            nbrs = 0
+            for u in iter_bits(c):
+                nbrs |= adj[u]
+            for v in iter_bits(nbrs & live):
+                count = (adj1[v] & c).bit_count() * base + (adj2[v] & c).bit_count()
+                sigs.setdefault(v, []).append(count - j * step)
+            stats.splitter_counts += (nbrs & live).bit_count()
+            touched |= nbrs & live
+        if against is None:
+            spec = {}
+            trace.append(spec)
+        else:
+            spec = against[rnd]
+        rnd += 1
+        matched = 0
+        next_cells: List[int] = []
+        next_new: List[int] = []
+        for ci, c in enumerate(cells):
+            t = c & touched
+            if not t:
+                next_cells.append(c)
+                continue
+            buckets: Dict[tuple, int] = {}
+            if c != t:
+                buckets[()] = c ^ t
+            for v in iter_bits(t):
+                key = tuple(sigs[v])
+                buckets[key] = buckets.get(key, 0) | 1 << v
+            want = [(key, buckets[key].bit_count()) for key in sorted(buckets)]
+            if against is None:
+                spec[ci] = want
+            elif spec.get(ci) != want:
+                stats.failed_refinements += 1
+                return None
+            else:
+                matched += 1
+            if len(want) > 1:
+                first = len(next_cells)
+                next_new.extend(range(first, first + len(want) - 1))
+            next_cells.extend(buckets[key] for key, _ in want)
+        if against is not None and matched != len(spec):
+            stats.failed_refinements += 1
+            return None
+        if not next_new:
+            return next_cells, trace
+        cells, new = next_cells, next_new
+
+
+def _shape(trace):
+    """A trace without its keys: per round, each touched cell's bucket sizes."""
+    return [{ci: [size for _, size in b] for ci, b in spec.items()} for spec in trace]
+
+
+def _sided_both_ways(g, h, g_trial, h_trial, splitters):
+    """`_sided` by both refinements: the same cells, traces, verdict and counts."""
+    new, old = SearchStats(), SearchStats()
+    g_cells, g_trace = _refine(g, g_trial, splitters, new)
+    want_cells, want_trace = _refine_by_pairs(_adjacency(g), g_trial, splitters, old)
+    assert g_cells == want_cells and _shape(g_trace) == _shape(want_trace)
+    hit = _refine(h, h_trial, splitters, new, g_trace)
+    want = _refine_by_pairs(_adjacency(h), h_trial, splitters, old, want_trace)
+    assert (hit is None) == (want is None)
+    assert hit is None or hit[0] == want[0]
+    assert new.splitter_counts == old.splitter_counts
+    assert new.failed_refinements == old.failed_refinements
+    return g_cells, None if hit is None else hit[0]
+
+
+def _assert_refines_as_pairs(g, h, depth: int = 2) -> int:
+    """Every h candidate along g's first path, down to `depth` levels.
+
+    Returns the number of refinements compared that failed.
+    """
+    if g.n == 0:
+        return 0
+    g_cells, h_cells = _sided_both_ways(g, h, [(1 << g.n) - 1], [(1 << h.n) - 1], (0,))
+    failed = h_cells is None
+    for _ in range(depth):
+        ci = _branch_cell([(c, c) for c in g_cells])
+        if h_cells is None or ci < 0:
+            break
+        g_trial = _split(g_cells, ci, _first(g_cells[ci]))
+        on_path = None
+        for w in iter_bits(h_cells[ci]):
+            h_trial = _split(h_cells, ci, w)
+            got = _sided_both_ways(g, h, g_trial, h_trial, (ci,))
+            failed += got[1] is None
+            if on_path is None and got[1] is not None:
+                on_path = got
+        g_cells, h_cells = on_path if on_path else (None, None)
+    return failed
+
+
+def test_row_column_counts_match_pairwise_counts(
+    small_graphs, pq_graphs, doubled_graphs
+):
+    """Cells, trace shapes, verdicts under `against` and splitter counts."""
+    failed = 0
+    by_shape: Dict[tuple, list] = {}
+    for m, kind, g in small_graphs:
+        by_shape.setdefault((kind, m.n, g.n), []).append(g)
+    for graphs in by_shape.values():
+        for g in graphs[:4]:
+            for h in graphs[:4]:
+                failed += _assert_refines_as_pairs(g, h)
+    p, q = pq_graphs
+    for g, h in ((p, p), (p, q), (q, p)):
+        failed += _assert_refines_as_pairs(g, h)
+    for g, h in doubled_graphs:
+        failed += _assert_refines_as_pairs(g, h, depth=1)
+    assert failed > 150
 
 
 def _relabelled_pairs(small_graphs, seed):
@@ -407,6 +565,67 @@ def test_automorphism_group_matches_oracle(small_graphs, pq_graphs):
             _assert_same_group(g, got, want)
     for g in pq_graphs:
         _assert_same_group(g, automorphism_group(g), _oracle_chain(OracleSearch(g, g)))
+
+
+def _top_down_chain(search: _PairSearch) -> AutomorphismGroup:
+    """`_stabilizer_chain` as it was: levels from the root down, no failure pruning."""
+    if search.g.n == 0:
+        return AutomorphismGroup([], 1, [])
+    fixed: List[int] = []
+    gens: List[Tuple[int, ...]] = []
+    order = 1
+    depth = 0
+    while True:
+        cells, _, ci = search._node(depth)
+        if ci < 0:
+            break
+        trace = search._node(depth + 1)[1]
+        b = _first(cells[ci])
+        orbit = 1 << b
+        level_gens: List[Tuple[int, ...]] = []
+        for w in iter_bits(cells[ci]):
+            if orbit >> w & 1:
+                continue
+            child = search._individualize(cells, ci, w, trace)
+            res = search._descend(depth + 1, child, False)
+            if res is not None:
+                level_gens.append(res)
+                orbit = _close_orbit(orbit | (1 << w), level_gens)
+        order *= orbit.bit_count()
+        gens.extend(level_gens)
+        fixed.append(b)
+        depth += 1
+    return AutomorphismGroup(gens, order, fixed)
+
+
+def _assert_same_chain(vertices) -> Tuple[SearchStats, SearchStats]:
+    """The pruned chain and the top-down one give identical groups."""
+    new, old = RelColoredGraph(vertices), RelColoredGraph(vertices)
+    new_search, old_search = _PairSearch(new, new), _PairSearch(old, old)
+    got, want = _stabilizer_chain(new_search), _top_down_chain(old_search)
+    assert got.generators == want.generators
+    assert (got.order, got.base) == (want.order, want.base)
+    return new_search.stats, old_search.stats
+
+
+def test_pruned_chain_matches_top_down_chain(catalog6):
+    """On the catalog-6 graphs whose chains refine a candidate that fails."""
+    pruned = failed = 0
+    for m in catalog6[::25]:
+        for kind in IsoStructure:
+            if covers(m, kind).covered:
+                new, old = _assert_same_chain(pointed_sets(m, kind))
+                assert new.failed_refinements <= old.failed_refinements
+                pruned += new.orbit_prunes
+                failed += old.failed_refinements
+    assert failed > 50 and pruned > 20
+
+
+@pytest.mark.slow
+def test_pruned_chain_matches_top_down_chain_on_bases_of_p(paper_pair):
+    new, old = _assert_same_chain(pointed_sets(paper_pair[0], IsoStructure.BASES))
+    assert (new.refinements, old.refinements) == (453, 2256)
+    assert new.orbit_prunes == 1803
 
 
 def _cell_set(cells):
