@@ -335,20 +335,24 @@ def verify_sync_conditions(
     n: Matroid,
     kind: IsoStructure = IsoStructure.NONBASES,
 ) -> Dict[str, object]:
-    """Check the three perfect-strategy conditions under the normalized trace.
+    """Check the four perfect-strategy conditions under the normalized trace.
 
     (1) answer sums are the identity per question, (2) question sums are
     the identity per answer, (3) mismatched rel pairs have vanishing
-    operator products.  Reports the largest defect of each; perfect means
-    all three are exactly 0.
+    operator products, (4) every operator is self-adjoint.  (1) and (3)
+    make each operator idempotent, so with (4) each is a projection.
+    Reports the largest defect of each; perfect means all four are
+    exactly 0.
     """
     fam = strategy.projections
     nq, na, dim, _ = fam.shape
     qs = pointed_sets(m, kind)
     ans = pointed_sets(n, kind)
-    if (len(qs), len(ans)) != (nq, na) or qs != strategy.questions:
+    alphabets = (strategy.questions, strategy.answers)
+    if alphabets != (qs, ans) or (nq, na) != (len(qs), len(ans)):
         raise DimensionMismatch("strategy shape does not match the game alphabets")
     eye = np.eye(dim)
+    adjoint_defect = float(np.abs(fam - fam.conj().swapaxes(2, 3)).max(initial=0))
     row_defect = float(np.abs(fam.sum(axis=1) - eye).max()) if nq else 0.0
     col_defect = float(np.abs(fam.sum(axis=0) - eye).max()) if na else 0.0
 
@@ -374,8 +378,9 @@ def verify_sync_conditions(
             "rowSums": row_defect,
             "colSums": col_defect,
             "relOrthogonality": mismatch_defect,
+            "selfAdjoint": adjoint_defect,
         },
-        "perfect": max(row_defect, col_defect, mismatch_defect) == 0,
+        "perfect": max(row_defect, col_defect, mismatch_defect, adjoint_defect) == 0,
     }
 
 

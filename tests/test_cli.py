@@ -139,8 +139,8 @@ def test_quantum_commands(capsys):
 
 
 # every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
-PAPER_PAIR_SHA256 = "4a6b0a48ec0d5e5f0785c380760ff97f73d7faf5bb9ae376ec814236885eea36"
-VERIFY_ISO_SHA256 = "c0f5056ae9f4a617fa97135e2f4f6067c6fbb0afaad05d346b5c31173d38450c"
+PAPER_PAIR_SHA256 = "d7e20642a267913e8091b077a2582b072d5767cc0f0ad7ff78f570af889fcb32"
+VERIFY_ISO_SHA256 = "1c1de4da9bbe1827a69193902722fbadac6cb3b7581e2059d67502392e936930"
 GRAPH_AUT_SHA256 = {
     "P": "c4d337c53b40623e84c70e6ef7deb8cb318b5730926097a4d4d0f6f0739893b6",
     "Q": "d09549e517316916c4b7bcfaec5be42dbafdd12a1dc3e141d1a488615d7f0f2b",

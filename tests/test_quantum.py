@@ -187,7 +187,7 @@ def test_iso_game_pvms_conditions(paper_pair, pauli_grid):
             assert np.abs(f @ f - f).max() < 1e-12
             assert np.abs(f - f.conj().T).max() < 1e-12
     report = verify_sync_conditions(strat, p, q, IsoStructure.NONBASES)
-    assert report["perfect"]
+    assert report["perfect"] and report["conditions"]["selfAdjoint"] == 0.0
     assert max(report["conditions"].values()) == 0
 
 
@@ -303,3 +303,33 @@ def test_shape_mismatch_rejected(paper_pair, pauli_grid):
     u23 = uniform_matroid(2, 3)
     with pytest.raises(DimensionMismatch):
         verify_sync_conditions(strat, u23, u23, IsoStructure.BASES)
+
+
+def _oblique_u12_strategy(answers=None):
+    """F = [[A, I - A], [I - A, A]] on the bases game of U(1,2), with A an
+    oblique idempotent: every sum and rel product holds, but no F[q, a]
+    is a projection."""
+    u12 = uniform_matroid(1, 2)
+    qs = pointed_sets(u12, IsoStructure.BASES)
+    a = np.array([[1, 1], [0, 0]], dtype=complex)
+    b = np.eye(2) - a
+    fam = np.array([[a, b], [b, a]])
+    return u12, SyncStrategyPVM(2, fam, qs, qs if answers is None else answers)
+
+
+def test_oblique_idempotents_are_not_perfect():
+    u12, strat = _oblique_u12_strategy()
+    report = verify_sync_conditions(strat, u12, u12, IsoStructure.BASES)
+    assert not report["perfect"]
+    assert report["conditions"] == {
+        "rowSums": 0.0,
+        "colSums": 0.0,
+        "relOrthogonality": 0.0,
+        "selfAdjoint": 1.0,
+    }
+
+
+def test_answer_alphabet_mismatch_rejected():
+    u12, strat = _oblique_u12_strategy(answers=())
+    with pytest.raises(DimensionMismatch):
+        verify_sync_conditions(strat, u12, u12, IsoStructure.BASES)
