@@ -177,7 +177,7 @@ def _extensions_by_modular_cuts(m):
     new_bit = 1 << n
     out = [Matroid(n + 1, r + 1, tuple(sorted(b | new_bit for b in m.bases)))]
     flat_data = _flat_data(m)
-    flats, idx, franks, up_mask, force = flat_data
+    idx = flat_data[1]
     corank1 = {b ^ (1 << e) for b in m.bases for e in iter_bits(b)}
     by_flat = {}
     for a in corank1:
