@@ -16,12 +16,7 @@ from time import perf_counter
 from typing import List, Optional, Tuple
 
 from .bitset import elements_of, mask_of
-from .derived import (
-    DERIVE_GUARD,
-    characteristic_polynomial,
-    derive_sets,
-    tutte_polynomial,
-)
+from .derived import characteristic_polynomial, derive_sets, tutte_polynomial
 from .errors import MigError
 from .jsonio import (
     dumps,
@@ -69,7 +64,7 @@ def cmd_matroid(args) -> int:
         _emit(payload, args.out)
         return EXIT_OK
     if args.action == "derive":
-        _emit(subset_report_to_json(derive_sets(m, args.guard_n)), args.out)
+        _emit(subset_report_to_json(derive_sets(m)), args.out)
         return EXIT_OK
     if args.action == "dual":
         _emit(matroid_to_json(m.dual()), args.out)
@@ -89,8 +84,8 @@ def cmd_matroid(args) -> int:
         return EXIT_OK
     if args.action == "tutte":
         payload = {
-            "tutte": tutte_to_json(tutte_polynomial(m, args.guard_n)),
-            "characteristic": list(characteristic_polynomial(m, args.guard_n)),
+            "tutte": tutte_to_json(tutte_polynomial(m)),
+            "characteristic": list(characteristic_polynomial(m)),
         }
         _emit(payload, args.out)
         return EXIT_OK
@@ -116,6 +111,12 @@ def cmd_graph(args) -> int:
     m = load_matroid(args.file)
     kind = _structure(args)
     g = build_graph(m, kind)
+    res = covers(m, kind)
+    if not res.covered:
+        sys.stderr.write(
+            f"warning: {kind.value} misses element {res.witness}"
+            "; the graph has no vertex on it\n"
+        )
     if args.stats and args.action != "aut":
         raise MigError("--stats applies to graph aut")
     if args.action == "build":
@@ -496,12 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--delete", help="comma-separated elements to delete")
     p.add_argument("--contract", help="comma-separated elements to contract")
-    p.add_argument(
-        "--guard-n",
-        type=int,
-        default=DERIVE_GUARD,
-        help="full-lattice enumeration guard",
-    )
     add_common(p)
     p.set_defaults(func=cmd_matroid)
 

@@ -3,8 +3,8 @@
 Everything here runs over the full 2^n subset lattice, vectorized with
 numpy tables indexed by mask.  The transforms are the usual
 subset-lattice sweeps: one pass per bit position, O(n * 2^n) total.
-Ground sets are guarded (default n <= 24); exceeding a guard raises
-rather than truncating.
+Ground sets are guarded (n <= DERIVE_GUARD = 24); exceeding the guard
+raises rather than truncating.
 """
 
 from __future__ import annotations
@@ -65,17 +65,17 @@ def max_over_subsets(vals: np.ndarray, n: int) -> np.ndarray:
     )[0]
 
 
-def _guard(m, guard_n: int) -> None:
-    if m.n > guard_n:
+def _guard(m) -> None:
+    if m.n > DERIVE_GUARD:
         raise GuardExceeded(
-            f"full-lattice enumeration on n={m.n} exceeds the guard n <= {guard_n}"
-            f" (DERIVE_GUARD = {DERIVE_GUARD}, set by `mig matroid --guard-n`)"
+            f"full-lattice enumeration on n={m.n} exceeds the guard"
+            f" DERIVE_GUARD = {DERIVE_GUARD}"
         )
 
 
-def independence_table(m, guard_n: int = DERIVE_GUARD) -> np.ndarray:
+def independence_table(m) -> np.ndarray:
     """uint8 table: 1 iff the mask is an independent set of `m` (cached)."""
-    _guard(m, guard_n)
+    _guard(m)
 
     def build() -> np.ndarray:
         t = np.zeros(1 << m.n, dtype=np.uint8)
@@ -85,13 +85,13 @@ def independence_table(m, guard_n: int = DERIVE_GUARD) -> np.ndarray:
     return m.cached("independence_table", build)
 
 
-def rank_table(m, guard_n: int = DERIVE_GUARD) -> np.ndarray:
+def rank_table(m) -> np.ndarray:
     """uint8 table of subset ranks (cached on the matroid)."""
-    _guard(m, guard_n)
+    _guard(m)
     return m.cached(
         "rank_table",
         lambda: max_over_subsets(
-            popcount_table(m.n) * independence_table(m, guard_n), m.n
+            popcount_table(m.n) * independence_table(m), m.n
         ),
     )
 
@@ -110,15 +110,15 @@ class SubsetReport:
     girth: Optional[int]
 
 
-def derive_sets(m, guard_n: int = DERIVE_GUARD) -> SubsetReport:
+def derive_sets(m) -> SubsetReport:
     """Enumerate independents, circuits, flats, hyperplanes, cyclic flats (cached)."""
-    _guard(m, guard_n)
-    return m.cached("derive_sets", lambda: _derive_sets(m, guard_n))
+    _guard(m)
+    return m.cached("derive_sets", lambda: _derive_sets(m))
 
 
-def _derive_sets(m, guard_n: int) -> SubsetReport:
+def _derive_sets(m) -> SubsetReport:
     n = m.n
-    rk = rank_table(m, guard_n)
+    rk = rank_table(m)
     pc = popcount_table(n)
 
     # One sweep: per bit i, the rank step d = r[A+i] - r[A] (0 or 1) over
@@ -140,7 +140,7 @@ def _derive_sets(m, guard_n: int) -> SubsetReport:
         return tuple(np.flatnonzero(mask).tolist())
 
     return SubsetReport(
-        independents=listed(independence_table(m, guard_n)),
+        independents=listed(independence_table(m)),
         circuits=listed(circuits_mask),
         flats=listed(flat),
         hyperplanes=listed(flat & (rk == m.rank - 1)),
@@ -183,14 +183,14 @@ class TuttePolynomial:
         return sorted(self.coeffs.items())
 
 
-def tutte_polynomial(m, guard_n: int = DERIVE_GUARD) -> TuttePolynomial:
+def tutte_polynomial(m) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets, exact integers throughout (cached)."""
-    _guard(m, guard_n)
-    return m.cached("tutte", lambda: _tutte_polynomial(m, guard_n))
+    _guard(m)
+    return m.cached("tutte", lambda: _tutte_polynomial(m))
 
 
-def _tutte_polynomial(m, guard_n: int) -> TuttePolynomial:
-    rk = rank_table(m, guard_n)
+def _tutte_polynomial(m) -> TuttePolynomial:
+    rk = rank_table(m)
     width = m.n - m.rank + 1
     # key = corank * width + nullity < (rank + 1) * width, well inside uint16
     key = np.subtract(m.rank, rk, dtype=np.uint16)
@@ -213,9 +213,9 @@ def _tutte_polynomial(m, guard_n: int) -> TuttePolynomial:
     return poly
 
 
-def characteristic_polynomial(m, guard_n: int = DERIVE_GUARD) -> Tuple[int, ...]:
+def characteristic_polynomial(m) -> Tuple[int, ...]:
     """Coefficients (ascending) of (-1)^rank * T(1 - t, 0)."""
-    t = tutte_polynomial(m, guard_n)
+    t = tutte_polynomial(m)
     out = [0] * (m.rank + 1)
     for (i, j), c in t.coeffs.items():
         if j == 0:  # c * (1 - t)^i

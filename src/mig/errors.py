@@ -77,13 +77,6 @@ class NotAnIsomorphism(MigError):
     """A supplied ground-set map does not preserve the basis family."""
 
 
-class NotInduced(MigError):
-    """A rel-preserving vertex bijection failed to come from a ground map.
-
-    This contradicts the theory and indicates an internal inconsistency.
-    """
-
-
 class InvariantViolation(MigError):
     """A construction-time self check failed."""
 

@@ -54,10 +54,6 @@ class IsoGameInstance:
         self._check(idx)
         return 0 if idx < self.split else 1
 
-    def pointed(self, idx: int) -> PointedSet:
-        self._check(idx)
-        return self.alphabet[idx][1]
-
     def _check(self, idx: int) -> None:
         if not 0 <= idx < len(self.alphabet):
             raise OutOfAlphabet(f"index {idx} outside alphabet of size {self.size()}")

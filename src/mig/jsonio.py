@@ -10,7 +10,7 @@ order makes every emission byte-reproducible.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .bitset import elements_of
 from .derived import SubsetReport, TuttePolynomial
@@ -19,14 +19,11 @@ from .game import LBCS, Constraint, DeterministicStrategy
 from .matroid import Matroid, matroid_from_bases, matroid_from_nonbases
 
 
-def matroid_to_json(m: Matroid, prefer_nonbases: Optional[bool] = None) -> Dict:
-    """Encode a matroid; the sparser of bases/nonbases is used by default."""
+def matroid_to_json(m: Matroid) -> Dict:
+    """Encode a matroid by the sparser of its bases and its nonbases."""
     nb = m.nonbases()
-    use_nb = prefer_nonbases
-    if use_nb is None:
-        use_nb = len(nb) < len(m.bases)
     out: Dict[str, object] = {"n": m.n, "rank": m.rank}
-    if use_nb:
+    if len(nb) < len(m.bases):
         out["nonbases"] = [elements_of(x) for x in nb]
     else:
         out["bases"] = [elements_of(x) for x in m.bases]

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .game import LBCS, Constraint
 from .matroid import Matroid, brute_force_isomorphic, matroid_from_nonbases
-from .relgraph import build_graph, find_isomorphism, matroid_iso_from_graph_iso
+from .relgraph import build_graph, find_matroid_isomorphism
 from .structures import IsoStructure, PointedSet
 
 
@@ -212,14 +212,10 @@ def minor_obstruction_certificate(p: Matroid, q: Matroid) -> Dict[str, object]:
 
     y_mask = mask_of(WITNESS_Y)
     qy = q.restrict(y_mask)
-    g_qy = build_graph(qy, IsoStructure.NONBASES, warn_uncovered=False)
-    g_n = build_graph(n_target, IsoStructure.NONBASES, warn_uncovered=False)
-    vertex_iso = find_isomorphism(g_qy, g_n)
-    if vertex_iso is None:
+    hit = find_matroid_isomorphism(qy, n_target, IsoStructure.NONBASES)
+    if hit is None:
         raise ConstructionInconsistency("expected restriction witness failed")
-    ground_iso = matroid_iso_from_graph_iso(
-        qy, n_target, IsoStructure.NONBASES, vertex_iso
-    )
+    ground_iso = hit[0]
 
     scanned, matches = _triple_scan(p, n_target.n)
     # anything surviving the filter gets the full isomorphism treatment

@@ -16,6 +16,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from .bitset import (
     canonical_family,
     complement,
@@ -25,6 +27,7 @@ from .bitset import (
     mask_of,
     subsets_of_size,
 )
+from .derived import derive_sets, popcount_table, rank_table
 from .errors import (
     CardinalityMismatch,
     EmptyFamily,
@@ -223,44 +226,36 @@ class Matroid:
         return Matroid(self.n + 1, self.rank, canonical_family(fam), labels)
 
     # -- predicates ---------------------------------------------------------
+    #
+    # One lattice route: the girth and the hyperplanes of `derive_sets`.
+
+    def girth(self) -> Optional[int]:
+        """Size of the smallest circuit, or None when there is none."""
+        return derive_sets(self).girth
 
     def is_simple(self) -> bool:
-        """No loops, and every 2-element subset independent."""
-        if self.loops():
-            return False
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if self.subset_rank((1 << a) | (1 << b)) != 2:
-                    return False
-        return True
+        """No loops and no parallel pairs: every circuit has 3 or more elements."""
+        g = self.girth()
+        return g is None or g >= 3
 
     def is_paving(self) -> bool:
-        """Every circuit has size >= rank, i.e. all (rank-1)-subsets independent."""
-        if self.rank <= 1:
-            return True
-        for m in subsets_of_size(self.n, self.rank - 1):
-            if not self.is_independent(m):
-                return False
-        return True
+        """Every circuit has at least rank elements."""
+        g = self.girth()
+        return g is None or g >= self.rank
 
     def is_sparse_paving(self) -> bool:
-        """Both the matroid and its dual are paving."""
-        return self.is_paving() and self.dual().is_paving()
+        """Paving, and so is the dual: no hyperplane has more than rank elements.
+
+        The cocircuits are the complements of the hyperplanes, so the dual's
+        circuits have n - rank or more elements exactly then.
+        """
+        hyperplanes = derive_sets(self).hyperplanes
+        return self.is_paving() and all(h.bit_count() <= self.rank for h in hyperplanes)
 
     def cyclic_hyperplanes(self) -> Tuple[int, ...]:
-        from .derived import derive_sets
-
         rep = derive_sets(self)
         hset = set(rep.hyperplanes)
         return tuple(f for f in rep.cyclic_flats if f in hset)
-
-    def girth(self) -> Optional[int]:
-        """Size of the smallest dependent set, or None when independent throughout."""
-        for k in range(1, min(self.rank + 1, self.n) + 1):
-            for m in subsets_of_size(self.n, k):
-                if not self.is_independent(m):
-                    return k
-        return None
 
     def connectivity(self) -> Optional[int]:
         """Smallest k admitting a k-separation, or None if none exists.
@@ -276,10 +271,6 @@ class Matroid:
             )
         if self.n < 2:
             return None
-        import numpy as np
-
-        from .derived import popcount_table, rank_table
-
         rk = rank_table(self).astype(np.int16)
         pc = popcount_table(self.n).astype(np.int16)
         # rk[::-1][A] is the rank of the complement: full ^ A == full - A
@@ -291,13 +282,14 @@ class Matroid:
         return int(lam1[ok].min())
 
     def predicates(self) -> Dict[str, object]:
-        g = self.girth()
+        # connectivity first: its guard is below DERIVE_GUARD
+        connectivity = self.connectivity()
         return {
             "is_simple": self.is_simple(),
             "is_paving": self.is_paving(),
             "is_sparse_paving": self.is_sparse_paving(),
-            "girth": g,
-            "connectivity": self.connectivity(),
+            "girth": self.girth(),
+            "connectivity": connectivity,
         }
 
     def validate(self) -> None:

@@ -41,13 +41,18 @@ are well defined and injective.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitset import elements_of, iter_bits
-from .errors import GuardExceeded, InvariantViolation, NotInduced
+from .bitset import elements_of, iter_bits, mask_of
+from .errors import GuardExceeded, InvariantViolation
 from .matroid import Matroid
-from .structures import IsoStructure, PointedSet, covers, pointed_sets
+from .structures import (
+    IsoStructure,
+    PointedSet,
+    pointed_sets,
+    require_covering,
+    structure_sets,
+)
 
 GROUP_ENUM_CAP = 20_000
 
@@ -87,15 +92,8 @@ class RelColoredGraph:
         return out
 
 
-def build_graph(
-    m: Matroid, kind: IsoStructure, warn_uncovered: bool = True
-) -> RelColoredGraph:
+def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
     """The relation colored graph of (m, kind), built once per matroid."""
-    if warn_uncovered and not covers(m, kind).covered:
-        warnings.warn(
-            f"{kind.value} does not cover the matroid; the graph loses elements",
-            stacklevel=2,
-        )
     return m.cached(("graph", kind), lambda: RelColoredGraph(pointed_sets(m, kind)))
 
 
@@ -426,78 +424,38 @@ def find_isomorphism(
     return _PairSearch(g, h, stats).run()
 
 
-def matroid_iso_from_graph_iso(
-    m: Matroid,
-    n: Matroid,
-    kind: IsoStructure,
-    mapping: Sequence[int],
-) -> Tuple[int, ...]:
-    """Extract the ground-set bijection inducing a vertex bijection.
-
-    The vertex map must send (A, p) to (phi(A), phi(p)) for a single
-    ground map phi; anything else raises NotInduced (which would
-    contradict the rel-preservation hypothesis).
-    """
-    vm = pointed_sets(m, kind)
-    vn = pointed_sets(n, kind)
-    phi: Dict[int, int] = {}
-    for i, ps in enumerate(vm):
-        img = vn[mapping[i]]
-        prev = phi.get(ps.point)
-        if prev is None:
-            phi[ps.point] = img.point
-        elif prev != img.point:
-            raise NotInduced(
-                f"point {ps.point} maps to both {prev} and {img.point}"
-            )
-    if len(phi) != m.n or m.n != n.n:
-        raise NotInduced("vertex map does not determine a total ground map")
-    if sorted(phi.values()) != list(range(n.n)):
-        raise NotInduced("induced ground map is not a bijection")
-    out = tuple(phi[e] for e in range(m.n))
-    # the induced map must carry the structure family across
-    from .structures import structure_sets
-
-    fam_n = set(structure_sets(n, kind))
-    for a in structure_sets(m, kind):
-        img = 0
-        for e in iter_bits(a):
-            img |= 1 << out[e]
-        if img not in fam_n:
-            raise NotInduced(f"family member {a:#x} maps outside the family")
-    if len(structure_sets(m, kind)) != len(fam_n):
-        raise NotInduced("family sizes differ")
-    return out
-
-
 def find_matroid_isomorphism(
     m: Matroid, n: Matroid, kind: IsoStructure, stats: Optional[SearchStats] = None
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Matroid isomorphism via graph search plus ground-map extraction.
+    """A matroid isomorphism m -> n by graph search: (ground map, vertex map) or None.
 
-    Returns (ground map, vertex map) or None.  The pointed game never
-    sees the empty set, so when the two families differ exactly there
-    (flats of an all-loop matroid versus a loop-free one) the graphs can
-    agree while the matroids do not; the extraction step compares the
-    full families and turns that into a clean negative.  Any other
-    extraction failure is a real inconsistency and propagates.  `stats`,
-    if given, collects the graph search's counts.
+    Both families must cover (`require_covering`), so every element is the
+    point of a vertex and the vertex map, which preserves columns, sends
+    element p_v to p_w for each v -> w: the ground map is read off it.
+    The pointed game never sees the empty set, so when exactly one family
+    holds it (flats of an all-loop matroid versus a loop-free one) the
+    graphs can agree while the matroids do not; that is a negative.  The
+    ground map must be a bijection carrying the family onto the family,
+    else `InvariantViolation`.  `stats`, if given, collects the graph
+    search's counts.
     """
-    from .structures import structure_sets
-
-    gm = build_graph(m, kind, warn_uncovered=False)
-    gn = build_graph(n, kind, warn_uncovered=False)
-    mapping = find_isomorphism(gm, gn, stats)
+    require_covering(kind, m, n)
+    g, h = build_graph(m, kind), build_graph(n, kind)
+    mapping = find_isomorphism(g, h, stats)
     if mapping is None:
         return None
-    try:
-        return matroid_iso_from_graph_iso(m, n, kind, mapping), mapping
-    except NotInduced:
-        empty_m = 0 in structure_sets(m, kind)
-        empty_n = 0 in structure_sets(n, kind)
-        if empty_m != empty_n:
-            return None
-        raise
+    fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
+    if (0 in fam_m) != (0 in fam_n):
+        return None
+    ground = [-1] * m.n
+    for v, w in enumerate(mapping):
+        ground[g.point_of[v]] = h.point_of[w]
+    image = {mask_of(ground[e] for e in iter_bits(a)) for a in fam_m}
+    if sorted(ground) != list(range(n.n)) or image != set(fam_n):
+        raise InvariantViolation(
+            f"ground map {ground} does not carry the {kind.value} family across"
+        )
+    return tuple(ground), mapping
 
 
 class AutomorphismGroup:

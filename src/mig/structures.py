@@ -139,12 +139,12 @@ def _nonbases_miss(m: Matroid, e: int) -> bool:
 
     Either deleting e leaves a paving matroid of full rank whose free
     extension by e recovers m, or e is a coloop over a uniform remainder.
+    When m is that free extension, the deletion is paving exactly when m
+    is, so the paving test is made once per m, on m.
     """
     rest = m.delete(1 << e)
     if rest.rank == m.rank:
-        if not rest.is_paving():
-            return False
-        return _free_extension_matches(m, rest, e)
+        return _free_extension_matches(m, rest, e) and m.is_paving()
     if rest.rank == m.rank - 1:
         # e lies in every basis; remainder must be uniform
         return len(rest.bases) == comb(rest.n, rest.rank)

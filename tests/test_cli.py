@@ -86,6 +86,32 @@ def test_iso_exit_codes(files, capsys):
     assert code == 1 and not json.loads(out)["isomorphic"]
 
 
+def test_iso_refuses_non_covering(files, capsys):
+    """A loop lies in no basis, so the bases game cannot see it: exit 2."""
+    loopy = files["dir"] / "loopy.json"
+    loopy.write_text('{"n": 3, "rank": 2, "bases": [[0, 1]]}')
+    for first, side in ((str(loopy), "first"), (files["u23"], "second")):
+        code, out, err = run(
+            capsys, "iso", first, str(loopy), "--structure", "bases"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: NotCovering: bases misses element 2 of the {side} matroid\n"
+        )
+
+
+def test_graph_warns_when_not_covering(files, capsys):
+    """`graph` prints any family's graph; one stderr line flags a non-cover."""
+    build = ("graph", "build", files["u23"])
+    code, out, err = run(capsys, *build, "--structure", "nonbases")
+    assert code == 0
+    assert json.loads(out) == {"vertices": [], "edges": {"1": [], "2": []}}
+    assert err == (
+        "warning: nonbases misses element 0; the graph has no vertex on it\n"
+    )
+    assert run(capsys, *build, "--structure", "bases")[2] == ""
+
+
 def test_game_commands(files, capsys):
     code, out, _ = run(
         capsys, "game", "check", files["u23"], files["u23"], "--structure", "bases"
@@ -371,11 +397,19 @@ def test_malformed_strategy_and_system_json_exit_code(files, capsys, command, te
 
 
 def test_guard_n_flag(files, capsys):
-    assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "3")[0] == 2
-    assert run(capsys, "matroid", "derive", files["u24"], "--guard-n", "4")[0] == 0
-    # the flag is attached only where it is read
-    cover = ("cover", files["u23"], "--structure", "bases")
-    assert run(capsys, *cover, "--guard-n", "3")[0] == 2
+    """DERIVE_GUARD is a constant: no flag raises it past what memory holds."""
+    wide = files["dir"] / "rank1-40.json"
+    wide.write_text('{"n": 40, "rank": 1, "bases": [[0]]}')
+    derive = ("matroid", "derive", str(wide))
+    code, out, err = run(capsys, *derive, "--guard-n", "40")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --guard-n 40" in err and "Traceback" not in err
+    code, out, err = run(capsys, *derive)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: GuardExceeded: full-lattice enumeration on n=40 exceeds the guard"
+        " DERIVE_GUARD = 24\n"
+    )
     # quantum checks are exact, so no command takes a tolerance
     assert run(capsys, "quantum", "magic-square", "--tolerance", "1e-6")[0] == 2
     assert run(capsys, "quantum", "verify-iso", "--tolerance", "1e-6")[0] == 2

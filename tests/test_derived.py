@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from mig import matroid_from_nonbases, uniform_matroid
+from mig import derived, matroid_from_nonbases, uniform_matroid
 from mig.bitset import elements_of, iter_bits
 from mig.derived import (
-    DERIVE_GUARD,
     _derive_sets,
     _tutte_polynomial,
     characteristic_polynomial,
@@ -158,17 +157,20 @@ def test_characteristic_polynomial():
         assert sum(c * lam**k for k, c in enumerate(coeffs)) == direct
 
 
-def test_guard():
+def test_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
         derive_sets(uniform_matroid(2, 25))
     with pytest.raises(GuardExceeded):
         tutte_polynomial(uniform_matroid(2, 30))
-    # the guard is checked before the cache lookup
+    # the guard reads DERIVE_GUARD on each call, before the cache lookup
     u24 = uniform_matroid(2, 4)
-    for fn in (independence_table, rank_table, derive_sets, tutte_polynomial):
+    fns = (independence_table, rank_table, derive_sets, tutte_polynomial)
+    for fn in fns:
         fn(u24)
-        with pytest.raises(GuardExceeded):
-            fn(u24, guard_n=3)
+    monkeypatch.setattr(derived, "DERIVE_GUARD", 3)
+    for fn in fns:
+        with pytest.raises(GuardExceeded, match="on n=4 exceeds the guard"):
+            fn(u24)
 
 
 def test_rank_table_matches_queries(catalog5):
@@ -245,7 +247,7 @@ def test_one_sweep_and_bincount_match_oracles(catalog5, catalog6, paper_pair):
     )
     small = [m for n in range(6) for m in catalog5[n]] + list(catalog6)
     for m in small + [grid, *paper_pair]:
-        rep = _derive_sets(m, DERIVE_GUARD)
+        rep = _derive_sets(m)
         got = (
             rep.independents,
             rep.circuits,
@@ -254,4 +256,4 @@ def test_one_sweep_and_bincount_match_oracles(catalog5, catalog6, paper_pair):
             rep.cyclic_flats,
         )
         assert got == _three_sweep_families(m)
-        assert _tutte_polynomial(m, DERIVE_GUARD).coeffs == _add_at_tutte(m)
+        assert _tutte_polynomial(m).coeffs == _add_at_tutte(m)

@@ -154,14 +154,13 @@ def test_pair_game_bisynchronous_and_hard(paper_pair):
 def test_strategy_from_restriction_iso(paper_pair):
     from mig.lbcs_construct import WITNESS_Y, disjoint_triple_matroid
     from mig.bitset import mask_of
-    from mig.relgraph import build_graph, find_isomorphism, matroid_iso_from_graph_iso
+    from mig.relgraph import find_matroid_isomorphism
 
     _, q = paper_pair
     qy = q.restrict(mask_of(WITNESS_Y))
     n = disjoint_triple_matroid()
     kind = IsoStructure.NONBASES
-    mapping = find_isomorphism(build_graph(qy, kind), build_graph(n, kind))
-    ground = matroid_iso_from_graph_iso(qy, n, kind, mapping)
+    ground, _ = find_matroid_isomorphism(qy, n, kind)
     inst = IsoGameInstance(qy, n, kind)
     verdict = evaluate_strategy(inst, strategy_from_iso(inst, ground))
     assert verdict["perfect"]

@@ -1,11 +1,11 @@
-"""Every guard fails loudly: its message names the size, the guard and its flag."""
+"""Every guard fails loudly: its message names the size and the guard constant."""
 
 import pytest
 
 from mig import matroid_from_bases, matroid_from_graph, matroid_from_nonbases
 from mig.algebra import export_groundset_relations
 from mig.catalog import all_matroids, brute_force_matroids
-from mig.derived import derive_sets
+from mig.derived import derive_sets, tutte_polynomial
 from mig.errors import GuardExceeded
 from mig.game import LBCS, Constraint, IsoGameInstance, exhaustive_perfect_strategy
 from mig.game import lbcs_solutions
@@ -28,11 +28,11 @@ def _u23_game():
 CASES = {
     "derive": (
         lambda: derive_sets(uniform_matroid(2, 25)),
-        ["n=25", "n <= 24", "DERIVE_GUARD = 24", "--guard-n"],
+        ["n=25", "DERIVE_GUARD = 24"],
     ),
-    "derive-flag": (
-        lambda: derive_sets(uniform_matroid(2, 4), guard_n=3),
-        ["n=4", "n <= 3", "DERIVE_GUARD = 24", "--guard-n"],
+    "derive-tutte": (
+        lambda: tutte_polynomial(uniform_matroid(1, 25)),
+        ["n=25", "DERIVE_GUARD = 24"],
     ),
     "bases-ground": (
         lambda: matroid_from_bases(65, [[0]]),

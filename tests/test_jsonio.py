@@ -3,9 +3,21 @@
 import pytest
 
 from mig import matroid_from_bases, uniform_matroid
+from mig.bitset import elements_of
 from mig.derived import tutte_polynomial
 from mig.errors import MigError
 from mig.jsonio import dumps, matroid_from_json, matroid_to_json, tutte_to_json
+
+
+def _both_encodings(m):
+    """The basis form and the nonbasis form of `m`, as `matroid_to_json` writes one."""
+    out = []
+    for key, family in (("bases", m.bases), ("nonbases", m.nonbases())):
+        data = {"n": m.n, "rank": m.rank, key: [elements_of(x) for x in family]}
+        if m.labels:
+            data["labels"] = list(m.labels)
+        out.append(data)
+    return out
 
 
 def test_matroid_roundtrip_both_encodings(paper_pair):
@@ -16,10 +28,9 @@ def test_matroid_roundtrip_both_encodings(paper_pair):
         p,
     ]
     for m in cases:
-        for prefer in (True, False):
-            data = matroid_to_json(m, prefer_nonbases=prefer)
-            assert matroid_from_json(data) == m
+        for data in _both_encodings(m):
             back = matroid_from_json(data)
+            assert back == m
             assert back.labels == m.labels
 
 
@@ -41,8 +52,13 @@ def test_rank_consistency_checked():
 
 
 def test_families_emitted_sorted():
-    m = uniform_matroid(2, 4)
-    data = matroid_to_json(m, prefer_nonbases=False)
+    m = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]])
+    data = matroid_to_json(m)  # one nonbasis against five bases
+    assert data["nonbases"] == [[1, 2]]
+    # U(2,4) and two loops: six bases against nine nonbases
+    m = matroid_from_bases(6, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+    data = matroid_to_json(m)
+    assert data["bases"][2:4] == [[1, 2], [0, 3]]
     assert data["bases"] == sorted(data["bases"], key=lambda b: sorted(b)[::-1])
     assert all(b == sorted(b) for b in data["bases"])
 

@@ -230,6 +230,52 @@ def test_rank3_sparse_paving_criterion(catalog5, catalog6, grid, paper_pair):
 def test_connectivity_guard():
     with pytest.raises(GuardExceeded):
         uniform_matroid(3, 21).connectivity()
+    # predicates() meets that guard before it builds any 2^n table
+    wide = uniform_matroid(1, 22)
+    with pytest.raises(GuardExceeded, match="CONNECTIVITY_GUARD = 20"):
+        wide.predicates()
+    assert "rank_table" not in wide._cache
+
+
+def _scan_girth(m):
+    """Smallest dependent subset, by basis scans (the oracle for `girth`)."""
+    for k in range(1, min(m.rank + 1, m.n) + 1):
+        for a in subsets_of_size(m.n, k):
+            if not m.is_independent(a):
+                return k
+    return None
+
+
+def _scan_is_simple(m):
+    if m.loops():
+        return False
+    return all(
+        m.subset_rank((1 << a) | (1 << b)) == 2
+        for a in range(m.n)
+        for b in range(a + 1, m.n)
+    )
+
+
+def _scan_is_paving(m):
+    return m.rank <= 1 or all(
+        m.is_independent(a) for a in subsets_of_size(m.n, m.rank - 1)
+    )
+
+
+def _scan_is_sparse_paving(m):
+    return _scan_is_paving(m) and _scan_is_paving(m.dual())
+
+
+def test_predicates_match_basis_scans(catalog5, catalog6, grid, paper_pair):
+    """The lattice route (girth and hyperplanes) against the basis scans."""
+    mats = [m for n in range(6) for m in catalog5[n]] + list(catalog6)
+    mats += [grid, *paper_pair]
+    for m in mats:
+        assert m.girth() == _scan_girth(m)
+        assert m.is_simple() == _scan_is_simple(m)
+        assert m.is_paving() == _scan_is_paving(m)
+        assert m.is_sparse_paving() == _scan_is_sparse_paving(m)
+    assert len(mats) == 4305 + 3
 
 
 def test_labels_and_relabel(grid):

@@ -1,9 +1,29 @@
-"""Relation colored graphs, searches, automorphism groups."""
+"""Relation colored graphs, searches, automorphism groups.
+
+`matroid_iso_from_graph_iso` is the ground-map extraction as it was before
+`find_matroid_isomorphism` read the map off the vertex map: it collects
+the point map of a vertex bijection, requires it to be total and
+bijective, and checks the family against it.  It is the oracle for the
+ground maps that `find_matroid_isomorphism` returns.
+"""
+
+import random
+from typing import Dict, Sequence, Tuple
 
 import pytest
 
 from mig import brute_force_isomorphic, matroid_from_nonbases, uniform_matroid
-from mig.matroid import brute_force_automorphism_count
+from mig.bitset import iter_bits, mask_of
+from mig.derived import tutte_polynomial
+from mig.lbcs_construct import (
+    WITNESS_Y,
+    SignAssignment,
+    disjoint_triple_matroid,
+    grid_matroid,
+    m_s_matroid,
+    minor_obstruction_certificate,
+)
+from mig.matroid import Matroid, brute_force_automorphism_count
 from mig.relgraph import (
     RelColoredGraph,
     _PairSearch,
@@ -11,9 +31,41 @@ from mig.relgraph import (
     build_graph,
     disjoint_automorphism_pair,
     find_isomorphism,
-    matroid_iso_from_graph_iso,
+    find_matroid_isomorphism,
 )
-from mig.structures import IsoStructure, pointed_sets, rel
+from mig.structures import IsoStructure, covers, pointed_sets, rel, structure_sets
+
+
+class NotInduced(Exception):
+    """A vertex bijection that no ground map induces."""
+
+
+def matroid_iso_from_graph_iso(
+    m: Matroid, n: Matroid, kind: IsoStructure, mapping: Sequence[int]
+) -> Tuple[int, ...]:
+    """The ground bijection phi with (A, p) -> (phi(A), phi(p)), or NotInduced."""
+    vm = pointed_sets(m, kind)
+    vn = pointed_sets(n, kind)
+    phi: Dict[int, int] = {}
+    for i, ps in enumerate(vm):
+        img = vn[mapping[i]]
+        prev = phi.get(ps.point)
+        if prev is None:
+            phi[ps.point] = img.point
+        elif prev != img.point:
+            raise NotInduced(f"point {ps.point} maps to both {prev} and {img.point}")
+    if len(phi) != m.n or m.n != n.n:
+        raise NotInduced("vertex map does not determine a total ground map")
+    if sorted(phi.values()) != list(range(n.n)):
+        raise NotInduced("induced ground map is not a bijection")
+    out = tuple(phi[e] for e in range(m.n))
+    fam_n = set(structure_sets(n, kind))
+    for a in structure_sets(m, kind):
+        if mask_of(out[e] for e in iter_bits(a)) not in fam_n:
+            raise NotInduced(f"family member {a:#x} maps outside the family")
+    if len(structure_sets(m, kind)) != len(fam_n):
+        raise NotInduced("family sizes differ")
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +80,7 @@ def test_u23_graph_shape(g_u23):
 
 
 def test_empty_graph():
-    g = build_graph(uniform_matroid(2, 3), IsoStructure.NONBASES, warn_uncovered=False)
+    g = build_graph(uniform_matroid(2, 3), IsoStructure.NONBASES)
     assert g.n == 0
     assert find_isomorphism(g, g) == ()
     assert automorphism_group(g).order == 1
@@ -52,12 +104,11 @@ def test_nontrivial_pair_found_and_extracted():
     m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
     perm = [3, 2, 1, 0, 4]
     n = m.relabel(perm)
-    gm = build_graph(m, IsoStructure.NONBASES)
-    gn = build_graph(n, IsoStructure.NONBASES)
-    mapping = find_isomorphism(gm, gn)
-    assert mapping is not None
-    ground = matroid_iso_from_graph_iso(m, n, IsoStructure.NONBASES, mapping)
+    hit = find_matroid_isomorphism(m, n, IsoStructure.NONBASES)
+    assert hit is not None
+    ground, mapping = hit
     assert m.relabel(ground) == n
+    assert matroid_iso_from_graph_iso(m, n, IsoStructure.NONBASES, mapping) == ground
 
 
 def test_paper_pair_search_counters(paper_pair):
@@ -85,9 +136,6 @@ def test_paper_pair_search_counters(paper_pair):
 
 def test_search_matches_brute_force_verdicts(catalog5):
     """Graph-route vs exhaustive ground-bijection search on a slice."""
-    from mig.relgraph import find_matroid_isomorphism
-    from mig.structures import covers
-
     mats = catalog5[4][::6]
     kinds = list(IsoStructure)
     compared = 0
@@ -106,35 +154,97 @@ def test_search_matches_brute_force_verdicts(catalog5):
 def test_flats_game_blind_spot():
     """The documented degenerate case: a loop versus a single coloop.
 
-    Their pointed-flat graphs coincide (the empty flat has no points), so
-    the raw graph search reports an isomorphism; the ground-map extraction
-    catches the family mismatch and the combined verdict stays negative.
+    Both flat families cover and their pointed-flat graphs coincide (the
+    empty flat has no points), so the raw graph search reports an
+    isomorphism; only the coloop's family holds the empty set, and the
+    combined verdict stays negative.
     """
     from mig import matroid_from_bases
-    from mig.relgraph import find_matroid_isomorphism
 
     loop = matroid_from_bases(1, [[]])
     coloop = uniform_matroid(1, 1)
     kind = IsoStructure.FLATS
-    g1 = build_graph(loop, kind, warn_uncovered=False)
-    g2 = build_graph(coloop, kind, warn_uncovered=False)
+    g1 = build_graph(loop, kind)
+    g2 = build_graph(coloop, kind)
     assert find_isomorphism(g1, g2) is not None  # the graphs really agree
     assert brute_force_isomorphic(loop, coloop) is None
     assert find_matroid_isomorphism(loop, coloop, kind) is None
-    with pytest.raises(Exception):
+    with pytest.raises(NotInduced):
         matroid_iso_from_graph_iso(loop, coloop, kind, (0,))
 
 
-def _faithful_on(mats):
-    from mig.structures import covers
+def _check_ground_maps(mats) -> int:
+    """Each isomorphic covering pair of `mats`: the ground map is the oracle's.
 
+    Isomorphic matroids share their Tutte polynomial, so pairs are drawn
+    within its classes; up to n = 5 each class is one isomorphism class.
+    Returns the number of pairs checked.
+    """
+    classes: Dict[object, list] = {}
+    for m in mats:
+        classes.setdefault(tutte_polynomial(m), []).append(m)
+    checked = 0
+    for cls in classes.values():
+        for m in cls:
+            for n in cls:
+                for kind in IsoStructure:
+                    if not (covers(m, kind).covered and covers(n, kind).covered):
+                        continue
+                    hit = find_matroid_isomorphism(m, n, kind)
+                    assert hit is not None, (m.key, n.key, kind)
+                    ground, mapping = hit
+                    assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
+                    checked += 1
+    return checked
+
+
+def test_ground_maps_match_extraction_oracle(catalog5):
+    assert sum(_check_ground_maps(catalog5[n]) for n in range(5)) == 1464
+
+
+@pytest.mark.slow
+def test_ground_maps_match_extraction_oracle_on_five(catalog5):
+    assert _check_ground_maps(catalog5[5]) == 27275
+
+
+def test_restriction_witness_matches_extraction_oracle(paper_pair):
+    p, q = paper_pair
+    kind = IsoStructure.NONBASES
+    qy, target = q.restrict(mask_of(WITNESS_Y)), disjoint_triple_matroid()
+    mapping = find_isomorphism(build_graph(qy, kind), build_graph(target, kind))
+    ground = matroid_iso_from_graph_iso(qy, target, kind, mapping)
+    witness = minor_obstruction_certificate(p, q)["restrictionWitness"]
+    assert witness["iso"] == list(ground)
+    assert qy.relabel(ground) == target
+
+
+def test_doubled_grid_ground_maps_match_extraction_oracle():
+    """Seeded relabelings of two doubled grids, on three kinds each."""
+    grid = grid_matroid()
+    rng = random.Random(5)
+    for negatives in ([(0, 1, 2), (0, 3, 6)], [(2, 5, 8)]):
+        m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        sm = m.relabel(perm)
+        for kind in (
+            IsoStructure.NONBASES,
+            IsoStructure.HYPERPLANES,
+            IsoStructure.FLATS,
+        ):
+            ground, mapping = find_matroid_isomorphism(m, sm, kind)
+            assert matroid_iso_from_graph_iso(m, sm, kind, mapping) == ground
+            assert m.relabel(ground) == sm
+
+
+def _faithful_on(mats):
     checked = 0
     for m in mats:
         truth = brute_force_automorphism_count(m)
         for kind in IsoStructure:
             if not covers(m, kind).covered:
                 continue
-            g = build_graph(m, kind, warn_uncovered=False)
+            g = build_graph(m, kind)
             assert automorphism_group(g).order == truth, (m.key, kind)
             checked += 1
     return checked
@@ -189,8 +299,3 @@ def test_determinism(g_u23):
     assert runs[0] == runs[1] == runs[2]
     g2 = build_graph(uniform_matroid(2, 3), IsoStructure.BASES)
     assert find_isomorphism(g_u23, g2) == find_isomorphism(g_u23, g2)
-
-
-def test_warns_when_not_covering():
-    with pytest.warns(UserWarning):
-        build_graph(uniform_matroid(2, 3), IsoStructure.NONBASES)

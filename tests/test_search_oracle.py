@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from mig.bitset import iter_bits
-from mig.errors import InvariantViolation, NotInduced
+from mig.errors import InvariantViolation
 from mig.relgraph import (
     AutomorphismGroup,
     RelColoredGraph,
@@ -196,7 +196,7 @@ def _oracle_chain(search: OracleSearch) -> AutomorphismGroup:
     while True:
         cells = search._refine(search._initial_cells([(f, f) for f in fixed]))
         if cells is None:
-            raise NotInduced("self-refinement failed; graph data is inconsistent")
+            raise InvariantViolation("self-refinement failed on a graph")
         target = -1
         tsize = 0
         for ci, (gm, hm) in enumerate(cells):
@@ -242,7 +242,7 @@ def _covering_graphs(mats):
     for m in mats:
         for kind in IsoStructure:
             if covers(m, kind).covered:
-                out.append((m, kind, build_graph(m, kind, warn_uncovered=False)))
+                out.append((m, kind, build_graph(m, kind)))
     return out
 
 
@@ -493,7 +493,7 @@ def _relabelled_pairs(small_graphs, seed):
     for m, kind, g in small_graphs:
         perm = list(range(m.n))
         rng.shuffle(perm)
-        yield g, build_graph(m.relabel(perm), kind, warn_uncovered=False)
+        yield g, build_graph(m.relabel(perm), kind)
 
 
 def test_first_solution_matches_oracle_on_relabelled_pairs(small_graphs):
