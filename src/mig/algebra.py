@@ -19,14 +19,18 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .bitset import iter_bits
-from .derived import derive_sets
+from .bitset import iter_bits, mask_of
 from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
-from .relgraph import build_graph, disjoint_automorphism_pair, preserves_adjacency
+from .relgraph import (
+    RelColoredGraph,
+    build_graph,
+    disjoint_automorphism_pair,
+    induced_map,
+    preserves_adjacency,
+)
 from .structures import (
     IsoStructure,
-    PointedSet,
     pointed_sets,
     rel,
     require_covering,
@@ -70,9 +74,6 @@ class RelationBundle:
 
     def group_counts(self) -> Dict[str, int]:
         return {name: sum(1 for _ in gen()) for name, gen in self._groups}
-
-    def count(self) -> int:
-        return sum(self.group_counts().values())
 
     def relation_text(self, relation: Relation) -> str:
         parts = []
@@ -249,31 +250,18 @@ def _tuple_lengths(m: Matroid, kind: IsoStructure) -> List[int]:
 
 
 def _is_tuple_member(m: Matroid, kind: IsoStructure, tup: Tuple[int, ...]) -> bool:
-    distinct = len(set(tup)) == len(tup)
-    mask = 0
-    for e in tup:
-        mask |= 1 << e
-    if kind is IsoStructure.BASES:
-        return distinct and len(tup) == m.rank and m.is_independent(mask)
-    if kind is IsoStructure.NONBASES:
-        return len(tup) == m.rank and not (distinct and m.is_independent(mask))
-    if kind is IsoStructure.INDEPENDENT:
-        return distinct and m.is_independent(mask)
-    if kind is IsoStructure.CIRCUITS:
-        if len(tup) == 2 and tup[0] == tup[1]:
-            return m.subset_rank(1 << tup[0]) == 1
-        return distinct and mask in _circuit_set(m)
-    if kind is IsoStructure.HYPERPLANES:
-        return distinct and mask in _hyperplane_set(m)
-    raise UnsupportedKind(f"{kind.value} has no tuple form")
+    """Does the tuple list a member of the family, in some order?
 
-
-def _circuit_set(m: Matroid) -> set:
-    return m.cached("circuit_set", lambda: set(derive_sets(m).circuits))
-
-
-def _hyperplane_set(m: Matroid) -> set:
-    return m.cached("hyperplane_set", lambda: set(derive_sets(m).hyperplanes))
+    Two conventions admit a tuple that repeats an element: an r-tuple is
+    then a nonbasis, and (a, a) is a circuit when a is not a loop.
+    """
+    if len(set(tup)) < len(tup):
+        if kind is IsoStructure.NONBASES:
+            return len(tup) == m.rank
+        pair = kind is IsoStructure.CIRCUITS and len(tup) == 2
+        return pair and m.subset_rank(1 << tup[0]) == 1
+    family = m.cached(("family", kind), lambda: set(structure_sets(m, kind)))
+    return mask_of(tup) in family
 
 
 def export_groundset_relations(
@@ -332,19 +320,12 @@ def export_comparison_substitution(
     fixed to the least pointed set carrying a.
     """
     require_covering(kind, m, n)
-    ps_m = pointed_sets(m, kind)
-    ps_n = pointed_sets(n, kind)
-    first_with_point = {}
-    for i, ps in enumerate(ps_m):
-        first_with_point.setdefault(ps.point, i)
-    by_point: Dict[int, List[int]] = {}
-    for j, ps in enumerate(ps_n):
-        by_point.setdefault(ps.point, []).append(j)
+    g, h = build_graph(m, kind), build_graph(n, kind)
     out = {}
-    for a in range(m.n):
-        row = first_with_point[a]
-        for x in range(n.n):
-            out[f"w[{a}][{x}]"] = [f"u[{row}][{j}]" for j in by_point[x]]
+    for a, col in enumerate(g.by_point):
+        row = (col & -col).bit_length() - 1
+        for x, answers in enumerate(h.by_point):
+            out[f"w[{a}][{x}]"] = [f"u[{row}][{j}]" for j in iter_bits(answers)]
     return out
 
 
@@ -366,15 +347,9 @@ class ScreenReport:
         }
 
 
-def screen_quantum_iso(
-    m: Matroid,
-    n: Matroid,
-    kind: IsoStructure,
-    allow_noncovering: bool = False,
-) -> ScreenReport:
+def screen_quantum_iso(m: Matroid, n: Matroid, kind: IsoStructure) -> ScreenReport:
     """Necessary-condition screen; any failure rules quantum isomorphism out."""
-    if not allow_noncovering:
-        require_covering(kind, m, n)
+    require_covering(kind, m, n)
     checks: List[Tuple[str, bool, str]] = []
 
     checks.append(
@@ -417,46 +392,29 @@ def screen_quantum_iso(
 # -- noncommutativity certificates ----------------------------------------------
 
 
-def _membership_pattern(
-    m: Matroid, kind: IsoStructure
-) -> Optional[Tuple[int, int, int, int, int, int]]:
-    """Find distinct a, b, c, d with a,b only in member A and c,d only in B."""
-    fam = structure_sets(m, kind)
-    memb: Dict[int, List[int]] = {e: [] for e in range(m.n)}
-    for a_set in fam:
-        for e in iter_bits(a_set):
-            memb[e].append(a_set)
+def _membership_pattern(g: RelColoredGraph) -> Optional[List[List[int]]]:
+    """Distinct [[a, b], [c, d]] with a, b only in member A and c, d only in B.
+
+    An element lies in one member exactly when one vertex has it as point.
+    """
     buckets: Dict[int, List[int]] = {}
-    for e in range(m.n):
-        if len(memb[e]) == 1:
-            buckets.setdefault(memb[e][0], []).append(e)
-    keyed = sorted(buckets.items())
-    for i, (set_a, elems_a) in enumerate(keyed):
-        if len(elems_a) >= 4:
-            a, b, c, d = elems_a[:4]
-            return a, b, c, d, set_a, set_a
-        if len(elems_a) < 2:
-            continue
-        for set_b, elems_b in keyed[i + 1 :]:
-            if len(elems_b) >= 2:
-                return elems_a[0], elems_a[1], elems_b[0], elems_b[1], set_a, set_b
+    for e, col in enumerate(g.by_point):
+        if col and not col & (col - 1):
+            owner = g.vertices[col.bit_length() - 1].members
+            buckets.setdefault(owner, []).append(e)
+    keyed = [elems for _, elems in sorted(buckets.items()) if len(elems) >= 2]
+    if keyed and len(keyed[0]) >= 4:
+        return [keyed[0][:2], keyed[0][2:4]]
+    if len(keyed) >= 2:
+        return [keyed[0][:2], keyed[1][:2]]
     return None
 
 
-def _transposition_vertex_perm(
-    m: Matroid, kind: IsoStructure, e1: int, e2: int
-) -> Tuple[int, ...]:
-    ps = pointed_sets(m, kind)
-    index = {p: i for i, p in enumerate(ps)}
-    swap = {e1: e2, e2: e1}
-
-    def move(p: PointedSet) -> PointedSet:
-        members = p.members
-        if (members >> e1 & 1) != (members >> e2 & 1):
-            members ^= (1 << e1) | (1 << e2)
-        return PointedSet(members, swap.get(p.point, p.point))
-
-    return tuple(index[move(p)] for p in ps)
+def _transposition(g: RelColoredGraph, a: int, b: int) -> Tuple[int, ...]:
+    """The automorphism of g that the ground transposition (a b) induces."""
+    swap = list(range(len(g.by_point)))
+    swap[a], swap[b] = b, a
+    return induced_map(g, g, swap)
 
 
 def noncommutativity_certificate(
@@ -470,20 +428,16 @@ def noncommutativity_certificate(
     """
     require_covering(kind, m)
     g = build_graph(m, kind)
-    pattern = _membership_pattern(m, kind)
-    if pattern is not None:
-        a, b, c, d, _, _ = pattern
-        perm1 = _transposition_vertex_perm(m, kind, a, b)
-        perm2 = _transposition_vertex_perm(m, kind, c, d)
+    ground = _membership_pattern(g)
+    if ground is not None:
+        perm1, perm2 = (_transposition(g, a, b) for a, b in ground)
         method = "membership-pattern"
-        ground = [[a, b], [c, d]]
     else:
         hit = disjoint_automorphism_pair(g)
         if hit is None:
             return None
         perm1, perm2 = hit
         method = "group-scan"
-        ground = None
     verification = _verify_disjoint_pair(g, perm1, perm2)
     if not verification["valid"]:
         return None

@@ -82,14 +82,13 @@ def cmd_matroid(args) -> int:
             out = out.delete(shifted)
         _emit(matroid_to_json(out), args.out)
         return EXIT_OK
-    if args.action == "tutte":
-        payload = {
-            "tutte": tutte_to_json(tutte_polynomial(m)),
-            "characteristic": list(characteristic_polynomial(m)),
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    raise MigError(f"unknown matroid action {args.action}")
+    # tutte
+    payload = {
+        "tutte": tutte_to_json(tutte_polynomial(m)),
+        "characteristic": list(characteristic_polynomial(m)),
+    }
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def _jsonable_predicates(m) -> dict:
@@ -126,14 +125,13 @@ def cmd_graph(args) -> int:
         }
         _emit(payload, args.out)
         return EXIT_OK
-    if args.action == "aut":
-        stats = SearchStats()
-        payload = automorphism_group(g, stats).to_json()
-        if args.stats:
-            payload["stats"] = stats.to_json()
-        _emit(payload, args.out)
-        return EXIT_OK
-    raise MigError(f"unknown graph action {args.action}")
+    # aut
+    stats = SearchStats()
+    payload = automorphism_group(g, stats).to_json()
+    if args.stats:
+        payload["stats"] = stats.to_json()
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 def cmd_iso(args) -> int:
@@ -164,15 +162,14 @@ def cmd_game(args) -> int:
         ok = check_bisynchronous(inst)
         _emit({"alphabet": inst.size(), "bisynchronous": ok}, args.out)
         return EXIT_OK if ok else EXIT_NEGATIVE
-    if args.action == "eval-strategy":
-        if not args.strategy:
-            raise MigError("eval-strategy needs --strategy FILE")
-        with open(args.strategy, "r", encoding="utf-8") as fp:
-            strategy = strategy_from_json(json.load(fp))
-        verdict = evaluate_strategy(inst, strategy)
-        _emit(verdict, args.out)
-        return EXIT_OK if verdict["perfect"] else EXIT_NEGATIVE
-    raise MigError(f"unknown game action {args.action}")
+    # eval-strategy
+    if not args.strategy:
+        raise MigError("eval-strategy needs --strategy FILE")
+    with open(args.strategy, "r", encoding="utf-8") as fp:
+        strategy = strategy_from_json(json.load(fp))
+    verdict = evaluate_strategy(inst, strategy)
+    _emit(verdict, args.out)
+    return EXIT_OK if verdict["perfect"] else EXIT_NEGATIVE
 
 
 def _signs_from_args(m, negate: Optional[List[str]]):
@@ -199,14 +196,13 @@ def cmd_lbcs(args) -> int:
         sols = lbcs_solutions(lbcs)
         _emit({"count": len(sols), "solutions": [list(s) for s in sols]}, args.out)
         return EXIT_OK if sols else EXIT_NEGATIVE
-    if args.action == "from-matroid":
-        if not args.file:
-            raise MigError("lbcs from-matroid needs a matroid file")
-        m = load_matroid(args.file)
-        lbcs = lbcs_from_matroid(m, _signs_from_args(m, args.negate))
-        _emit(lbcs.to_json(), args.out)
-        return EXIT_OK
-    raise MigError(f"unknown lbcs action {args.action}")
+    # from-matroid
+    if not args.file:
+        raise MigError("lbcs from-matroid needs a matroid file")
+    m = load_matroid(args.file)
+    lbcs = lbcs_from_matroid(m, _signs_from_args(m, args.negate))
+    _emit(lbcs.to_json(), args.out)
+    return EXIT_OK
 
 
 def cmd_ms_construct(args) -> int:
@@ -409,13 +405,12 @@ def cmd_quantum(args) -> int:
         report = verify_lbcs_quantum_strategy(signed, grid)
         _emit(report, args.out)
         return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
-    if args.action == "verify-iso":
-        p, q = build_paper_pair()
-        strategy = iso_game_pvms(p, q, signed, grid)
-        report = verify_sync_conditions(strategy, p, q, IsoStructure.NONBASES)
-        _emit(report, args.out)
-        return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
-    raise MigError(f"unknown quantum action {args.action}")
+    # verify-iso
+    p, q = build_paper_pair()
+    strategy = iso_game_pvms(p, q, signed, grid)
+    report = verify_sync_conditions(strategy, p, q, IsoStructure.NONBASES)
+    _emit(report, args.out)
+    return EXIT_OK if report["perfect"] else EXIT_NEGATIVE
 
 
 def cmd_screen(args) -> int:
@@ -423,9 +418,7 @@ def cmd_screen(args) -> int:
 
     m = load_matroid(args.first)
     n = load_matroid(args.second)
-    report = screen_quantum_iso(
-        m, n, _structure(args), allow_noncovering=args.force
-    )
+    report = screen_quantum_iso(m, n, _structure(args))
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.verdict == "possibly quantum isomorphic" else EXIT_NEGATIVE
 
@@ -562,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="necessary-condition screen")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--force", action="store_true", help="run even without covering")
     add_structure(p)
     add_common(p)
     p.set_defaults(func=cmd_screen)

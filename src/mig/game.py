@@ -23,6 +23,7 @@ from .errors import (
     OutOfAlphabet,
 )
 from .matroid import Matroid
+from .relgraph import build_graph, induced_map
 from .structures import IsoStructure, PointedSet, pointed_sets, require_covering
 
 FUNCTIONAL_SEARCH_CAP = 8  # largest alphabet the exhaustive strategy scan takes
@@ -49,14 +50,6 @@ class IsoGameInstance:
 
     def size(self) -> int:
         return len(self.alphabet)
-
-    def side(self, idx: int) -> int:
-        self._check(idx)
-        return 0 if idx < self.split else 1
-
-    def _check(self, idx: int) -> None:
-        if not 0 <= idx < len(self.alphabet):
-            raise OutOfAlphabet(f"index {idx} outside alphabet of size {self.size()}")
 
     def predicate(self, a: int, b: int, x: int, y: int) -> int:
         """1 when answers (x, y) win against questions (a, b)."""
@@ -141,20 +134,9 @@ def strategy_from_iso(
     inverse = [0] * n.n
     for e in range(m.n):
         inverse[ground_map[e]] = e
-
-    n_index = {ps: i for i, ps in enumerate(inst.n_points)}
-    m_index = {ps: i for i, ps in enumerate(inst.m_points)}
-
-    def push(ps: PointedSet, via: Sequence[int]) -> PointedSet:
-        return PointedSet(mask_of(via[e] for e in iter_bits(ps.members)), via[ps.point])
-
-    mapping: List[int] = []
-    for side, ps in inst.alphabet:
-        if side == 0:
-            mapping.append(inst.split + n_index[push(ps, ground_map)])
-        else:
-            mapping.append(m_index[push(ps, inverse)])
-    return DeterministicStrategy(tuple(mapping))
+    g, h = build_graph(m, inst.kind), build_graph(n, inst.kind)
+    forward = tuple(inst.split + w for w in induced_map(g, h, ground_map))
+    return DeterministicStrategy(forward + induced_map(h, g, inverse))
 
 
 def exhaustive_perfect_strategy(

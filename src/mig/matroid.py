@@ -33,7 +33,6 @@ from .errors import (
     EmptyFamily,
     ExchangeAxiomViolation,
     GuardExceeded,
-    InvariantViolation,
     OutOfRange,
     RankDeficient,
 )
@@ -110,9 +109,6 @@ class Matroid:
                 if best == cap:
                     break
         return best
-
-    def is_independent(self, a_mask: int) -> bool:
-        return self.subset_rank(a_mask) == a_mask.bit_count()
 
     def closure(self, a_mask: int) -> int:
         """All elements whose addition does not raise the rank."""
@@ -291,22 +287,6 @@ class Matroid:
             "girth": self.girth(),
             "connectivity": connectivity,
         }
-
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises on failure."""
-        fam = self.bases
-        if not fam:
-            raise EmptyFamily("basis family is empty")
-        if fam != canonical_family(fam):
-            raise InvariantViolation("basis family not in canonical order")
-        for b in fam:
-            if b & ~self.ground_mask():
-                raise OutOfRange(f"basis {b:#x} exceeds ground set")
-            if b.bit_count() != self.rank:
-                raise CardinalityMismatch(
-                    f"basis {b:#x} has size {b.bit_count()}, expected {self.rank}"
-                )
-        check_exchange_axiom(fam)
 
 
 def check_exchange_axiom(bases: Sequence[int]) -> None:

@@ -37,11 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import iter_bits
 from .errors import ConstructionInconsistency, DimensionMismatch, InvariantViolation
 from .game import LBCS
 from .lbcs_construct import lifted_pointed_sets
 from .matroid import Matroid
+from .relgraph import RelColoredGraph, build_graph, induced_map
 from .structures import IsoStructure, PointedSet, pointed_sets, rel
 
 I2 = np.eye(2, dtype=complex)
@@ -282,20 +282,19 @@ def iso_game_pvms(
     if not matching.signs_consistent:
         raise ConstructionInconsistency("grid cannot realize the signed system")
     tables = _constraint_projections(signed, grid, matching)
-    qs = pointed_sets(p, IsoStructure.NONBASES)
-    ans = pointed_sets(q, IsoStructure.NONBASES)
-    q_index = {ps: i for i, ps in enumerate(qs)}
-    a_index = {ps: i for i, ps in enumerate(ans)}
+    g = build_graph(p, IsoStructure.NONBASES)
+    h = build_graph(q, IsoStructure.NONBASES)
 
-    def lookup(index: Dict[PointedSet, int], ps: PointedSet, side: str) -> int:
-        if ps not in index:
+    def lookup(graph: RelColoredGraph, ps: PointedSet, side: str) -> int:
+        try:
+            return graph.index_of(ps)
+        except KeyError:
             raise ConstructionInconsistency(
                 f"the {side} matroid has no pointed nonbasis {ps.to_json()}"
-            )
-        return index[ps]
+            ) from None
 
     dim = grid.dim
-    fam = np.zeros((len(qs), len(ans), dim, dim), dtype=complex)
+    fam = np.zeros((g.n, h.n, dim, dim), dtype=complex)
     for c, table in zip(signed.constraints, tables):
         for t in product((1, -1), repeat=len(c.variables)):
             if prod(t) != 1:
@@ -304,29 +303,23 @@ def iso_game_pvms(
             for k, proj in table.items():
                 u = [a * b for a, b in zip(t, k)]
                 for x, y in zip(asked, lifted_pointed_sets(c.variables, u)):
-                    qi, ai = lookup(q_index, x, "first"), lookup(a_index, y, "second")
+                    qi, ai = lookup(g, x, "first"), lookup(h, y, "second")
                     fam[qi, ai] = proj
     live = fam.any(axis=(2, 3))
     if not (live.any(axis=1).all() and live.any(axis=0).all()):
         raise ConstructionInconsistency("a question or an answer gets no projection")
-    return SyncStrategyPVM(dim, fam, qs, ans)
+    return SyncStrategyPVM(dim, fam, g.vertices, h.vertices)
 
 
 def sync_strategy_from_ground_iso(
     m: Matroid, n: Matroid, kind: IsoStructure, ground_map: Sequence[int]
 ) -> SyncStrategyPVM:
     """Rank-one (dimension 1) strategy of a genuine ground isomorphism."""
-    qs = pointed_sets(m, kind)
-    ans = pointed_sets(n, kind)
-    index = {ps: i for i, ps in enumerate(ans)}
-    fam = np.zeros((len(qs), len(ans), 1, 1), dtype=complex)
-    for qi, ps in enumerate(qs):
-        members = 0
-        for e in iter_bits(ps.members):
-            members |= 1 << ground_map[e]
-        target = PointedSet(members, ground_map[ps.point])
-        fam[qi, index[target], 0, 0] = 1.0
-    return SyncStrategyPVM(1, fam, qs, ans)
+    g, h = build_graph(m, kind), build_graph(n, kind)
+    fam = np.zeros((g.n, h.n, 1, 1), dtype=complex)
+    for qi, ai in enumerate(induced_map(g, h, ground_map)):
+        fam[qi, ai, 0, 0] = 1.0
+    return SyncStrategyPVM(1, fam, g.vertices, h.vertices)
 
 
 def verify_sync_conditions(

@@ -64,7 +64,8 @@ class RelColoredGraph:
     column p, `by_point[p]`, of those with point p; vertex v lies in row
     `row_of[v]` and column `point_of[v]`.  Its colour-2 neighbours are the
     rest of its row, its colour-1 neighbours the rest of its column.  The
-    automorphism group is computed at most once and kept here.
+    automorphism group and the vertex index are computed at most once, on
+    first use, and kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -82,6 +83,13 @@ class RelColoredGraph:
         self.row_of = [row_id[a] for a, _ in self.vertices]
         self.point_of = [p for _, p in self.vertices]
         self._aut: Optional[AutomorphismGroup] = None
+        self._index: Optional[Dict[PointedSet, int]] = None
+
+    def index_of(self, v: PointedSet) -> int:
+        """The index of pointed set v; KeyError when it is not a vertex."""
+        if self._index is None:
+            self._index = {u: i for i, u in enumerate(self.vertices)}
+        return self._index[v]
 
     def edges(self, color: int) -> List[Tuple[int, int]]:
         out = []
@@ -95,6 +103,17 @@ class RelColoredGraph:
 def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
     """The relation colored graph of (m, kind), built once per matroid."""
     return m.cached(("graph", kind), lambda: RelColoredGraph(pointed_sets(m, kind)))
+
+
+def induced_map(
+    g: RelColoredGraph, h: RelColoredGraph, ground: Sequence[int]
+) -> Tuple[int, ...]:
+    """The vertex map (A, p) -> (ground(A), ground[p]) from g to h.
+
+    KeyError when an image is not a vertex of h.
+    """
+    image = {a: mask_of(ground[e] for e in iter_bits(a)) for a, _ in g.vertices}
+    return tuple(h.index_of(PointedSet(image[a], ground[p])) for a, p in g.vertices)
 
 
 # -- search ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .bitset import elements_of, full_mask, iter_bits
 from .derived import derive_sets
@@ -144,28 +144,11 @@ def _nonbases_miss(m: Matroid, e: int) -> bool:
     """
     rest = m.delete(1 << e)
     if rest.rank == m.rank:
-        return _free_extension_matches(m, rest, e) and m.is_paving()
+        # the deletion re-indexes the rest; its free extension adds e last
+        keep = [x for x in range(m.n) if x != e]
+        freed = rest.free_extension().relabel(keep + [e])
+        return freed.bases == m.bases and m.is_paving()
     if rest.rank == m.rank - 1:
         # e lies in every basis; remainder must be uniform
         return len(rest.bases) == comb(rest.n, rest.rank)
     return False
-
-
-def _free_extension_matches(m: Matroid, rest: Matroid, e: int) -> bool:
-    # bases of m must be exactly: bases avoiding e, plus every
-    # (rank-1)-independent of the deletion joined with e
-    keep = [x for x in range(m.n) if x != e]
-    expected = set()
-    for b in rest.bases:
-        expected.add(_unshift(b, keep))
-    seen_corank1 = {b ^ (1 << i) for b in rest.bases for i in iter_bits(b)}
-    for a in seen_corank1:
-        expected.add(_unshift(a, keep) | (1 << e))
-    return expected == set(m.bases)
-
-
-def _unshift(mask: int, keep: List[int]) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << keep[i]
-    return out

@@ -54,7 +54,7 @@ def test_bundle_round_trip():
     parsed = parse_bundle(bundle.to_text())
     assert parsed["kind"] == "POINTED"
     assert (parsed["rows"], parsed["cols"]) == (6, 6)
-    assert len(parsed["relations"]) == bundle.count()
+    assert len(parsed["relations"]) == sum(bundle.group_counts().values())
     assert parsed["relations"] == list(bundle.iter_relations())
     assert parsed["legends"][0]["row"] == {"set": [0, 1], "point": 0}
 
@@ -131,11 +131,8 @@ def test_screen_rank_mismatch():
 def test_screen_noncovering_refused(paper_pair):
     p, _ = paper_pair
     u318 = uniform_matroid(3, 18)
-    with pytest.raises(NotCovering):
+    with pytest.raises(NotCovering, match="element 0 of the second matroid"):
         screen_quantum_iso(p, u318, IsoStructure.NONBASES)
-    forced = screen_quantum_iso(p, u318, IsoStructure.NONBASES, allow_noncovering=True)
-    assert forced.verdict == "not quantum isomorphic"
-    assert dict((n, p_) for n, p_, _ in forced.checks)["memberCountsBySize"] is False
 
 
 def test_screen_circuit_paving_check():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mig import uniform_matroid
+from mig import matroid_from_graph, matroid_from_nonbases, uniform_matroid
 from mig.cli import main
 from mig.jsonio import dumps, matroid_to_json
 
@@ -19,6 +19,9 @@ def files(tmp_path_factory, paper_pair):
         ("u23", uniform_matroid(2, 3)),
         ("u24", uniform_matroid(2, 4)),
         ("u13", uniform_matroid(1, 3)),
+        ("k4", matroid_from_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])),
+        ("twolines", matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])),
+        ("parallel", uniform_matroid(1, 3).direct_sum(uniform_matroid(1, 3))),
         ("P", p),
         ("Q", q),
     ):
@@ -276,6 +279,10 @@ def test_screen_exit_codes(files, capsys):
         run(capsys, "screen", files["u23"], files["u24"], "--structure", "bases")[0]
         == 1
     )
+    # covering is required, with no flag around it
+    forced = ("screen", files["P"], files["Q"], "--structure", "nonbases", "--force")
+    code, out, err = run(capsys, *forced)
+    assert code == 2 and out == "" and "unrecognized arguments: --force" in err
 
 
 def test_export_relations(files, capsys):
@@ -315,6 +322,133 @@ def test_noncomm_cert(files, capsys):
     assert code == 0 and json.loads(out)["certificate"] is not None
     code, out, _ = run(capsys, "noncomm-cert", files["u23"], "--structure", "bases")
     assert code == 1 and json.loads(out)["certificate"] is None
+
+
+# exit code and stdout digest of `noncomm-cert`, one input per method:
+# membership-pattern on the two-line family, group-scan on two parallel triples
+NONCOMM_CERT_SHA256 = {
+    ("twolines", "nonbases"): (
+        0,
+        "3c63b2cb90ae21aef17b756d7197e26c50b4d6854ac421aa832d8a5c671acf84",
+    ),
+    ("parallel", "circuits"): (
+        0,
+        "0acaf1a1cf656e378615dd792b4f77d7c5a85cacbb51955c4a561b2467d1683b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(NONCOMM_CERT_SHA256))
+def test_noncomm_cert_bytes(files, capsys, name, kind):
+    code, out, _ = run(capsys, "noncomm-cert", files[name], "--structure", kind)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == NONCOMM_CERT_SHA256[
+        (name, kind)
+    ]
+
+
+EXPORT_VARIANTS = {
+    "pointed": ("--with-substitution",),
+    "groundset": ("--grid", "groundset"),
+    "both": ("--grid", "groundset", "--with-substitution"),
+}
+
+# exit code and stdout digest of `export-relations M M` per tuple kind; the
+# nonbases of U(2,4) are empty, so the substitution refuses them (exit 2)
+EXPORT_RELATIONS_SHA256 = {
+    ("u24", "independent", "pointed"): (
+        0,
+        "faa6255c41b8d1c340f41fce98e6e9025ac1f6c55c8e0d2822f91af2028d51aa",
+    ),
+    ("u24", "independent", "groundset"): (
+        0,
+        "6d2dbe45e7a3cb11189cd7838cc23496b077fe398ed177ee926648260906a725",
+    ),
+    ("u24", "independent", "both"): (
+        0,
+        "d6c6f36ef037b9ab4496187eba0ad29fb6a973522987c943fefe9cfe50eeffd9",
+    ),
+    ("u24", "bases", "pointed"): (
+        0,
+        "e28abc9851d1244a00bc17babac41f270363bc01dda891d798b49743d00c81fb",
+    ),
+    ("u24", "bases", "groundset"): (
+        0,
+        "6d2dbe45e7a3cb11189cd7838cc23496b077fe398ed177ee926648260906a725",
+    ),
+    ("u24", "bases", "both"): (
+        0,
+        "0c1576d79d43b310453a1901d1248e70d6ae35801daa7ae5018b71785cd2bdea",
+    ),
+    ("u24", "nonbases", "pointed"): (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("u24", "nonbases", "groundset"): (
+        0,
+        "6d2dbe45e7a3cb11189cd7838cc23496b077fe398ed177ee926648260906a725",
+    ),
+    ("u24", "nonbases", "both"): (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("u24", "circuits", "pointed"): (
+        0,
+        "21f41ed8a91697ad6a9e0ee3767a45670c666a03a3459cbb9c47765b89c994fa",
+    ),
+    ("u24", "circuits", "groundset"): (
+        0,
+        "1c7f28258f03542f708a381376f1b2ac43897a769fa5a362e9ad7eb9072cb577",
+    ),
+    ("u24", "circuits", "both"): (
+        0,
+        "bb83819d070ff78c19012260d5ad9695e6347d314131a068d69a86d395916bee",
+    ),
+    ("u24", "hyperplanes", "pointed"): (
+        0,
+        "9d9ae51553730787e550fcd43af538d3ab62e62d0e0acc8086ea2e4db7100a6d",
+    ),
+    ("u24", "hyperplanes", "groundset"): (
+        0,
+        "0f7294e935961e59539e0ea380705b924eafcf6a343337d4349824299aca4c3d",
+    ),
+    ("u24", "hyperplanes", "both"): (
+        0,
+        "64b6cb48892ecc9b9579a3c66b8c88619af62dcc959db3ba88f75ab94ae7ee05",
+    ),
+    ("k4", "independent", "both"): (
+        0,
+        "52cf6e57172530bfb93fc436ac4d3b150782735d0639545cddce8094369c50f2",
+    ),
+    ("k4", "bases", "both"): (
+        0,
+        "9739bbc1793ae80ecc91bdd1c2e0ddbf9ae03bbc2a1d8088ccab953dc21972a8",
+    ),
+    ("k4", "nonbases", "pointed"): (
+        0,
+        "0f1be8e46b1572c94472d3f4e35c568396a49c896ee8f8a757342c4a793fadbd",
+    ),
+    ("k4", "nonbases", "both"): (
+        0,
+        "8bdfe465361e7bea2254c665b64e7dc474531ce4ac54ef80e9c8bff14064b4b1",
+    ),
+    ("k4", "circuits", "both"): (
+        0,
+        "6dd7b53a03855031270e4ac75fe8fd558bb0887477f814955a1161de0b6696f0",
+    ),
+    ("k4", "hyperplanes", "both"): (
+        0,
+        "38db0f6bdb346346f455b92ade6f354a0bd6ba51f8bc91b691c54b5742abd503",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, kind, variant", sorted(EXPORT_RELATIONS_SHA256))
+def test_export_relations_bytes(files, capsys, name, kind, variant):
+    argv = ("export-relations", files[name], files[name], "--structure", kind)
+    code, out, _ = run(capsys, *argv, *EXPORT_VARIANTS[variant])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXPORT_RELATIONS_SHA256[
+        (name, kind, variant)
+    ]
 
 
 def test_graph_commands(files, capsys):

@@ -21,7 +21,7 @@ from mig.errors import GuardExceeded
 def brute_report(m):
     """Definitional enumeration of every derived family (test oracle)."""
     full = (1 << m.n) - 1
-    independents = [a for a in range(1 << m.n) if m.is_independent(a)]
+    independents = [a for a in range(1 << m.n) if m.subset_rank(a) == a.bit_count()]
     ind = set(independents)
     dependents = [a for a in range(1 << m.n) if a not in ind]
     circuits = [

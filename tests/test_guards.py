@@ -4,7 +4,7 @@ import pytest
 
 from mig import matroid_from_bases, matroid_from_graph, matroid_from_nonbases
 from mig.algebra import export_groundset_relations
-from mig.catalog import all_matroids, brute_force_matroids
+from mig.catalog import all_matroids
 from mig.derived import derive_sets, tutte_polynomial
 from mig.errors import GuardExceeded
 from mig.game import LBCS, Constraint, IsoGameInstance, exhaustive_perfect_strategy
@@ -67,10 +67,6 @@ CASES = {
         ["n=10", "BRUTE_ISO_GUARD = 9"],
     ),
     "catalog": (lambda: all_matroids(8), ["n=8", "CATALOG_GUARD = 7"]),
-    "brute-families": (
-        lambda: brute_force_matroids(6, 3),
-        ["2^20", "20 candidate bases", "BRUTE_FAMILY_GUARD = 15"],
-    ),
     "functional-search": (
         lambda: exhaustive_perfect_strategy(_u23_game()),
         ["alphabet of 12", "FUNCTIONAL_SEARCH_CAP = 8"],

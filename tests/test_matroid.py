@@ -163,7 +163,7 @@ def test_restrict_bases_are_basis_traces(catalog5):
                 want = tuple(
                     cand
                     for cand in subsets_of_size(len(keep), rk)
-                    if m.is_independent(mask_of(keep[i] for i in iter_bits(cand)))
+                    if m.subset_rank(mask_of(keep[i] for i in iter_bits(cand))) == rk
                 )
                 assert m.restrict(a) == Matroid(len(keep), rk, want)
                 pairs += 1
@@ -241,7 +241,7 @@ def _scan_girth(m):
     """Smallest dependent subset, by basis scans (the oracle for `girth`)."""
     for k in range(1, min(m.rank + 1, m.n) + 1):
         for a in subsets_of_size(m.n, k):
-            if not m.is_independent(a):
+            if m.subset_rank(a) < k:
                 return k
     return None
 
@@ -258,7 +258,7 @@ def _scan_is_simple(m):
 
 def _scan_is_paving(m):
     return m.rank <= 1 or all(
-        m.is_independent(a) for a in subsets_of_size(m.n, m.rank - 1)
+        m.subset_rank(a) == a.bit_count() for a in subsets_of_size(m.n, m.rank - 1)
     )
 
 
@@ -297,8 +297,8 @@ def test_brute_force_isomorphic():
 
 
 def test_validate_catches_corruption():
-    m = uniform_matroid(2, 3)
-    m.validate()
-    bad = Matroid(3, 2, (0b011, 0b110, 0b011))
-    with pytest.raises(Exception):
-        bad.validate()
+    """`matroid_from_bases` is the one validating route: it refuses a family
+    that breaks the exchange axiom even when every size matches."""
+    assert matroid_from_bases(3, [0b011, 0b110, 0b101]) == uniform_matroid(2, 3)
+    with pytest.raises(ExchangeAxiomViolation):
+        matroid_from_bases(4, [0b0011, 0b0110, 0b1100])

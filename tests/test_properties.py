@@ -18,6 +18,7 @@ from mig.relgraph import (  # noqa: E402
     automorphism_group,
     build_graph,
     find_matroid_isomorphism,
+    induced_map,
 )
 from mig.structures import IsoStructure, covers  # noqa: E402
 
@@ -74,3 +75,12 @@ def test_automorphism_order_is_invariant_under_relabelling(case):
     order = automorphism_group(build_graph(m, kind)).order
     n = m.relabel(perm)
     assert automorphism_group(build_graph(n, kind)).order == order
+
+
+@SETTINGS
+@given(relabelled())
+def test_isomorphism_vertex_map_is_induced_by_its_ground_map(case):
+    m, kind, perm = case
+    n = m.relabel(perm)
+    ground, mapping = find_matroid_isomorphism(m, n, kind)
+    assert induced_map(build_graph(m, kind), build_graph(n, kind), ground) == mapping

@@ -32,6 +32,7 @@ from mig.relgraph import (
     disjoint_automorphism_pair,
     find_isomorphism,
     find_matroid_isomorphism,
+    induced_map,
 )
 from mig.structures import IsoStructure, covers, pointed_sets, rel, structure_sets
 
@@ -174,7 +175,8 @@ def test_flats_game_blind_spot():
 
 
 def _check_ground_maps(mats) -> int:
-    """Each isomorphic covering pair of `mats`: the ground map is the oracle's.
+    """Each isomorphic covering pair of `mats`: the ground map is the oracle's,
+    and it induces the vertex map the search found.
 
     Isomorphic matroids share their Tutte polynomial, so pairs are drawn
     within its classes; up to n = 5 each class is one isomorphism class.
@@ -194,6 +196,8 @@ def _check_ground_maps(mats) -> int:
                     assert hit is not None, (m.key, n.key, kind)
                     ground, mapping = hit
                     assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
+                    g, h = build_graph(m, kind), build_graph(n, kind)
+                    assert induced_map(g, h, ground) == mapping
                     checked += 1
     return checked
 
@@ -235,6 +239,17 @@ def test_doubled_grid_ground_maps_match_extraction_oracle():
             ground, mapping = find_matroid_isomorphism(m, sm, kind)
             assert matroid_iso_from_graph_iso(m, sm, kind, mapping) == ground
             assert m.relabel(ground) == sm
+            g, h = build_graph(m, kind), build_graph(sm, kind)
+            assert induced_map(g, h, ground) == mapping
+
+
+def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
+    """The index is built on the first lookup, never by a search."""
+    g = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.NONBASES))
+    assert automorphism_group(g).order == 1152 and g._index is None
+    assert [g.index_of(v) for v in g.vertices] == list(range(g.n))
+    with pytest.raises(KeyError):
+        g.index_of((0b1, 0))  # a rank-3 matroid has no one-element nonbasis
 
 
 def _faithful_on(mats):
