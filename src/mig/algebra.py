@@ -204,13 +204,16 @@ def export_pointed_relations(
     ps_n = pointed_sets(n, kind)
 
     def mismatches() -> Iterator[Relation]:
+        pairs = [(xi, yi) for xi in range(len(ps_n)) for yi in range(len(ps_n))]
+        rel_n = [rel(ps_n[xi], ps_n[yi]) for xi, yi in pairs]
+        differ: Dict[int, List[Tuple[int, int]]] = {}  # rel value -> pairs unlike it
         for ai, a in enumerate(ps_m):
             for bi, b in enumerate(ps_m):
                 r_ab = rel(a, b)
-                for xi, x in enumerate(ps_n):
-                    for yi, y in enumerate(ps_n):
-                        if rel(x, y) != r_ab:
-                            yield _monomial((ai, xi), (bi, yi))
+                if r_ab not in differ:
+                    differ[r_ab] = [xy for xy, r in zip(pairs, rel_n) if r != r_ab]
+                for xi, yi in differ[r_ab]:
+                    yield _monomial((ai, xi), (bi, yi))
 
     groups = _magic_unitary_groups(len(ps_m), len(ps_n)) + [
         ("relMismatch", mismatches)

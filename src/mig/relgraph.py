@@ -9,28 +9,34 @@ preserves both colored adjacencies.
 The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton cell, trying its
 candidates in ascending vertex index.  Automorphism groups come from a
-stabilizer chain on the same tree.  Refinement only counts edges into the
-cells that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013),
-which yields the same ordered partition as counting every vertex into
-every cell.  The graph is the line graph of the set-point incidence
-graph: a vertex's neighbours are the rest of its row (set) and column
-(point), so a walk over a splitter's own vertices, tallied by row and by
-column, gives every count into it.  Pruning skips candidates in the orbit
-of a failed one (McKay-Piperno, arXiv:1301.1493), never a solution.
-Results are deterministic: the solution is the first verified leaf in
-branch order, which need not be the least in lexicographic order.
+stabilizer chain on the same tree.  A partition is positional: `cells[s]`
+is the cell that starts at position s and 0 elsewhere, and `open` lists
+the starts of the non-singleton cells in ascending order.  The pieces of
+a split cell start where it started, one after the other, and no other
+cell moves, so a start names a cell for good and a refinement round
+visits only the open cells.  Refinement only counts edges into the cells
+that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013), which
+yields the same ordered partition as counting every vertex into every
+cell.  The graph is the line graph of the set-point incidence graph: a
+vertex's neighbours are the rest of its row (set) and column (point), so
+a walk over a splitter's own vertices, tallied by row and by column,
+gives every count into it.  Pruning skips candidates in the orbit of a
+failed one (McKay-Piperno, arXiv:1301.1493), never a solution.  Results
+are deterministic: the solution is the first verified leaf in branch
+order, which need not be the least in lexicographic order.
 
 The search from g to h refines each side alone.  The g side always
 individualizes the first vertex of its branch cell, so its partition at a
 depth does not depend on the h candidates: g's first path is refined once
 per depth, recording a trace, for each round, of every touched cell's
-index and its buckets as (count key, size) in key order.  A candidate
-refines h alone against the trace of g's child node.  Refining the two
-graphs jointly fails in the first round where some touched cell's buckets
-differ in size between the sides, which is the first round where h's
-trace differs from g's; up to that round both refinements make the same
-cuts in the same order, so on success h's cells, zipped with g's, are the
-joint refinement (McKay-Piperno's comparison with the first path).
+start and its buckets as (count key, size) in key order.  A candidate
+refines h alone against the trace of g's child node; the two sides' cells
+have equal sizes, so their starts agree.  Refining the two graphs jointly
+fails in the first round where some touched cell's buckets differ in size
+between the sides, which is the first round where h's trace differs from
+g's; up to that round both refinements make the same cuts in the same
+order, so on success h's cells, zipped with g's, are the joint refinement
+(McKay-Piperno's comparison with the first path).
 
 Leaves are verified in O(n): vertices are distinct pointed sets, so for
 u != v colour 2 means exactly "same set" and colour 1 exactly "same
@@ -118,7 +124,8 @@ def induced_map(
 
 # -- search ------------------------------------------------------------------
 
-# per round, each touched cell's index -> its (count key, size) buckets in key order
+Partition = Tuple[List[int], List[int]]  # (cells, open): the module docstring
+# per round, each touched cell's start -> its (count key, size) buckets in key order
 Trace = List[Dict[int, List[Tuple[int, int]]]]
 
 
@@ -163,22 +170,21 @@ class SearchStats:
 
 def _refine(
     graph: RelColoredGraph,
-    cells: List[int],
+    part: Partition,
     splitters: Sequence[int],
     stats: SearchStats,
     against: Optional[Trace] = None,
-) -> Optional[Tuple[List[int], Trace]]:
-    """Equitable refinement of one graph's ordered cells, with its trace.
+) -> Optional[Tuple[Partition, Trace]]:
+    """Equitable refinement of one graph's partition, with its trace.
 
-    Each round buckets the vertices of every non-singleton cell by their
-    edge counts into the splitter cells and orders the buckets by those
-    counts.  `splitters` indexes `cells`.  When a cell splits, every piece
-    but the last is a splitter of the next round.  The ordered partition
-    is the one that counting into every cell gives: the vertices of a cell
-    share their counts into each cell of the round before, so a cell that
-    did not split adds the same component to all their signatures, and the
-    count into a last piece follows from the counts into its siblings,
-    which come before it in the signature.
+    Each round buckets the reached vertices of every open cell by their
+    edge counts into the splitters, given by their starts, and orders the
+    pieces by those counts; every piece but the last is a splitter of the
+    next round.  The ordered partition is the one that counting into every
+    cell gives: the vertices of a cell share their counts into each cell
+    of the round before, so a cell that did not split adds the same
+    component to all their signatures, and the count into a last piece
+    follows from the counts into its siblings, which come before it.
 
     Vertex v's count into splitter c is the pair (|col(p_v) & c| - [v in c],
     |row(A_v) & c| - [v in c]), packed as c1 * base + c2 < base**2.  Of the
@@ -190,11 +196,12 @@ def _refine(
     are read; key 0, no edge into any splitter, is the first bucket, and a
     cell without a nonzero key keeps its place.
 
-    Without `against`, returns the cells and the trace of this refinement.
-    With `against`, the trace of another graph's refinement from cells of
-    the same sizes, each piece is ordered by that trace's keys, and the
-    result is None at the first round whose touched cells or buckets
-    differ from it; on success the trace returned is `against`.
+    Without `against`, returns the partition and the trace of this
+    refinement; `part` is left as it was.  With `against`, the trace of
+    another graph's refinement from cells of the same sizes, each piece is
+    ordered by that trace's keys, and the result is None at the first
+    round whose touched cells or buckets differ from it; on success the
+    trace returned is `against`.
     """
     stats.refinements += 1
     rows, cols = graph.by_set, graph.by_point
@@ -202,8 +209,9 @@ def _refine(
     base = graph.n + 1
     width = (base * base).bit_length()
     trace: Trace = [] if against is None else against
+    cells, open_ = list(part[0]), part[1]
+    live = sum(cells[s] for s in open_)  # the open cells' vertices
     new = splitters
-    live = sum(c for c in cells if c & (c - 1))  # non-singleton cells' vertices
     rnd = 0
     while True:
         row_key = [0] * len(rows)
@@ -211,25 +219,32 @@ def _refine(
         own = [0] * graph.n  # a live splitter member's count of itself
         reach = 0
         shift = width * len(new)
-        for ci in new:
+        for s in new:
             shift -= width
-            members = elements_of(cells[ci])
-            row_n: Dict[int, int] = {}
-            col_n: Dict[int, int] = {}
-            for u in members:
-                r, p = row_of[u], point_of[u]
-                row_n[r] = row_n.get(r, 0) + 1
-                col_n[p] = col_n.get(p, 0) + 1
-            nbrs = 0
-            for r, x in row_n.items():
-                row_key[r] += x << shift
-                nbrs |= rows[r]
-            for p, x in col_n.items():
-                col_key[p] += x * base << shift
-                nbrs |= cols[p]
-            # N(c): c's rows and columns but the members alone in both
-            counted = (nbrs & live).bit_count()
-            if len(members) > 1:
+            c = cells[s]
+            if not c & (c - 1):  # a singleton: one row and one column
+                u = c.bit_length() - 1
+                row_key[row_of[u]] += 1 << shift
+                col_key[point_of[u]] += base << shift
+                nbrs = rows[row_of[u]] | cols[point_of[u]]
+                counted = (nbrs & live).bit_count()
+            else:
+                members = elements_of(c)
+                row_n: Dict[int, int] = {}
+                col_n: Dict[int, int] = {}
+                for u in members:
+                    r, p = row_of[u], point_of[u]
+                    row_n[r] = row_n.get(r, 0) + 1
+                    col_n[p] = col_n.get(p, 0) + 1
+                nbrs = 0
+                for r, x in row_n.items():
+                    row_key[r] += x << shift
+                    nbrs |= rows[r]
+                for p, x in col_n.items():
+                    col_key[p] += x * base << shift
+                    nbrs |= cols[p]
+                # N(c): c's rows and columns but the members alone in both
+                counted = (nbrs & live).bit_count()
                 mine = (base + 1) << shift
                 for u in members:
                     own[u] = mine
@@ -242,54 +257,78 @@ def _refine(
         spec = trace[rnd]
         rnd += 1
         matched = 0  # touched cells checked against `spec`
-        next_cells: List[int] = []
+        next_open: List[int] = []
         next_new: List[int] = []
-        for ci, c in enumerate(cells):
+        for s in open_:
+            c = cells[s]
             t = c & reach
             if not t:
-                next_cells.append(c)
+                next_open.append(s)
                 continue
-            buckets: Dict[int, int] = {}
-            m = t
-            while m:
+            m = t & (t - 1)  # the reached vertices after the first
+            v = (t ^ m).bit_length() - 1
+            key = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
+            while m:  # drop them while they share the first one's key
                 low = m & -m
                 v = low.bit_length() - 1
-                key = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
-                buckets[key] = buckets.get(key, 0) | low
+                if row_key[row_of[v]] + col_key[point_of[v]] - own[v] != key:
+                    break
                 m ^= low
-            if c != t:
-                buckets[0] = buckets.get(0, 0) | (c ^ t)
-            if len(buckets) == 1 and 0 in buckets:
-                next_cells.append(c)
-                continue
-            want = [(key, buckets[key].bit_count()) for key in sorted(buckets)]
+            if not m and (c == t or not key):  # one bucket: the cell stays
+                next_open.append(s)
+                if not key:
+                    continue
+                want = [(key, c.bit_count())]
+            else:
+                buckets = {key: t ^ m}
+                while m:
+                    low = m & -m
+                    v = low.bit_length() - 1
+                    k = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
+                    buckets[k] = buckets.get(k, 0) | low
+                    m ^= low
+                if c != t:
+                    buckets[0] = buckets.get(0, 0) | (c ^ t)
+                want = [(k, buckets[k].bit_count()) for k in sorted(buckets)]
             if against is None:
-                spec[ci] = want
-            elif spec.get(ci) != want:
+                spec[s] = want
+            elif spec.get(s) != want:
                 stats.failed_refinements += 1
                 return None
             else:
                 matched += 1
-            first = len(next_cells)
-            next_new.extend(range(first, first + len(want) - 1))
-            for key, _ in want:
-                piece = buckets[key]
-                if not piece & (piece - 1):
+            if len(want) == 1:
+                continue
+            for k, size in want:  # s runs over the pieces' starts
+                piece = buckets[k]
+                cells[s] = piece
+                next_new.append(s)
+                if size > 1:
+                    next_open.append(s)
+                else:
                     live ^= piece
-                next_cells.append(piece)
+                s += size
+            next_new.pop()  # the last piece
         if against is not None and matched != len(spec):
             stats.failed_refinements += 1
             return None
         if not next_new:
-            return next_cells, trace
-        cells, new = next_cells, next_new
+            return (cells, next_open), trace
+        open_, new = next_open, next_new
 
 
-def _split(cells: List[int], ci: int, v: int) -> List[int]:
-    """`cells` with v split off cell ci as a singleton before the rest."""
+def _unit(n: int) -> Partition:
+    """The partition of n > 0 vertices into one cell."""
+    return [(1 << n) - 1] + [0] * (n - 1), [0] if n > 1 else []
+
+
+def _split(part: Partition, s: int, v: int) -> Partition:
+    """`part` with v split off the cell at s as a singleton before the rest."""
+    cells, open_ = part
+    c = cells[s]
     out = list(cells)
-    out[ci : ci + 1] = [1 << v, cells[ci] & ~(1 << v)]
-    return out
+    out[s], out[s + 1] = 1 << v, c & ~(1 << v)
+    return out, [t + (t == s) for t in open_ if t != s or c.bit_count() > 2]
 
 
 def _first(mask: int) -> int:
@@ -313,30 +352,30 @@ class _PairSearch:
         self.g = g
         self.h = h
         self.stats = SearchStats() if stats is None else stats
-        self._path: List[Tuple[List[int], Trace, int]] = []
+        self._path: List[Tuple[Partition, Trace, int]] = []
 
-    def _node(self, depth: int) -> Tuple[List[int], Trace, int]:
-        """g's cells, their trace and branch cell at `depth` of its first path."""
+    def _node(self, depth: int) -> Tuple[Partition, Trace, int]:
+        """g's partition, its trace and branch cell at `depth` of its first path."""
         path = self._path
         while len(path) <= depth:
             if path:
-                cells, _, ci = path[-1]
-                trial, at = _split(cells, ci, _first(cells[ci])), (ci,)
+                part, _, s = path[-1]
+                trial, at = _split(part, s, _first(part[0][s])), (s,)
             else:
-                trial, at = [(1 << self.g.n) - 1], (0,)
-            cells, trace = _refine(self.g, trial, at, self.stats)
-            path.append((cells, trace, _branch_cell(cells)))
+                trial, at = _unit(self.g.n), (0,)
+            part, trace = _refine(self.g, trial, at, self.stats)
+            path.append((part, trace, _branch_cell(part)))
         return path[depth]
 
     def _individualize(
-        self, cells: List[int], ci: int, w: int, trace: Trace
-    ) -> Optional[List[int]]:
-        """h's equitable `cells` with w split off cell ci, refined against `trace`.
+        self, part: Partition, s: int, w: int, trace: Trace
+    ) -> Optional[Partition]:
+        """h's equitable `part` with w split off the cell at s, refined against `trace`.
 
         The rest's counts follow from the singleton's, so the singleton is
         the only splitter.  None where g's refinement differs.
         """
-        hit = _refine(self.h, _split(cells, ci, w), (ci,), self.stats, trace)
+        hit = _refine(self.h, _split(part, s, w), (s,), self.stats, trace)
         return None if hit is None else hit[0]
 
     def _h_orbits(self) -> List[int]:
@@ -351,21 +390,21 @@ class _PairSearch:
         return orbits
 
     def _descend(
-        self, depth: int, cells: Optional[List[int]], prune: bool
+        self, depth: int, part: Optional[Partition], prune: bool
     ) -> Optional[Tuple[int, ...]]:
-        """The first isomorphism below h's equitable `cells` at `depth`, or None.
+        """The first isomorphism below h's equitable `part` at `depth`, or None.
 
         A failed refinement, None, has none.  `prune` skips every candidate
         in the Aut(h)-orbit of one that failed: if an isomorphism sent v to
         alpha(w), composing it with alpha^-1 would send v to w.  Aut(h) is
         computed at the first failed candidate, not before.
         """
-        if cells is None:
+        if part is None:
             return None
-        g_cells, _, ci = self._node(depth)
-        if ci < 0:
+        g_part, _, s = self._node(depth)
+        if s < 0:
             mapping = [0] * self.g.n
-            for gm, hm in zip(g_cells, cells):
+            for gm, hm in zip(g_part[0], part[0]):
                 mapping[gm.bit_length() - 1] = hm.bit_length() - 1
             self.stats.leaves += 1
             ok = preserves_adjacency(self.g, self.h, mapping)
@@ -373,11 +412,11 @@ class _PairSearch:
         trace = self._node(depth + 1)[1]
         orbits: Optional[List[int]] = None
         failed = 0  # union of the Aut(h)-orbits of failed candidates
-        for w in iter_bits(cells[ci]):
+        for w in iter_bits(part[0][s]):
             if failed >> w & 1:
                 self.stats.orbit_prunes += 1
                 continue
-            child = self._individualize(cells, ci, w, trace)
+            child = self._individualize(part, s, w, trace)
             hit = self._descend(depth + 1, child, False)
             if hit is not None:
                 return hit
@@ -394,20 +433,14 @@ class _PairSearch:
         if self.g.n == 0:
             return ()
         trace = self._node(0)[1]
-        root = _refine(self.h, [(1 << self.h.n) - 1], (0,), self.stats, trace)
+        root = _refine(self.h, _unit(self.h.n), (0,), self.stats, trace)
         return self._descend(0, None if root is None else root[0], True)
 
 
-def _branch_cell(cells: Sequence[int]) -> int:
-    """Index of the first smallest non-singleton cell, or -1 if there is none."""
-    branch_at = -1
-    branch_size = 0
-    for ci, c in enumerate(cells):
-        k = c.bit_count()
-        if k > 1 and (branch_at < 0 or k < branch_size):
-            branch_at = ci
-            branch_size = k
-    return branch_at
+def _branch_cell(part: Partition) -> int:
+    """Start of the first smallest non-singleton cell, or -1 if there is none."""
+    cells, open_ = part
+    return min(open_, key=lambda s: cells[s].bit_count(), default=-1)
 
 
 def preserves_adjacency(
@@ -565,18 +598,18 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     gens: List[Tuple[int, ...]] = []  # the levels below this one, in level order
     order = 1
     for k in range(depth - 1, -1, -1):
-        cells, _, ci = search._node(k)
+        part, _, s = search._node(k)
         trace = search._node(k + 1)[1]
-        orbit = 1 << _first(cells[ci])
+        orbit = 1 << _first(part[0][s])
         failed = 0  # the orbits of failed candidates under `gens`
         level_gens: List[Tuple[int, ...]] = []
-        for w in iter_bits(cells[ci]):
+        for w in iter_bits(part[0][s]):
             if orbit >> w & 1:
                 continue
             if failed >> w & 1:
                 search.stats.orbit_prunes += 1
                 continue
-            child = search._individualize(cells, ci, w, trace)
+            child = search._individualize(part, s, w, trace)
             res = search._descend(k + 1, child, False)
             if res is None:
                 failed = _close_orbit(failed | 1 << w, gens)
@@ -585,7 +618,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens = level_gens + gens
-    base = [_first(cells[ci]) for cells, _, ci in search._path[:depth]]
+    base = [_first(part[0][s]) for part, _, s in search._path[:depth]]
     return AutomorphismGroup(gens, order, base)
 
 

@@ -26,6 +26,7 @@ from mig.lbcs_construct import (
 from mig.matroid import Matroid, brute_force_automorphism_count
 from mig.relgraph import (
     RelColoredGraph,
+    SearchStats,
     _PairSearch,
     automorphism_group,
     build_graph,
@@ -133,6 +134,67 @@ def test_paper_pair_search_counters(paper_pair):
     assert search.stats.refinements <= 100
     assert search.stats.splitter_counts == 7402
     assert find_isomorphism(gp, gq) is None
+
+
+GRID_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
+
+# by sign pattern: SearchStats.to_json() values (refinements, failedRefinements,
+# splitterCounts, orbitPrunes, leaves) of iso on nonbases, hyperplanes and
+# flats, then of aut on nonbases and hyperplanes
+PINNED_WORK = {
+    13: [
+        (12, 0, 1534, 0, 1),
+        (12, 0, 11884, 0, 1),
+        (14, 0, 17958, 0, 1),
+        (31, 0, 3529, 0, 7),
+        (31, 0, 28430, 0, 7),
+    ],
+    40: [
+        (12, 0, 1526, 0, 1),
+        (12, 0, 11884, 0, 1),
+        (14, 0, 17958, 0, 1),
+        (36, 0, 4188, 0, 8),
+        (36, 0, 33904, 0, 8),
+    ],
+    3: [
+        (12, 0, 1526, 0, 1),
+        (12, 0, 11884, 0, 1),
+        (14, 0, 17958, 0, 1),
+        (31, 0, 3497, 0, 7),
+        (31, 0, 28430, 0, 7),
+    ],
+}
+
+
+def test_search_work_pinned_on_doubled_grid_relabelings():
+    """The search counts of iso M -> sigma M and of Aut(sigma M).
+
+    M is the doubled grid under a seeded sign pattern (bit i: grid line i
+    carries sign -1) and sigma a seeded relabelling.  The refinement may
+    change how it finds a partition but not the work the search does.
+    """
+    rng = random.Random(14)
+    grid = grid_matroid()
+    kinds = (IsoStructure.NONBASES, IsoStructure.HYPERPLANES, IsoStructure.FLATS)
+    got = {}
+    for _ in range(3):
+        pattern = rng.randrange(1 << len(GRID_LINES))
+        negatives = [line for i, line in enumerate(GRID_LINES) if pattern >> i & 1]
+        m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        sm = m.relabel(perm)
+        work = got[pattern] = []
+        for kind in kinds:
+            stats = SearchStats()
+            assert find_matroid_isomorphism(m, sm, kind, stats) is not None
+            work.append(tuple(stats.to_json().values()))
+        for kind in kinds[:2]:
+            stats = SearchStats()
+            graph = RelColoredGraph(pointed_sets(sm, kind))
+            assert automorphism_group(graph, stats).order == 1152
+            work.append(tuple(stats.to_json().values()))
+    assert got == PINNED_WORK
 
 
 def test_search_matches_brute_force_verdicts(catalog5):

@@ -20,15 +20,21 @@ engine reads its adjacency from it, not from the graph under test.
 rows and columns: two popcounts per (neighbour, splitter).
 `_top_down_chain` is the stabilizer chain as it was before its levels ran
 from the deepest up, pruning by the orbits of failed candidates.
+`_refine_by_cells` is the refinement as it was before partitions were
+positional: an ordered list of cells, every cell visited every round, and
+traces keyed by cell index.  `_refine_listed` runs the production
+refinement on such a list, so the older oracles compare with it as they
+did.
 """
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from mig.bitset import iter_bits
+from mig.bitset import elements_of, iter_bits
 from mig.errors import InvariantViolation
 from mig.relgraph import (
     AutomorphismGroup,
@@ -40,6 +46,7 @@ from mig.relgraph import (
     _refine,
     _split,
     _stabilizer_chain,
+    _unit,
     automorphism_group,
     build_graph,
     find_isomorphism,
@@ -174,14 +181,19 @@ class OracleSearch:
 
 
 def _branch_cell(cells) -> int:
-    """Index of the first smallest non-singleton cell, or -1."""
+    """Index of the first smallest non-singleton cell pair, or -1."""
+    return _branch_index([gm for gm, _ in cells])
+
+
+def _branch_index(cells: Sequence[int]) -> int:
+    """Index of the first smallest non-singleton cell, or -1 if there is none."""
     branch_at = -1
     branch_size = 0
-    for ci, (gm, _) in enumerate(cells):
-        c = gm.bit_count()
-        if c > 1 and (branch_at < 0 or c < branch_size):
+    for ci, c in enumerate(cells):
+        k = c.bit_count()
+        if k > 1 and (branch_at < 0 or k < branch_size):
             branch_at = ci
-            branch_size = c
+            branch_size = k
     return branch_at
 
 
@@ -297,17 +309,167 @@ def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graph
     assert len(graphs) > 1000
 
 
+def _refine_by_cells(graph, cells, splitters, stats, against=None):
+    """`_refine` as it was: ordered cells, all of them visited every round.
+
+    `splitters` and the trace's keys are cell indexes.
+    """
+    stats.refinements += 1
+    rows, cols = graph.by_set, graph.by_point
+    row_of, point_of = graph.row_of, graph.point_of
+    base = graph.n + 1
+    width = (base * base).bit_length()
+    trace = [] if against is None else against
+    new = splitters
+    live = sum(c for c in cells if c & (c - 1))  # non-singleton cells' vertices
+    rnd = 0
+    while True:
+        row_key = [0] * len(rows)
+        col_key = [0] * len(cols)
+        own = [0] * graph.n  # a live splitter member's count of itself
+        reach = 0
+        shift = width * len(new)
+        for ci in new:
+            shift -= width
+            members = elements_of(cells[ci])
+            row_n: Dict[int, int] = {}
+            col_n: Dict[int, int] = {}
+            for u in members:
+                r, p = row_of[u], point_of[u]
+                row_n[r] = row_n.get(r, 0) + 1
+                col_n[p] = col_n.get(p, 0) + 1
+            nbrs = 0
+            for r, x in row_n.items():
+                row_key[r] += x << shift
+                nbrs |= rows[r]
+            for p, x in col_n.items():
+                col_key[p] += x * base << shift
+                nbrs |= cols[p]
+            # N(c): c's rows and columns but the members alone in both
+            counted = (nbrs & live).bit_count()
+            if len(members) > 1:
+                mine = (base + 1) << shift
+                for u in members:
+                    own[u] = mine
+                    counted -= row_n[row_of[u]] == 1 and col_n[point_of[u]] == 1
+            stats.splitter_counts += counted
+            reach |= nbrs
+        reach &= live
+        if against is None:
+            trace.append({})
+        spec = trace[rnd]
+        rnd += 1
+        matched = 0  # touched cells checked against `spec`
+        next_cells: List[int] = []
+        next_new: List[int] = []
+        for ci, c in enumerate(cells):
+            t = c & reach
+            if not t:
+                next_cells.append(c)
+                continue
+            buckets: Dict[int, int] = {}
+            m = t
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                key = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
+                buckets[key] = buckets.get(key, 0) | low
+                m ^= low
+            if c != t:
+                buckets[0] = buckets.get(0, 0) | (c ^ t)
+            if len(buckets) == 1 and 0 in buckets:
+                next_cells.append(c)
+                continue
+            want = [(key, buckets[key].bit_count()) for key in sorted(buckets)]
+            if against is None:
+                spec[ci] = want
+            elif spec.get(ci) != want:
+                stats.failed_refinements += 1
+                return None
+            else:
+                matched += 1
+            first = len(next_cells)
+            next_new.extend(range(first, first + len(want) - 1))
+            for key, _ in want:
+                piece = buckets[key]
+                if not piece & (piece - 1):
+                    live ^= piece
+                next_cells.append(piece)
+        if against is not None and matched != len(spec):
+            stats.failed_refinements += 1
+            return None
+        if not next_new:
+            return next_cells, trace
+        cells, new = next_cells, next_new
+
+
+def _split_cells(cells: List[int], ci: int, v: int) -> List[int]:
+    """`cells` with v split off cell ci as a singleton before the rest."""
+    out = list(cells)
+    out[ci : ci + 1] = [1 << v, cells[ci] & ~(1 << v)]
+    return out
+
+
+def _starts(sizes: Sequence[int]) -> List[int]:
+    """The start position of each cell of an ordered list, from their sizes."""
+    return list(accumulate(sizes, initial=0))[:-1]
+
+
+def _cell_starts(cells: Sequence[int]) -> List[int]:
+    return _starts([c.bit_count() for c in cells])
+
+
+def _positional(cells: Sequence[int]):
+    """An ordered cell list as a positional partition `(cells, open)`."""
+    out = [0] * sum(c.bit_count() for c in cells)
+    starts = _cell_starts(cells)
+    for s, c in zip(starts, cells):
+        out[s] = c
+    return out, [s for s, c in zip(starts, cells) if c & (c - 1)]
+
+
+def _ordered(part) -> List[int]:
+    """A positional partition as its ordered cell list."""
+    return [c for c in part[0] if c]
+
+
+def _at_starts(trace, cells):
+    """An index-keyed trace of a refinement from `cells`, keyed by start position."""
+    sizes = [c.bit_count() for c in cells]
+    out = []
+    for spec in trace:
+        starts = _starts(sizes)
+        out.append({starts[ci]: b for ci, b in spec.items()})
+        sizes = [
+            piece
+            for ci, k in enumerate(sizes)
+            for piece in ([size for _, size in spec[ci]] if ci in spec else [k])
+        ]
+    return out
+
+
+def _refine_listed(graph, cells, splitters, stats, against=None):
+    """The production `_refine` on an ordered cell list and splitter indexes.
+
+    Returns the refined cell list and the positional trace, or None.
+    """
+    starts = _cell_starts(cells)
+    at = [starts[ci] for ci in splitters]
+    hit = _refine(graph, _positional(cells), at, stats, against)
+    return None if hit is None else (_ordered(hit[0]), hit[1])
+
+
 def _sided(g, h, trial, splitters):
     """g's refinement alone, then h's against g's trace: zipped cells or None."""
     stats = SearchStats()
-    g_cells, trace = _refine(g, [gm for gm, _ in trial], splitters, stats)
+    g_cells, trace = _refine_listed(g, [gm for gm, _ in trial], splitters, stats)
     h_trial = [hm for _, hm in trial]
-    hit = _refine(h, h_trial, splitters, stats, trace)
+    hit = _refine_listed(h, h_trial, splitters, stats, trace)
     if hit is None:
         assert stats.failed_refinements == 1
         return None
     # on success h's cells are also h's refinement alone
-    assert hit[0] == _refine(h, h_trial, splitters, stats)[0]
+    assert hit[0] == _refine_listed(h, h_trial, splitters, stats)[0]
     return list(zip(g_cells, hit[0]))
 
 
@@ -431,10 +593,11 @@ def _shape(trace):
 def _sided_both_ways(g, h, g_trial, h_trial, splitters):
     """`_sided` by both refinements: the same cells, traces, verdict and counts."""
     new, old = SearchStats(), SearchStats()
-    g_cells, g_trace = _refine(g, g_trial, splitters, new)
+    g_cells, g_trace = _refine_listed(g, g_trial, splitters, new)
     want_cells, want_trace = _refine_by_pairs(_adjacency(g), g_trial, splitters, old)
-    assert g_cells == want_cells and _shape(g_trace) == _shape(want_trace)
-    hit = _refine(h, h_trial, splitters, new, g_trace)
+    assert g_cells == want_cells
+    assert _shape(g_trace) == _shape(_at_starts(want_trace, g_trial))
+    hit = _refine_listed(h, h_trial, splitters, new, g_trace)
     want = _refine_by_pairs(_adjacency(h), h_trial, splitters, old, want_trace)
     assert (hit is None) == (want is None)
     assert hit is None or hit[0] == want[0]
@@ -456,10 +619,10 @@ def _assert_refines_as_pairs(g, h, depth: int = 2) -> int:
         ci = _branch_cell([(c, c) for c in g_cells])
         if h_cells is None or ci < 0:
             break
-        g_trial = _split(g_cells, ci, _first(g_cells[ci]))
+        g_trial = _split_cells(g_cells, ci, _first(g_cells[ci]))
         on_path = None
         for w in iter_bits(h_cells[ci]):
-            h_trial = _split(h_cells, ci, w)
+            h_trial = _split_cells(h_cells, ci, w)
             got = _sided_both_ways(g, h, g_trial, h_trial, (ci,))
             failed += got[1] is None
             if on_path is None and got[1] is not None:
@@ -486,6 +649,56 @@ def test_row_column_counts_match_pairwise_counts(
     for g, h in doubled_graphs:
         failed += _assert_refines_as_pairs(g, h, depth=1)
     assert failed > 150
+
+
+def _assert_positional_as_cells(g, h) -> int:
+    """The positional engine against `_refine_by_cells` along g's first path.
+
+    Every node of g's first path, and every h candidate at it, below the
+    first h candidate that refines: the same ordered cells, g's trace with
+    keys at start positions, the same verdicts and the same counts.
+    Returns the number of h candidates compared.
+    """
+    if g.n == 0:
+        return 0
+    search, old = _PairSearch(g, h), SearchStats()
+    g_trial, at, s_at = [(1 << g.n) - 1], (0,), 0  # the splitter as index and start
+    h_parts = [_unit(h.n)]  # h's candidate trials, positional and as lists
+    h_trials = [[(1 << h.n) - 1]]
+    compared = 0
+    for depth in range(g.n):
+        part, trace, s = search._node(depth)
+        cells, old_trace = _refine_by_cells(g, g_trial, at, old)
+        assert _ordered(part) == cells and trace == _at_starts(old_trace, g_trial)
+        h_part = h_cells = None
+        for trial_part, trial in zip(h_parts, h_trials):
+            got = _refine(h, trial_part, (s_at,), search.stats, trace)
+            want = _refine_by_cells(h, trial, at, old, old_trace)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _ordered(got[0]) == want[0]
+                if h_part is None:
+                    h_part, h_cells = got[0], want[0]
+            compared += 1
+        assert search.stats.to_json() == old.to_json()
+        ci = _branch_index(cells)
+        assert s == (-1 if ci < 0 else _cell_starts(cells)[ci])
+        if ci < 0:
+            return compared
+        g_trial, at, s_at = _split_cells(cells, ci, _first(cells[ci])), (ci,), s
+        h_ws = [] if h_part is None else list(iter_bits(h_part[0][s]))
+        h_parts = [_split(h_part, s, w) for w in h_ws]
+        h_trials = [_split_cells(h_cells, ci, w) for w in h_ws]
+    raise AssertionError("g's first path is longer than g has vertices")
+
+
+def test_positional_refinement_matches_cell_lists(small_graphs, doubled_graphs):
+    compared = 0
+    for _, _, g in small_graphs:
+        compared += _assert_positional_as_cells(g, g)
+    for g, h in doubled_graphs:
+        compared += _assert_positional_as_cells(g, h)
+    assert compared > 10000
 
 
 def _relabelled_pairs(small_graphs, seed):
@@ -576,17 +789,17 @@ def _top_down_chain(search: _PairSearch) -> AutomorphismGroup:
     order = 1
     depth = 0
     while True:
-        cells, _, ci = search._node(depth)
-        if ci < 0:
+        part, _, s = search._node(depth)
+        if s < 0:
             break
         trace = search._node(depth + 1)[1]
-        b = _first(cells[ci])
+        b = _first(part[0][s])
         orbit = 1 << b
         level_gens: List[Tuple[int, ...]] = []
-        for w in iter_bits(cells[ci]):
+        for w in iter_bits(part[0][s]):
             if orbit >> w & 1:
                 continue
-            child = search._individualize(cells, ci, w, trace)
+            child = search._individualize(part, s, w, trace)
             res = search._descend(depth + 1, child, False)
             if res is not None:
                 level_gens.append(res)
@@ -628,10 +841,6 @@ def test_pruned_chain_matches_top_down_chain_on_bases_of_p(paper_pair):
     assert new.orbit_prunes == 1803
 
 
-def _cell_set(cells):
-    return None if cells is None else set(cells)
-
-
 def _assert_chain_partitions(g) -> int:
     """Every level's partition and every candidate's, against the oracle's.
 
@@ -647,19 +856,21 @@ def _assert_chain_partitions(g) -> int:
     compared = 0
     for k, b in enumerate(base):
         prefix = [(f, f) for f in base[:k]]
-        cells, _, ci = new._node(k)
+        part, _, s = new._node(k)
+        cells = _ordered(part)
         assert set(zip(cells, cells)) == set(old._refine(old._initial_cells(prefix)))
-        assert b == (cells[ci] & -cells[ci]).bit_length() - 1
-        child_cells, trace, _ = new._node(k + 1)
-        for w in iter_bits(cells[ci]):
+        assert b == _first(part[0][s])
+        child, trace, _ = new._node(k + 1)
+        for w in iter_bits(part[0][s]):
             want = old._refine(old._initial_cells(prefix + [(b, w)]))
-            got = new._individualize(cells, ci, w, trace)
+            got = new._individualize(part, s, w, trace)
             assert (got is None) == (want is None)
             if got is not None:
-                assert set(zip(child_cells, got)) == set(want)
+                assert set(zip(_ordered(child), _ordered(got))) == set(want)
             compared += 1
-    cells, _, ci = new._node(len(base))
-    assert ci < 0
+    part, _, s = new._node(len(base))
+    cells = _ordered(part)
+    assert s < 0
     want = old._refine(old._initial_cells([(f, f) for f in base]))
     assert set(zip(cells, cells)) == set(want)
     return compared
