@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bitset import iter_bits, mask_of
 from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
@@ -29,13 +31,7 @@ from .relgraph import (
     induced_map,
     preserves_adjacency,
 )
-from .structures import (
-    IsoStructure,
-    pointed_sets,
-    rel,
-    require_covering,
-    structure_sets,
-)
+from .structures import IsoStructure, require_covering, structure_sets
 
 Term = Tuple[int, Tuple[Tuple[int, int], ...]]  # coefficient, variable factors
 Relation = Tuple[Term, ...]
@@ -61,12 +57,15 @@ class RelationBundle:
         relation_groups: Sequence[Tuple[str, callable]],
     ):
         self.grid_kind = grid_kind
-        self.symbol = symbol
         self.rows = rows
         self.cols = cols
         self.row_legend = list(row_legend)
         self.col_legend = list(col_legend)
         self._groups = list(relation_groups)
+        # the variable names, built once: relation_text joins them per monomial
+        self._names = [
+            [f"{symbol}[{i}][{j}]" for j in range(cols)] for i in range(rows)
+        ]
 
     def iter_relations(self) -> Iterator[Relation]:
         for _, gen in self._groups:
@@ -76,18 +75,18 @@ class RelationBundle:
         return {name: sum(1 for _ in gen()) for name, gen in self._groups}
 
     def relation_text(self, relation: Relation) -> str:
-        parts = []
-        for pos, (coeff, factors) in enumerate(relation):
-            mono = "".join(f"{self.symbol}[{i}][{j}]" for i, j in factors)
+        names = self._names
+        if len(relation) == 1 and relation[0][0] == 1 and relation[0][1]:
+            # a bare monomial, most of every bundle: its factors' names
+            return "".join([names[i][j] for i, j in relation[0][1]])
+        terms = []
+        for coeff, factors in relation:
+            mono = "".join([names[i][j] for i, j in factors])
             c = abs(coeff)
-            body = mono if mono else "1"
-            if c != 1 or not mono:
-                body = f"{c}{mono}" if mono else str(c)
-            if pos == 0:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+            body = mono if c == 1 and mono else f"{c}{mono}"
+            terms.append(("+ " if coeff > 0 else "- ") + body)
+        text = " ".join(terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def write(self, fp) -> None:
         fp.write(f"grid {self.grid_kind} {self.rows} {self.cols}\n")
@@ -99,13 +98,6 @@ class RelationBundle:
             fp.write(f"legend {i} {json.dumps(legend, sort_keys=True)}\n")
         for relation in self.iter_relations():
             fp.write(self.relation_text(relation) + "\n")
-
-    def to_text(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        self.write(buf)
-        return buf.getvalue()
 
 
 _FACTOR_RE = re.compile(r"\w\[(\d+)\]\[(\d+)\]")
@@ -200,31 +192,24 @@ def export_pointed_relations(
 ) -> RelationBundle:
     """Magic-unitary relations on the pointed grid plus rel-mismatch products."""
     require_covering(kind, m, n)
-    ps_m = pointed_sets(m, kind)
-    ps_n = pointed_sets(n, kind)
+    g, h = build_graph(m, kind), build_graph(n, kind)
 
     def mismatches() -> Iterator[Relation]:
-        pairs = [(xi, yi) for xi in range(len(ps_n)) for yi in range(len(ps_n))]
-        rel_n = [rel(ps_n[xi], ps_n[yi]) for xi, yi in pairs]
-        differ: Dict[int, List[Tuple[int, int]]] = {}  # rel value -> pairs unlike it
-        for ai, a in enumerate(ps_m):
-            for bi, b in enumerate(ps_m):
-                r_ab = rel(a, b)
-                if r_ab not in differ:
-                    differ[r_ab] = [xy for xy, r in zip(pairs, rel_n) if r != r_ab]
-                for xi, yi in differ[r_ab]:
-                    yield _monomial((ai, xi), (bi, yi))
+        rel_n = h.rel_table()
+        # rel value -> the answer pairs unlike it, in row-major order
+        differ = {r: np.argwhere(rel_n != r).tolist() for r in range(4)}
+        for (ai, bi), r in np.ndenumerate(g.rel_table()):
+            for xi, yi in differ[r]:
+                yield _monomial((ai, xi), (bi, yi))
 
-    groups = _magic_unitary_groups(len(ps_m), len(ps_n)) + [
-        ("relMismatch", mismatches)
-    ]
+    groups = _magic_unitary_groups(g.n, h.n) + [("relMismatch", mismatches)]
     return RelationBundle(
         "POINTED",
         "u",
-        len(ps_m),
-        len(ps_n),
-        [p.to_json() for p in ps_m],
-        [p.to_json() for p in ps_n],
+        g.n,
+        h.n,
+        [p.to_json() for p in g.vertices],
+        [p.to_json() for p in h.vertices],
         groups,
     )
 

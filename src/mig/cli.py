@@ -10,6 +10,7 @@ no solutions, screen failure, no certificate), 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from time import perf_counter
@@ -23,6 +24,7 @@ from .jsonio import (
     lbcs_from_json,
     load_matroid,
     matroid_to_json,
+    read_json,
     strategy_from_json,
     subset_report_to_json,
     tutte_to_json,
@@ -38,17 +40,20 @@ def _parse_elements(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _emit(payload: object, out: Optional[str]) -> None:
-    text = dumps(payload) if not isinstance(payload, str) else payload
+def _output(out: Optional[str]):
+    """The --out file to write, or stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(payload: object, out: Optional[str]) -> None:
+    with _output(out) as fp:
+        fp.write(dumps(payload))
 
 
 def _structure(args) -> IsoStructure:
-    return IsoStructure.parse(args.structure)
+    return IsoStructure(args.structure)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -165,8 +170,7 @@ def cmd_game(args) -> int:
     # eval-strategy
     if not args.strategy:
         raise MigError("eval-strategy needs --strategy FILE")
-    with open(args.strategy, "r", encoding="utf-8") as fp:
-        strategy = strategy_from_json(json.load(fp))
+    strategy = strategy_from_json(read_json(args.strategy, "strategy"))
     verdict = evaluate_strategy(inst, strategy)
     _emit(verdict, args.out)
     return EXIT_OK if verdict["perfect"] else EXIT_NEGATIVE
@@ -191,8 +195,7 @@ def cmd_lbcs(args) -> int:
     if args.action == "solve":
         if not args.file:
             raise MigError("lbcs solve needs a system file")
-        with open(args.file, "r", encoding="utf-8") as fp:
-            lbcs = lbcs_from_json(json.load(fp))
+        lbcs = lbcs_from_json(read_json(args.file, "constraint-system"))
         sols = lbcs_solutions(lbcs)
         _emit({"count": len(sols), "solutions": [list(s) for s in sols]}, args.out)
         return EXIT_OK if sols else EXIT_NEGATIVE
@@ -437,13 +440,12 @@ def cmd_export_relations(args) -> int:
         bundle = export_pointed_relations(m, n, kind)
     else:
         bundle = export_groundset_relations(m, n, kind)
-    text = bundle.to_text()
-    if args.with_substitution:
-        sub = export_comparison_substitution(m, n, kind)
-        text += "".join(
-            f"subst {k} = {' + '.join(v)}\n" for k, v in sorted(sub.items())
-        )
-    _emit(text, args.out)
+    # every check runs before the first byte; the text then streams out
+    sub = export_comparison_substitution(m, n, kind) if args.with_substitution else {}
+    with _output(args.out) as fp:
+        bundle.write(fp)
+        for k, v in sorted(sub.items()):
+            fp.write(f"subst {k} = {' + '.join(v)}\n")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matroid import Matroid
 from .relgraph import build_graph, induced_map
-from .structures import IsoStructure, PointedSet, pointed_sets, require_covering
+from .structures import IsoStructure, PointedSet, pointed_sets, rel, require_covering
 
 FUNCTIONAL_SEARCH_CAP = 8  # largest alphabet the exhaustive strategy scan takes
 LBCS_VARS_GUARD = 24  # most variables whose 2^v assignments are scanned
@@ -67,12 +67,7 @@ class IsoGameInstance:
         px, py = points[x], points[y]
         c, v = (pa, px) if sa == 0 else (px, pa)
         d, w = (pb, py) if sb == 0 else (py, pb)
-        if (c.members == d.members, c.point == d.point) == (
-            v.members == w.members,
-            v.point == w.point,
-        ):
-            return 1
-        return 0
+        return int(rel(c, d) == rel(v, w))
 
 
 def check_bisynchronous(inst: IsoGameInstance) -> bool:

@@ -81,9 +81,18 @@ def matroid_from_json(data: Dict) -> Matroid:
     raise MigError("matroid JSON needs a 'bases' or 'nonbases' field")
 
 
-def load_matroid(path: str) -> Matroid:
+def read_json(path: str, what: str) -> object:
+    """The JSON value in the file; `what` names its format in the error
+    that a nesting too deep for the parser raises."""
     with open(path, "r", encoding="utf-8") as fp:
-        return matroid_from_json(json.load(fp))
+        try:
+            return json.load(fp)
+        except RecursionError:
+            raise MigError(f"{what} JSON nests too deeply to parse") from None
+
+
+def load_matroid(path: str) -> Matroid:
+    return matroid_from_json(read_json(path, "matroid"))
 
 
 def lbcs_from_json(data: object) -> LBCS:

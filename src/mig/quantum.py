@@ -4,7 +4,9 @@ The constraint-system side uses the standard 3x3 grid of two-qubit Pauli
 observables (row products +I, column products +I, +I, -I).  Measuring a
 line's joint eigenprojections answers that constraint; shared variables
 sit on shared observables, which makes cross-line projection products
-vanish at the operator level whenever assignments disagree.
+vanish at the operator level whenever assignments disagree.  The grid
+system's variable 3i + j sits on cell (j, i), a fixed layout that puts
+the signed system's bottom row on the -1 column.
 
 Conventions fixed here: Bob's measurement operators are the entrywise
 complex conjugates of Alice's, and the shared state is the maximally
@@ -31,9 +33,9 @@ the conditions themselves, not a rounded copy of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .game import LBCS
 from .lbcs_construct import lifted_pointed_sets
 from .matroid import Matroid
 from .relgraph import RelColoredGraph, build_graph, induced_map
-from .structures import IsoStructure, PointedSet, pointed_sets, rel
+from .structures import IsoStructure, PointedSet
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,87 +133,31 @@ def _spectral_projections(
     return out
 
 
-# -- matching a constraint system onto the grid --------------------------------
+# -- the grid system on the observable grid -----------------------------------
 
-
-@dataclass(frozen=True)
-class GridMatching:
-    """How an LBCS maps onto the grid: constraint -> line, variable -> cell."""
-
-    line_of_constraint: Tuple[int, ...]
-    cell_of_variable: Tuple[Tuple[int, int], ...]
-    signs_consistent: bool
-
-
-def _magic_square_classes(lbcs: LBCS) -> Tuple[List[int], List[int]]:
-    """Split the six constraints into two parallel classes of three."""
-    cs = lbcs.constraints
-    if lbcs.num_vars != 9 or len(cs) != 6:
-        raise DimensionMismatch("need 9 variables and 6 constraints")
-    if any(len(c.variables) != 3 for c in cs):
-        raise DimensionMismatch("every constraint must have 3 variables")
-    sets = [frozenset(c.variables) for c in cs]
-    first_class = [0] + [i for i in range(1, 6) if not sets[i] & sets[0]]
-    second_class = [i for i in range(6) if i not in first_class]
-    if len(first_class) != 3 or len(second_class) != 3:
-        raise DimensionMismatch("constraints do not form two parallel classes")
-    for cls in (first_class, second_class):
-        union = set()
-        for i in cls:
-            union |= sets[i]
-        if len(union) != 9:
-            raise DimensionMismatch("a parallel class must cover all variables")
-    for i in first_class:
-        for j in second_class:
-            if len(sets[i] & sets[j]) != 1:
-                raise DimensionMismatch("crossing constraints must share one variable")
-    return first_class, second_class
-
-
-def match_lbcs_to_grid(lbcs: LBCS, grid: ObservableGrid) -> GridMatching:
-    """Deterministic structural matching, preferring sign-consistent ones."""
-    class_a, class_b = _magic_square_classes(lbcs)
-    sets = [frozenset(c.variables) for c in lbcs.constraints]
-    line_signs = [grid.line(i)[1] for i in range(6)]
-    best: Optional[GridMatching] = None
-    for rows, cols in ((class_a, class_b), (class_b, class_a)):
-        for row_perm in permutations(range(3)):
-            for col_perm in permutations(range(3)):
-                line_of: List[int] = [0] * 6
-                for ci, r in zip(rows, row_perm):
-                    line_of[ci] = r
-                for ci, c in zip(cols, col_perm):
-                    line_of[ci] = 3 + c
-                cell_of: List[Tuple[int, int]] = [(-1, -1)] * 9
-                for ci_row in rows:
-                    for ci_col in cols:
-                        (v,) = sets[ci_row] & sets[ci_col]
-                        cell_of[v] = (line_of[ci_row], line_of[ci_col] - 3)
-                ok = all(
-                    lbcs.constraints[ci].sign == line_signs[line_of[ci]]
-                    for ci in range(6)
-                )
-                cand = GridMatching(tuple(line_of), tuple(cell_of), ok)
-                if ok:
-                    return cand
-                if best is None:
-                    best = cand
-    assert best is not None
-    return best
+# the variables of grid lines 0-5 (rows, then columns): variable 3i + j sits
+# on cell (j, i), so the system's rows lie on the grid's columns
+_GRID_LINES = ((0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 1, 2), (3, 4, 5), (6, 7, 8))
 
 
 def _constraint_projections(
-    lbcs: LBCS, grid: ObservableGrid, matching: GridMatching
-) -> List[Dict[Tuple[int, ...], np.ndarray]]:
-    """Per constraint: fulfilling assignment (over its sorted variables) -> projection."""
-    out: List[Dict[Tuple[int, ...], np.ndarray]] = []
+    lbcs: LBCS, grid: ObservableGrid
+) -> Tuple[List[Dict[Tuple[int, ...], np.ndarray]], bool]:
+    """Per constraint: fulfilling assignment (over its variables) -> projection.
+
+    The constraints must be the six lines of the grid system, in any order
+    and with any signs; the flag says whether every sign is its line's.
+    """
+    lines = sorted(c.variables for c in lbcs.constraints)  # each one ascending
+    if lbcs.num_vars != 9 or lines != sorted(_GRID_LINES):
+        raise DimensionMismatch("the constraints are not the lines of the 3x3 grid")
+    tables = []
+    consistent = True
     for c in lbcs.constraints:
-        obs = []
-        for v in c.variables:
-            i, j = matching.cell_of_variable[v]
-            obs.append(grid.cells[i][j])
-        out.append(dict(_spectral_projections(obs, c.sign, grid.dim)))
-    return out
+        consistent &= c.sign == grid.line(_GRID_LINES.index(c.variables))[1]
+        obs = [grid.cells[v % 3][v // 3] for v in c.variables]
+        tables.append(dict(_spectral_projections(obs, c.sign, grid.dim)))
+    return tables, consistent
 
 
 def verify_lbcs_quantum_strategy(lbcs: LBCS, grid: ObservableGrid) -> Dict[str, object]:
@@ -223,8 +169,7 @@ def verify_lbcs_quantum_strategy(lbcs: LBCS, grid: ObservableGrid) -> Dict[str, 
     division, so the sum is exact for any dimension; a sum short of dim
     misses it by at least 1/64, far more than the rounding of the quotient.
     """
-    matching = match_lbcs_to_grid(lbcs, grid)
-    tables = _constraint_projections(lbcs, grid, matching)
+    tables, consistent = _constraint_projections(lbcs, grid)
     cs = lbcs.constraints
     dim = grid.dim
     min_prob = 1.0
@@ -243,7 +188,7 @@ def verify_lbcs_quantum_strategy(lbcs: LBCS, grid: ObservableGrid) -> Dict[str, 
     return {
         "perfect": min_prob == 1,
         "minPairProb": min_prob,
-        "signsConsistent": matching.signs_consistent,
+        "signsConsistent": consistent,
     }
 
 
@@ -278,10 +223,9 @@ def iso_game_pvms(
     set missing from P or Q, or a question or answer left without an
     entry, raises ConstructionInconsistency.
     """
-    matching = match_lbcs_to_grid(signed, grid)
-    if not matching.signs_consistent:
+    tables, consistent = _constraint_projections(signed, grid)
+    if not consistent:
         raise ConstructionInconsistency("grid cannot realize the signed system")
-    tables = _constraint_projections(signed, grid, matching)
     g = build_graph(p, IsoStructure.NONBASES)
     h = build_graph(q, IsoStructure.NONBASES)
 
@@ -323,10 +267,7 @@ def sync_strategy_from_ground_iso(
 
 
 def verify_sync_conditions(
-    strategy: SyncStrategyPVM,
-    m: Matroid,
-    n: Matroid,
-    kind: IsoStructure = IsoStructure.NONBASES,
+    strategy: SyncStrategyPVM, m: Matroid, n: Matroid, kind: IsoStructure
 ) -> Dict[str, object]:
     """Check the four perfect-strategy conditions under the normalized trace.
 
@@ -339,10 +280,9 @@ def verify_sync_conditions(
     """
     fam = strategy.projections
     nq, na, dim, _ = fam.shape
-    qs = pointed_sets(m, kind)
-    ans = pointed_sets(n, kind)
+    g, h = build_graph(m, kind), build_graph(n, kind)
     alphabets = (strategy.questions, strategy.answers)
-    if alphabets != (qs, ans) or (nq, na) != (len(qs), len(ans)):
+    if alphabets != (g.vertices, h.vertices) or (nq, na) != (g.n, h.n):
         raise DimensionMismatch("strategy shape does not match the game alphabets")
     eye = np.eye(dim)
     adjoint_defect = float(np.abs(fam - fam.conj().swapaxes(2, 3)).max(initial=0))
@@ -351,8 +291,7 @@ def verify_sync_conditions(
 
     norms = np.abs(fam).max(axis=(2, 3))
     live = np.argwhere(norms != 0)
-    rel_q = np.array([[rel(a, b) for b in qs] for a in qs], dtype=np.int8)
-    rel_a = np.array([[rel(x, y) for y in ans] for x in ans], dtype=np.int8)
+    rel_q, rel_a = g.rel_table(), h.rel_table()
     mismatch_defect = 0.0
     if len(live):
         lhs = fam[live[:, 0], live[:, 1]]

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bitset import elements_of, iter_bits, mask_of
 from .errors import GuardExceeded, InvariantViolation
 from .matroid import Matroid
@@ -96,6 +98,11 @@ class RelColoredGraph:
         if self._index is None:
             self._index = {u: i for i, u in enumerate(self.vertices)}
         return self._index[v]
+
+    def rel_table(self) -> np.ndarray:
+        """rel of every vertex pair: (rows differ) + 2 * (points differ)."""
+        row, point = np.array(self.row_of), np.array(self.point_of)
+        return (row[:, None] != row) + np.int8(2) * (point[:, None] != point)
 
     def edges(self, color: int) -> List[Tuple[int, int]]:
         out = []

@@ -33,16 +33,6 @@ class IsoStructure(str, Enum):
     FLATS = "flats"
     HYPERPLANES = "hyperplanes"
 
-    @classmethod
-    def parse(cls, name: str) -> "IsoStructure":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise UnsupportedKind(
-                f"unknown structure {name!r}; pick one of "
-                + ", ".join(k.value for k in cls)
-            ) from None
-
 
 class PointedSet(NamedTuple):
     members: int  # subset mask

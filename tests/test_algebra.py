@@ -1,5 +1,7 @@
 """Relation bundles, screeners, and noncommutativity certificates."""
 
+import io
+
 import pytest
 
 from mig import matroid_from_nonbases, uniform_matroid
@@ -51,7 +53,9 @@ def test_pair_grid_dimensions(paper_pair):
 def test_bundle_round_trip():
     u23 = uniform_matroid(2, 3)
     bundle = export_pointed_relations(u23, u23, IsoStructure.BASES)
-    parsed = parse_bundle(bundle.to_text())
+    text = io.StringIO()
+    bundle.write(text)
+    parsed = parse_bundle(text.getvalue())
     assert parsed["kind"] == "POINTED"
     assert (parsed["rows"], parsed["cols"]) == (6, 6)
     assert len(parsed["relations"]) == sum(bundle.group_counts().values())

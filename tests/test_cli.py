@@ -162,12 +162,14 @@ def test_ms_construct_roundtrip(files, capsys):
 def test_quantum_commands(capsys):
     code, out, _ = run(capsys, "quantum", "magic-square")
     assert code == 0 and json.loads(out)["perfect"]
+    assert hashlib.sha256(out.encode()).hexdigest() == MAGIC_SQUARE_SHA256
     code, out, _ = run(capsys, "quantum", "verify-iso")
     assert code == 0 and json.loads(out)["perfect"]
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ISO_SHA256
 
 
 # every float in the certificate is exactly 0.0 or 1.0, so the bytes are stable
+MAGIC_SQUARE_SHA256 = "51301d067d3197c3f690020c2a53559e4fac7bfea4eddd10f7be10757da766fe"
 PAPER_PAIR_SHA256 = "d7e20642a267913e8091b077a2582b072d5767cc0f0ad7ff78f570af889fcb32"
 VERIFY_ISO_SHA256 = "1c1de4da9bbe1827a69193902722fbadac6cb3b7581e2059d67502392e936930"
 GRAPH_AUT_SHA256 = {
@@ -451,6 +453,16 @@ def test_export_relations_bytes(files, capsys, name, kind, variant):
     ]
 
 
+def test_export_relations_out_file(files, capsys):
+    """--out receives the bytes that stdout gets, for each grid and substitution."""
+    for variant, extra in sorted(EXPORT_VARIANTS.items()):
+        argv = ("export-relations", files["k4"], files["k4"], "--structure", "nonbases")
+        code, out, _ = run(capsys, *argv, *extra)
+        target = files["dir"] / f"export-{variant}.txt"
+        assert run(capsys, *argv, *extra, "--out", str(target)) == (0, "", "")
+        assert code == 0 and target.read_bytes() == out.encode()
+
+
 def test_graph_commands(files, capsys):
     code, out, _ = run(capsys, "graph", "build", files["u23"], "--structure", "bases")
     assert code == 0
@@ -482,6 +494,10 @@ def test_error_exit_code(files, capsys):
     assert code == 2
 
 
+# deeper than the JSON parser's recursion allows
+NESTED_JSON = "[" * 2000 + "]" * 2000
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -491,6 +507,7 @@ def test_error_exit_code(files, capsys):
         '{"n": 3, "bases": [[0, 0]]}',
         '{"n": 3, "rank": 2, "nonbases": [[1, 1]]}',
         "[1,2]",
+        pytest.param(NESTED_JSON, id="nested"),
     ],
 )
 def test_malformed_matroid_json_exit_code(files, capsys, text):
@@ -513,6 +530,8 @@ def test_malformed_matroid_json_exit_code(files, capsys, text):
         ("lbcs", '{"vars": 3, "constraints": [[0, 1]]}'),
         ("lbcs", '{"vars": "3", "constraints": []}'),
         ("lbcs", '{"vars": -1, "constraints": []}'),
+        pytest.param("strategy", NESTED_JSON, id="strategy-nested"),
+        pytest.param("lbcs", NESTED_JSON, id="lbcs-nested"),
     ],
 )
 def test_malformed_strategy_and_system_json_exit_code(files, capsys, command, text):

@@ -22,7 +22,6 @@ from mig.quantum import (
     _spectral_projections,
     iso_game_pvms,
     magic_square_observables,
-    match_lbcs_to_grid,
     pair_probabilities,
     sync_strategy_from_ground_iso,
     verify_lbcs_quantum_strategy,
@@ -123,9 +122,7 @@ def test_projections_are_gaussian_integers_over_eight(pauli_grid, paper_pair):
     tables = [
         proj
         for system in (signed_system(), homogeneous_system())
-        for table in _constraint_projections(
-            system, pauli_grid, match_lbcs_to_grid(system, pauli_grid)
-        )
+        for table in _constraint_projections(system, pauli_grid)[0]
         for proj in table.values()
     ]
     assert len(tables) == 2 * 6 * 4
@@ -140,16 +137,44 @@ def test_projections_are_gaussian_integers_over_eight(pauli_grid, paper_pair):
     }
 
 
-def test_matching_prefers_sign_consistent(pauli_grid):
-    m = match_lbcs_to_grid(signed_system(), pauli_grid)
-    assert m.signs_consistent
-    m2 = match_lbcs_to_grid(homogeneous_system(), pauli_grid)
-    assert not m2.signs_consistent
+def test_signs_consistent_flag(pauli_grid):
+    """The signed system's bottom row lies on the grid's -1 column."""
+    assert _constraint_projections(signed_system(), pauli_grid)[1]
+    assert not _constraint_projections(homogeneous_system(), pauli_grid)[1]
+
+
+def _replace_line(system, old, new):
+    """The system with constraint `old`'s variables replaced by `new`."""
+    return LBCS(
+        system.num_vars,
+        tuple(
+            Constraint(new, c.sign) if c.variables == old else c
+            for c in system.constraints
+        ),
+    )
 
 
 def test_matching_rejects_non_magic_shapes(pauli_grid):
-    with pytest.raises(DimensionMismatch):
-        match_lbcs_to_grid(LBCS(4, (Constraint((0, 1), 1),)), pauli_grid)
+    """Only the six lines of the fixed layout are placed on the grid."""
+    signed = signed_system()
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)  # the grid system with 0 and 1 exchanged
+    relabelled = LBCS(
+        9,
+        tuple(
+            Constraint(tuple(sorted(swap[v] for v in c.variables)), c.sign)
+            for c in signed.constraints
+        ),
+    )
+    refused = [
+        LBCS(4, (Constraint((0, 1), 1),)),
+        relabelled,
+        _replace_line(signed, (0, 1, 2), (0, 4, 8)),  # a diagonal for a line
+        _replace_line(signed, (0, 1, 2), (0, 3, 6)),  # a line twice
+        LBCS(10, signed.constraints),
+    ]
+    for system in refused:
+        with pytest.raises(DimensionMismatch, match="not the lines of the 3x3 grid"):
+            verify_lbcs_quantum_strategy(system, pauli_grid)
 
 
 def test_lbcs_strategy_perfect_on_signed_system(pauli_grid):
@@ -159,15 +184,12 @@ def test_lbcs_strategy_perfect_on_signed_system(pauli_grid):
 
 def test_lbcs_strategy_fails_on_homogeneous_system(pauli_grid):
     report = verify_lbcs_quantum_strategy(homogeneous_system(), pauli_grid)
-    assert not report["perfect"]
-    assert report["minPairProb"] < 0.5
+    assert report == {"perfect": False, "minPairProb": 0.0, "signsConsistent": False}
 
 
 def test_single_constraint_probability_one(pauli_grid):
     """Identical questions agree with probability 1 under any line."""
-    lbcs = signed_system()
-    matching = match_lbcs_to_grid(lbcs, pauli_grid)
-    tables = _constraint_projections(lbcs, pauli_grid, matching)
+    tables, _ = _constraint_projections(signed_system(), pauli_grid)
     for table in tables:
         prob = sum(float(np.trace(p @ p).real) / 4 for p in table.values())
         assert abs(prob - 1) < 1e-12
@@ -214,7 +236,7 @@ def _decoded_pvms(p, q, grid):
                 products.add(int(np.prod(t)))
         (signs[h],) = products
     system = lbcs_from_matroid(base, SignAssignment(signs))
-    tables = _constraint_projections(system, grid, match_lbcs_to_grid(system, grid))
+    tables, _ = _constraint_projections(system, grid)
     var_index = {c.variables: i for i, c in enumerate(system.constraints)}
     qs = pointed_sets(p, IsoStructure.NONBASES)
     ans = pointed_sets(q, IsoStructure.NONBASES)

@@ -314,6 +314,15 @@ def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
         g.index_of((0b1, 0))  # a rank-3 matroid has no one-element nonbasis
 
 
+def test_rel_table_matches_pairwise_rel(catalog5, paper_pair):
+    """The matrix that the checker and the export read is rel, pair by pair."""
+    cases = [(m, kind) for n in range(5) for m in catalog5[n] for kind in IsoStructure]
+    for m, kind in cases + [(m, IsoStructure.NONBASES) for m in paper_pair]:
+        g = build_graph(m, kind)
+        want = [[rel(a, b) for b in g.vertices] for a in g.vertices]
+        assert g.rel_table().tolist() == want, (m.key, kind)
+
+
 def _faithful_on(mats):
     checked = 0
     for m in mats:

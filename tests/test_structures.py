@@ -19,12 +19,6 @@ from mig.structures import (
 ALL_KINDS = list(IsoStructure)
 
 
-def test_parse():
-    assert IsoStructure.parse("Bases") is IsoStructure.BASES
-    with pytest.raises(UnsupportedKind):
-        IsoStructure.parse("widgets")
-
-
 def test_structure_sets_u23():
     u23 = uniform_matroid(2, 3)
     assert [elements_of(a) for a in structure_sets(u23, IsoStructure.BASES)] == [
