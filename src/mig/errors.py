@@ -73,10 +73,6 @@ class MalformedAssignment(MigError):
     """A constraint assignment has the wrong variables or values."""
 
 
-class NotAnIsomorphism(MigError):
-    """A supplied ground-set map does not preserve the basis family."""
-
-
 class InvariantViolation(MigError):
     """A construction-time self check failed."""
 

@@ -1,9 +1,13 @@
 """The matroid isomorphism game and linear binary constraint systems.
 
-Game instance: both players share the question/answer alphabet made of
-the pointed sets of both matroids (tagged by side).  A round is won when
-each player answers on the side opposite to their question and the two
-M-side pointed sets relate exactly as the two N-side pointed sets do.
+Game instance: the question/answer alphabet is the vertices of M's
+relation graph g (the M side) followed by those of N's graph h (the N
+side), so letter i < |g| is g's vertex i and letter |g| + j is h's vertex
+j.  A round is won when each player answers on the side opposite to their
+question and the two M-side pointed sets relate exactly as the two N-side
+pointed sets do, rel being (rows differ) + 2 * (points differ) as in
+`RelColoredGraph.rel_table`.  `evaluate_strategy` checks one question row
+at a time against all others, so it needs O(k) memory on an alphabet of k.
 
 LBCS: +/-1 variables with signed parity constraints, played by assigning
 values to the variables of the received constraint; a pair of answers
@@ -13,79 +17,28 @@ wins when both constraints are satisfied and shared variables agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .bitset import iter_bits, mask_of
-from .errors import (
-    GuardExceeded,
-    MalformedAssignment,
-    NotAnIsomorphism,
-    OutOfAlphabet,
-)
+import numpy as np
+
+from .bitset import mask_of
+from .errors import GuardExceeded, MalformedAssignment, OutOfAlphabet
 from .matroid import Matroid
-from .relgraph import build_graph, induced_map
-from .structures import IsoStructure, PointedSet, pointed_sets, rel, require_covering
+from .relgraph import build_graph
+from .structures import IsoStructure, require_covering
 
-FUNCTIONAL_SEARCH_CAP = 8  # largest alphabet the exhaustive strategy scan takes
 LBCS_VARS_GUARD = 24  # most variables whose 2^v assignments are scanned
 
 
 class IsoGameInstance:
-    """The isomorphism game for (M, N, structure)."""
+    """The isomorphism game for (M, N, structure) on their relation graphs."""
 
     def __init__(self, m: Matroid, n: Matroid, kind: IsoStructure):
         require_covering(kind, m, n)
-        self.m = m
-        self.n = n
-        self.kind = kind
-        self.m_points = pointed_sets(m, kind)
-        self.n_points = pointed_sets(n, kind)
-        # alphabet: M-side pointed sets first, then N-side
-        self.alphabet: Tuple[Tuple[int, PointedSet], ...] = tuple(
-            [(0, p) for p in self.m_points] + [(1, p) for p in self.n_points]
-        )
-        self.split = len(self.m_points)
-        self._sides = tuple(s for s, _ in self.alphabet)
-        self._points = tuple(p for _, p in self.alphabet)
+        self.g, self.h = build_graph(m, kind), build_graph(n, kind)
 
     def size(self) -> int:
-        return len(self.alphabet)
-
-    def predicate(self, a: int, b: int, x: int, y: int) -> int:
-        """1 when answers (x, y) win against questions (a, b)."""
-        k = len(self.alphabet)
-        for idx in (a, b, x, y):
-            if not 0 <= idx < k:
-                raise OutOfAlphabet(
-                    f"index {idx} outside alphabet of size {k}"
-                )
-        sides, points = self._sides, self._points
-        sa, sb = sides[a], sides[b]
-        if sides[x] == sa or sides[y] == sb:
-            return 0
-        pa, pb = points[a], points[b]
-        px, py = points[x], points[y]
-        c, v = (pa, px) if sa == 0 else (px, pa)
-        d, w = (pb, py) if sb == 0 else (py, pb)
-        return int(rel(c, d) == rel(v, w))
-
-
-def check_bisynchronous(inst: IsoGameInstance) -> bool:
-    """Equal questions force equal answers; distinct ones forbid them.
-
-    Both diagonal conditions reduce to one fact about the alphabet.  The
-    predicate compares (same set?, same point?) of two pointed sets, which
-    is rel, and rel is 0 exactly when the two pointed sets are equal.  So
-    predicate(a, a, x, y) wins exactly when x and y sit on the side
-    opposite a and carry the same pointed set, and predicate(a, b, x, x)
-    wins exactly when a and b sit on the side opposite x and carry the
-    same pointed set.  A violation therefore needs two distinct letters
-    on one side with the same pointed set, and a letter on the other side.
-    """
-    sides = (inst.m_points, inst.n_points)
-    if not all(sides):
-        return True
-    return all(len(set(points)) == len(points) for points in sides)
+        return self.g.n + self.h.n
 
 
 @dataclass(frozen=True)
@@ -101,72 +54,42 @@ class DeterministicStrategy:
 def evaluate_strategy(
     inst: IsoGameInstance, strategy: DeterministicStrategy
 ) -> Dict[str, object]:
-    """Scan every question pair; report the least counterexample if any."""
-    k = inst.size()
+    """Check every question pair; report the least counterexample if any.
+
+    Each letter a and its answer f(a) give one M-side vertex and one N-side
+    vertex.  Row a loses at column 0 when f(a) sits on a's own side, and
+    otherwise at each b whose answer does, or whose pair of vertices
+    differs from a's in row equality or in point equality between the two
+    sides.  Rows are scanned in order, so the counterexample is the least
+    (a, b) in row-major order.
+    """
+    g, h = inst.g, inst.h
+    k = g.n + h.n
     if len(strategy.mapping) != k:
         raise OutOfAlphabet("strategy is not total on the alphabet")
+    for a, x in enumerate(strategy.mapping):
+        if not 0 <= x < k:
+            raise OutOfAlphabet(
+                f"strategy maps letter {a} to {x}, outside the alphabet of size {k}"
+            )
+    answer = np.array(strategy.mapping, dtype=np.int64)
+    letter = np.arange(k)
+    asked_m = letter < g.n
+    lost = asked_m == (answer < g.n)
+    # each letter's M-side and N-side vertex; a lost letter, whose row and
+    # column fail anyway, reads the -1 appended past each graph's vertices
+    vm = np.where(lost, g.n, np.where(asked_m, letter, answer))
+    vn = np.where(lost, h.n, np.where(asked_m, answer, letter) - g.n)
+    row_m, point_m = (np.append(c, -1)[vm] for c in (g.row_of, g.point_of))
+    row_n, point_n = (np.append(c, -1)[vn] for c in (h.row_of, h.point_of))
     for a in range(k):
-        fa = strategy(a)
-        for b in range(k):
-            if not inst.predicate(a, b, fa, strategy(b)):
-                return {"perfect": False, "counterexample": (a, b)}
+        if lost[a]:
+            return {"perfect": False, "counterexample": (a, 0)}
+        bad = lost | ((row_m != row_m[a]) != (row_n != row_n[a]))
+        bad |= (point_m != point_m[a]) != (point_n != point_n[a])
+        if bad.any():
+            return {"perfect": False, "counterexample": (a, int(bad.argmax()))}
     return {"perfect": True, "counterexample": None}
-
-
-def strategy_from_iso(
-    inst: IsoGameInstance, ground_map: Sequence[int]
-) -> DeterministicStrategy:
-    """The strategy induced by a ground-set isomorphism of the two matroids."""
-    m, n = inst.m, inst.n
-    if sorted(ground_map) != list(range(n.n)) or m.n != n.n:
-        raise NotAnIsomorphism("not a bijection between the ground sets")
-    bset = set(n.bases)
-    for b in m.bases:
-        if mask_of(ground_map[e] for e in iter_bits(b)) not in bset:
-            raise NotAnIsomorphism(f"basis {b:#x} is not carried to a basis")
-    if len(m.bases) != len(n.bases):
-        raise NotAnIsomorphism("basis counts differ")
-    inverse = [0] * n.n
-    for e in range(m.n):
-        inverse[ground_map[e]] = e
-    g, h = build_graph(m, inst.kind), build_graph(n, inst.kind)
-    forward = tuple(inst.split + w for w in induced_map(g, h, ground_map))
-    return DeterministicStrategy(forward + induced_map(h, g, inverse))
-
-
-def exhaustive_perfect_strategy(
-    inst: IsoGameInstance,
-) -> Optional[DeterministicStrategy]:
-    """Backtracking scan over all answer functions (test oracle only)."""
-    k = inst.size()
-    if k > FUNCTIONAL_SEARCH_CAP:
-        raise GuardExceeded(
-            f"alphabet of {k} exceeds the functional-search guard"
-            f" FUNCTIONAL_SEARCH_CAP = {FUNCTIONAL_SEARCH_CAP}"
-        )
-    choice: List[int] = []
-
-    def extend(a: int) -> bool:
-        if a == k:
-            return True
-        for x in range(k):
-            ok = True
-            for b in range(a):
-                if not inst.predicate(a, b, x, choice[b]) or not inst.predicate(
-                    b, a, choice[b], x
-                ):
-                    ok = False
-                    break
-            if ok and inst.predicate(a, a, x, x):
-                choice.append(x)
-                if extend(a + 1):
-                    return True
-                choice.pop()
-        return False
-
-    if extend(0):
-        return DeterministicStrategy(tuple(choice))
-    return None
 
 
 # -- linear binary constraint systems ----------------------------------------
@@ -253,8 +176,6 @@ def lbcs_solutions(lbcs: LBCS) -> List[Tuple[int, ...]]:
             f"{v} variables exceed the solution-scan guard"
             f" LBCS_VARS_GUARD = {LBCS_VARS_GUARD}"
         )
-    import numpy as np
-
     codes = np.arange(1 << v, dtype=np.uint32)
     good = np.ones(1 << v, dtype=bool)
     for c in lbcs.constraints:

@@ -37,8 +37,8 @@ def _is_int(x: object) -> bool:
 
 
 def _int_field(data: Dict, key: str) -> int:
-    if not _is_int(data[key]):
-        raise MigError(f"matroid JSON field {key!r} must be an integer")
+    if not (_is_int(data[key]) and data[key] >= 0):
+        raise MigError(f"matroid JSON field {key!r} must be an integer >= 0")
     return data[key]
 
 
@@ -50,6 +50,8 @@ def _family_field(data: Dict, key: str) -> List[List[int]]:
     fam = data[key]
     if not isinstance(fam, list) or not all(_is_int_list(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} must be a list of integer lists")
+    if any(e < 0 for s in fam for e in s):
+        raise MigError(f"matroid JSON field {key!r} holds a negative element")
     if any(len(set(s)) != len(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} repeats an element in a member")
     return fam
@@ -116,6 +118,10 @@ def lbcs_from_json(data: object) -> LBCS:
             raise MigError(
                 "constraint-system JSON constraints need a 'vars' integer list "
                 "and an integer 'sign'"
+            )
+        if len(set(c["vars"])) != len(c["vars"]):
+            raise MigError(
+                "constraint-system JSON constraint 'vars' repeats a variable"
             )
         constraints.append(Constraint(tuple(c["vars"]), c["sign"]))
     return LBCS(data["vars"], tuple(constraints))

@@ -12,7 +12,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -555,23 +555,3 @@ def brute_force_isomorphic(m1: Matroid, m2: Matroid) -> Optional[Tuple[int, ...]
     if backtrack(0):
         return tuple(image)
     return None
-
-
-def brute_force_automorphism_count(m: Matroid) -> int:
-    """Count all basis-preserving ground permutations (oracle-scale)."""
-    if m.n > BRUTE_ISO_GUARD:
-        raise GuardExceeded(
-            f"brute-force automorphism count on n={m.n} exceeds the guard"
-            f" BRUTE_ISO_GUARD = {BRUTE_ISO_GUARD}"
-        )
-    bset = set(m.bases)
-    count = 0
-    for perm in permutations(range(m.n)):
-        ok = True
-        for b in m.bases:
-            if mask_of(perm[e] for e in iter_bits(b)) not in bset:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count

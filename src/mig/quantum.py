@@ -43,7 +43,7 @@ from .errors import ConstructionInconsistency, DimensionMismatch, InvariantViola
 from .game import LBCS
 from .lbcs_construct import lifted_pointed_sets
 from .matroid import Matroid
-from .relgraph import RelColoredGraph, build_graph, induced_map
+from .relgraph import RelColoredGraph, build_graph
 from .structures import IsoStructure, PointedSet
 
 I2 = np.eye(2, dtype=complex)
@@ -255,17 +255,6 @@ def iso_game_pvms(
     return SyncStrategyPVM(dim, fam, g.vertices, h.vertices)
 
 
-def sync_strategy_from_ground_iso(
-    m: Matroid, n: Matroid, kind: IsoStructure, ground_map: Sequence[int]
-) -> SyncStrategyPVM:
-    """Rank-one (dimension 1) strategy of a genuine ground isomorphism."""
-    g, h = build_graph(m, kind), build_graph(n, kind)
-    fam = np.zeros((g.n, h.n, 1, 1), dtype=complex)
-    for qi, ai in enumerate(induced_map(g, h, ground_map)):
-        fam[qi, ai, 0, 0] = 1.0
-    return SyncStrategyPVM(1, fam, g.vertices, h.vertices)
-
-
 def verify_sync_conditions(
     strategy: SyncStrategyPVM, m: Matroid, n: Matroid, kind: IsoStructure
 ) -> Dict[str, object]:
@@ -314,10 +303,3 @@ def verify_sync_conditions(
         },
         "perfect": max(row_defect, col_defect, mismatch_defect, adjoint_defect) == 0,
     }
-
-
-def pair_probabilities(strategy: SyncStrategyPVM, qi: int, qj: int) -> np.ndarray:
-    """p(x, y | qi, qj) = Tr(F[qi,x] F[qj,y]) / dim over all answer pairs."""
-    fam = strategy.projections
-    vals = np.einsum("xij,yji->xy", fam[qi], fam[qj]) / strategy.dim
-    return vals

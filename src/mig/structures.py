@@ -1,9 +1,10 @@
-"""The six isomorphism structures, pointed sets, covering, and rel.
+"""The six isomorphism structures, pointed sets, and covering.
 
 A structure kind maps a matroid to a subset family (bases, nonbases,
 independent sets, circuits, flats, or hyperplanes).  A pointed set is a
-(member set, chosen element) pair; `rel` compares two pointed sets into
-{0,1,2,3} by (same set?, same point?).
+(member set, chosen element) pair; two pointed sets compare into rel
+{0,1,2,3} by (same set?, same point?), which the relation graphs compute
+(`RelColoredGraph.rel_table`).
 
 `covers` evaluates the definition (every ground element lies in some
 member), and `require_covering` is the one gate that turns a negative
@@ -70,13 +71,6 @@ def pointed_sets(m: Matroid, kind: IsoStructure) -> Tuple[PointedSet, ...]:
             PointedSet(a, p) for a in structure_sets(m, kind) for p in iter_bits(a)
         ),
     )
-
-
-def rel(a: PointedSet, b: PointedSet) -> int:
-    """Four-valued comparison: 0 equal, 1 same point, 2 same set, 3 neither."""
-    if a.members == b.members:
-        return 0 if a.point == b.point else 2
-    return 1 if a.point == b.point else 3
 
 
 class CoverResult(NamedTuple):

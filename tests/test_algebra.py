@@ -14,7 +14,8 @@ from mig.algebra import (
     screen_quantum_iso,
 )
 from mig.errors import NotCovering, UnsupportedKind
-from mig.structures import IsoStructure, pointed_sets, rel
+from mig.structures import IsoStructure, pointed_sets
+from oracles import rel
 
 
 def two_line_matroid(r):

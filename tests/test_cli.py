@@ -136,6 +136,31 @@ def test_game_commands(files, capsys):
     assert code == 0 and json.loads(out)["perfect"]
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+def test_out_of_range_strategy_refused_before_scan(files, capsys, bad):
+    """Letter 0 answers on its own side, which loses at (0, 0), but the whole
+    map is range-checked first: exit 2, naming the letter and the value."""
+    strategy = files["dir"] / "bad-strategy.json"
+    strategy.write_text(json.dumps({"map": [0, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, bad]}))
+    argv = ("game", "eval-strategy", files["u23"], files["u23"], "--structure")
+    code, out, err = run(capsys, *argv, "bases", "--strategy", str(strategy))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: OutOfAlphabet: strategy maps letter 11 to {bad}, outside the"
+        " alphabet of size 12\n"
+    )
+
+
+def test_identity_strategy_on_bases_of_p_is_perfect(files, capsys):
+    """The strategy of the identity ground map on the 4752-letter bases game."""
+    strategy = files["dir"] / "identity.json"
+    strategy.write_text(json.dumps({"map": list(range(2376, 4752)) + list(range(2376))}))
+    argv = ("game", "eval-strategy", files["P"], files["P"], "--structure")
+    code, out, _ = run(capsys, *argv, "bases", "--strategy", str(strategy))
+    assert code == 0
+    assert out == '{\n  "counterexample": null,\n  "perfect": true\n}\n'
+
+
 def test_lbcs_pipeline(files, capsys):
     signed = files["dir"] / "signed.json"
     code, _, _ = run(capsys, "lbcs", "build", "--negate", "6,7,8", "--out", str(signed))
@@ -516,6 +541,38 @@ def test_malformed_matroid_json_exit_code(files, capsys, text):
     code, out, err = run(capsys, "matroid", "info", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("error: MigError: matroid JSON")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": -1, "bases": [[]]}', "'n' must be an integer >= 0"),
+        ('{"n": 3, "rank": -1, "nonbases": []}', "'rank' must be an integer >= 0"),
+        ('{"n": 3, "bases": [[-1]]}', "'bases' holds a negative element"),
+        ('{"n": 3, "rank": 2, "nonbases": [[0, -1]]}', "'nonbases' holds a negative"
+         " element"),
+    ],
+    ids=["n", "rank", "bases", "nonbases"],
+)
+def test_negative_sizes_in_matroid_json_named(files, capsys, text, field):
+    bad = files["dir"] / "negative.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "matroid", "info", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: MigError: matroid JSON field {field}\n"
+
+
+def test_repeated_constraint_variable_refused(files, capsys):
+    """x0 * x0 = +1 holds everywhere, but the parity mask would drop the
+    repeat and solve another system, so the file is refused."""
+    bad = files["dir"] / "repeat.json"
+    bad.write_text('{"vars": 3, "constraints": [{"vars": [0, 0], "sign": 1}]}')
+    code, out, err = run(capsys, "lbcs", "solve", str(bad))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: MigError: constraint-system JSON constraint 'vars' repeats a"
+        " variable\n"
+    )
 
 
 @pytest.mark.parametrize(

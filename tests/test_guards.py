@@ -7,22 +7,16 @@ from mig.algebra import export_groundset_relations
 from mig.catalog import all_matroids
 from mig.derived import derive_sets, tutte_polynomial
 from mig.errors import GuardExceeded
-from mig.game import LBCS, Constraint, IsoGameInstance, exhaustive_perfect_strategy
-from mig.game import lbcs_solutions
+from mig.game import LBCS, Constraint, lbcs_solutions
 from mig.matroid import (
     Matroid,
-    brute_force_automorphism_count,
     brute_force_isomorphic,
     check_basis_scan,
     uniform_matroid,
 )
 from mig.relgraph import automorphism_group, build_graph
 from mig.structures import IsoStructure
-
-
-def _u23_game():
-    u23 = uniform_matroid(2, 3)
-    return IsoGameInstance(u23, u23, IsoStructure.BASES)
+from oracles import brute_force_automorphism_count
 
 
 CASES = {
@@ -67,10 +61,6 @@ CASES = {
         ["n=10", "BRUTE_ISO_GUARD = 9"],
     ),
     "catalog": (lambda: all_matroids(8), ["n=8", "CATALOG_GUARD = 7"]),
-    "functional-search": (
-        lambda: exhaustive_perfect_strategy(_u23_game()),
-        ["alphabet of 12", "FUNCTIONAL_SEARCH_CAP = 8"],
-    ),
     "lbcs-solutions": (
         lambda: lbcs_solutions(LBCS(30, (Constraint((0,), 1),))),
         ["30 variables", "LBCS_VARS_GUARD = 24"],

@@ -166,16 +166,6 @@ PUBLIC_WITHOUT_SRC_CALLER = {
     "direct_sum": "library API the README documents: direct sums",
     "lbcs_predicate": "library API the README documents: scoring of the"
     " constraint-system game",
-    "strategy_from_iso": "test oracle: a ground isomorphism gives a perfect"
-    " classical strategy, one direction of the classical theorem",
-    "exhaustive_perfect_strategy": "test oracle: every perfect classical"
-    " strategy of a small game comes from a ground isomorphism, the other",
-    "brute_force_automorphism_count": "test oracle: the ground automorphism"
-    " count that each relation graph's group order must equal",
-    "sync_strategy_from_ground_iso": "test oracle: a known-perfect rank-one"
-    " strategy for the sync-condition checker",
-    "pair_probabilities": "test oracle: the correlation of a projective"
-    " strategy, checked for normalization",
 }
 
 

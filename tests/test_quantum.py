@@ -1,5 +1,7 @@
 """Observable grid, joint projections, and strategy verification."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,10 @@ from mig.quantum import (
     _spectral_projections,
     iso_game_pvms,
     magic_square_observables,
-    pair_probabilities,
-    sync_strategy_from_ground_iso,
     verify_lbcs_quantum_strategy,
     verify_sync_conditions,
 )
+from mig.relgraph import build_graph, induced_map
 from mig.structures import IsoStructure, pointed_sets
 
 
@@ -283,6 +284,24 @@ def test_forward_family_refuses_an_unanswered_question(paper_pair, pauli_grid):
 def test_forward_family_refuses_an_unrealizable_system(paper_pair, pauli_grid):
     with pytest.raises(ConstructionInconsistency, match="cannot realize"):
         iso_game_pvms(*paper_pair, homogeneous_system(), pauli_grid)
+
+
+def sync_strategy_from_ground_iso(
+    m: Matroid, n: Matroid, kind: IsoStructure, ground_map: Sequence[int]
+) -> SyncStrategyPVM:
+    """Rank-one (dimension 1) strategy of a genuine ground isomorphism."""
+    g, h = build_graph(m, kind), build_graph(n, kind)
+    fam = np.zeros((g.n, h.n, 1, 1), dtype=complex)
+    for qi, ai in enumerate(induced_map(g, h, ground_map)):
+        fam[qi, ai, 0, 0] = 1.0
+    return SyncStrategyPVM(1, fam, g.vertices, h.vertices)
+
+
+def pair_probabilities(strategy: SyncStrategyPVM, qi: int, qj: int) -> np.ndarray:
+    """p(x, y | qi, qj) = Tr(F[qi,x] F[qj,y]) / dim over all answer pairs."""
+    fam = strategy.projections
+    vals = np.einsum("xij,yji->xy", fam[qi], fam[qj]) / strategy.dim
+    return vals
 
 
 def test_pair_probabilities_normalized(paper_pair, pauli_grid):

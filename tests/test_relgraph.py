@@ -23,7 +23,7 @@ from mig.lbcs_construct import (
     m_s_matroid,
     minor_obstruction_certificate,
 )
-from mig.matroid import Matroid, brute_force_automorphism_count
+from mig.matroid import Matroid
 from mig.relgraph import (
     RelColoredGraph,
     SearchStats,
@@ -35,7 +35,8 @@ from mig.relgraph import (
     find_matroid_isomorphism,
     induced_map,
 )
-from mig.structures import IsoStructure, covers, pointed_sets, rel, structure_sets
+from mig.structures import IsoStructure, covers, pointed_sets, structure_sets
+from oracles import brute_force_automorphism_count, rel
 
 
 class NotInduced(Exception):

@@ -53,7 +53,8 @@ from mig.relgraph import (
     preserves_adjacency,
 )
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
-from mig.structures import IsoStructure, PointedSet, covers, pointed_sets, rel
+from mig.structures import IsoStructure, PointedSet, covers, pointed_sets
+from oracles import rel
 
 
 def _pairwise_adjacency(vertices):

@@ -1,4 +1,4 @@
-"""Structure families, pointed sets, covering, and rel."""
+"""Structure families, pointed sets, covering, and the rel oracle."""
 
 import pytest
 
@@ -11,10 +11,10 @@ from mig.structures import (
     _covered_by_characterization,
     covers,
     pointed_sets,
-    rel,
     require_covering,
     structure_sets,
 )
+from oracles import rel
 
 ALL_KINDS = list(IsoStructure)
 
