@@ -74,12 +74,10 @@ def matroid_from_json(data: Dict) -> Matroid:
             )
         return m
     if "nonbases" in data:
-        return matroid_from_nonbases(
-            _int_field(data, "n"),
-            _int_field(data, "rank"),
-            _family_field(data, "nonbases"),
-            labels,
-        )
+        n, rank = _int_field(data, "n"), _int_field(data, "rank")
+        if rank > n:
+            raise MigError(f"matroid JSON field 'rank' ({rank}) exceeds 'n' ({n})")
+        return matroid_from_nonbases(n, rank, _family_field(data, "nonbases"), labels)
     raise MigError("matroid JSON needs a 'bases' or 'nonbases' field")
 
 

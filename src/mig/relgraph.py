@@ -6,43 +6,42 @@ set), with that value as the edge color.  Vertex pairs with rel 3 are
 non-edges, so a bijection preserves rel on all pairs exactly when it
 preserves both colored adjacencies.
 
+The graph is the line graph of the incidence between its sets (rows) and
+points (columns), vertex (A, p) being the incidence of A and p, and the
+search runs on that incidence structure: the k covered points, then the
+sets, |F| + k vertices against the graph's sum of |A|.  Colour 2 (or
+equality) is "same row" and colour 1 "same column", so a colour-preserving
+bijection of graphs is a pair of bijections, on rows and on points, that
+carries incidences onto incidences, and each such pair maps (A, p) to
+(A', p'): the isomorphisms correspond one to one and the groups agree.
+Uncovered points have no vertex and stay out (as isolated points they
+would multiply the group by k!).  Only point cells are branched on: the
+sets are distinct sets of points, so once the points are singletons an
+equitable partition splits the sets too.  A leaf zips into bijections on
+points and on sets and is verified in O(n): each incidence of g must go
+to one of h.  Maps and generators come back as vertex permutations.
+
 The search is equitable color refinement followed by individualize-and-
-refine backtracking on the first smallest non-singleton cell, trying its
-candidates in ascending vertex index.  Automorphism groups come from a
-stabilizer chain on the same tree.  A partition is positional: `cells[s]`
-is the cell that starts at position s and 0 elsewhere, and `open` lists
-the starts of the non-singleton cells in ascending order.  The pieces of
-a split cell start where it started, one after the other, and no other
-cell moves, so a start names a cell for good and a refinement round
-visits only the open cells.  Refinement only counts edges into the cells
-that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013), which
-yields the same ordered partition as counting every vertex into every
-cell.  The graph is the line graph of the set-point incidence graph: a
-vertex's neighbours are the rest of its row (set) and column (point), so
-a walk over a splitter's own vertices, tallied by row and by column,
-gives every count into it.  Pruning skips candidates in the orbit of a
-failed one (McKay-Piperno, arXiv:1301.1493), never a solution.  Results
-are deterministic: the solution is the first verified leaf in branch
-order, which need not be the least in lexicographic order.
+refine backtracking on the first smallest non-singleton point cell, in
+ascending order; automorphism groups come from a stabilizer chain on the
+same tree.  A partition is positional: `cells[s]` is the cell that starts
+at position s and 0 elsewhere, and `open` lists the starts of the
+non-singleton cells in ascending order.  The pieces of a split cell start
+where it started, so a start names a cell for good and a round visits
+only the open cells.  Refinement only counts incidences into the cells
+that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013).
+Pruning skips candidates in the orbit of a failed one (McKay-Piperno,
+arXiv:1301.1493), never a solution.  The solution is the first verified
+leaf in branch order, which need not be the least in lexicographic order.
 
-The search from g to h refines each side alone.  The g side always
-individualizes the first vertex of its branch cell, so its partition at a
-depth does not depend on the h candidates: g's first path is refined once
-per depth, recording a trace, for each round, of every touched cell's
-start and its buckets as (count key, size) in key order.  A candidate
-refines h alone against the trace of g's child node; the two sides' cells
-have equal sizes, so their starts agree.  Refining the two graphs jointly
-fails in the first round where some touched cell's buckets differ in size
-between the sides, which is the first round where h's trace differs from
-g's; up to that round both refinements make the same cuts in the same
-order, so on success h's cells, zipped with g's, are the joint refinement
-(McKay-Piperno's comparison with the first path).
-
-Leaves are verified in O(n): vertices are distinct pointed sets, so for
-u != v colour 2 means exactly "same set" and colour 1 exactly "same
-point".  A bijection preserves both colours exactly when the maps it
-induces on sets and on points, A_v -> A_w and p_v -> p_w for each v -> w,
-are well defined and injective.
+The search from g to h refines each side alone.  g always individualizes
+the first vertex of its branch cell, so its first path is refined once
+per depth, recording per round each touched cell's start and buckets as
+(count key, size) in key order.  A candidate refines h alone against that
+trace and fails at the first round where the traces differ, which is
+where refining both sides jointly would fail; up to there both make the
+same cuts in the same order, so on success h's cells, zipped with g's,
+are the joint refinement (McKay-Piperno's comparison with the first path).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import elements_of, iter_bits, mask_of
+from .bitset import iter_bits, mask_of
 from .errors import GuardExceeded, InvariantViolation
 from .matroid import Matroid
 from .structures import (
@@ -141,13 +140,14 @@ class SearchStats:
 
     `refinements` counts one-sided refinements: one per node of g's first
     path and one per h candidate (the root included); `failed_refinements`
-    counts the h refinements whose trace differed from g's.
-    `splitter_counts` sums |N(c) & live| over the splitters c of every
-    round, N(c) being c's rows and columns but the members of c alone in
-    both within c; `orbit_prunes` counts candidates skipped as images of
-    failed ones, under Aut(h) at the root of an existence search and under
-    the deeper levels' generators in the chain; `leaves` counts discrete
-    partitions checked against the full adjacency.
+    the h refinements whose trace differed from g's.  `splitter_counts`
+    sums, over the splitters c of every round, the incidence vertices whose
+    count into c is evaluated: the live neighbours of a point cell or of
+    one set, and every live point for a larger cell of sets.
+    `orbit_prunes` counts candidates skipped as images of failed ones,
+    under Aut(h)'s generators that fix the candidates above them in an
+    existence search and under the deeper levels' generators in the chain;
+    `leaves` the discrete partitions checked against the graphs.
     """
 
     __slots__ = (
@@ -175,90 +175,106 @@ class SearchStats:
         }
 
 
+class _Incidence:
+    """The set-point incidence structure of a graph, built for one search.
+
+    Vertex i < `npts` is the i-th covered point and vertex npts + r is row
+    r; `adj[x]` is the mask of x's incidences, `rep[x]` a graph vertex on x,
+    `at[p]` the vertex of point p (-1 if p is uncovered) and `vertex[i *
+    size + x]` the graph vertex on point i and row x.  Counts fit in `width`
+    bits; `root` has the points and the rows as two cells.
+    """
+
+    __slots__ = ("graph", "npts", "size", "adj", "rep", "at", "vertex", "width", "root")
+
+    def __init__(self, graph: RelColoredGraph):
+        self.graph = graph
+        covered = [p for p, col in enumerate(graph.by_point) if col]
+        self.at = at = [-1] * len(graph.by_point)
+        for i, p in enumerate(covered):
+            at[p] = i
+        self.npts = npts = len(covered)
+        self.size = size = npts + len(graph.by_set)
+        self.adj = adj = [0] * size
+        self.rep = rep = [0] * size
+        self.vertex: Dict[int, int] = {}
+        for v, (r, p) in enumerate(zip(graph.row_of, graph.point_of)):
+            i, r = at[p], npts + r
+            adj[i] |= 1 << r
+            adj[r] |= 1 << i
+            rep[i] = rep[r] = self.vertex[i * size + r] = v
+        self.width = max(npts, size - npts).bit_length()
+        cells = [0] * max(size, 1)  # the empty graph is never searched
+        cells[0], cells[npts] = (1 << npts) - 1, (1 << size) - (1 << npts)
+        self.root = cells, [s for s in (0, npts) if cells[s] & (cells[s] - 1)]
+
+    def perm(self, vertex_perm: Sequence[int]) -> List[int]:
+        """The incidence permutation of an automorphism of the graph."""
+        graph, npts = self.graph, self.npts
+        out = [self.at[graph.point_of[vertex_perm[v]]] for v in self.rep[:npts]]
+        return out + [npts + graph.row_of[vertex_perm[v]] for v in self.rep[npts:]]
+
+
 def _refine(
-    graph: RelColoredGraph,
+    inc: _Incidence,
     part: Partition,
     splitters: Sequence[int],
     stats: SearchStats,
     against: Optional[Trace] = None,
 ) -> Optional[Tuple[Partition, Trace]]:
-    """Equitable refinement of one graph's partition, with its trace.
+    """Equitable refinement of one incidence structure's partition, with its trace.
 
     Each round buckets the reached vertices of every open cell by their
-    edge counts into the splitters, given by their starts, and orders the
-    pieces by those counts; every piece but the last is a splitter of the
-    next round.  The ordered partition is the one that counting into every
-    cell gives: the vertices of a cell share their counts into each cell
-    of the round before, so a cell that did not split adds the same
+    incidence counts into the splitters, given by their starts, and orders
+    the pieces by those counts; every piece but the last is a splitter of
+    the next round.  The ordered partition is the one that counting into
+    every cell gives: the vertices of a cell share their counts into each
+    cell of the round before, so a cell that did not split adds the same
     component to all their signatures, and the count into a last piece
     follows from the counts into its siblings, which come before it.
 
-    Vertex v's count into splitter c is the pair (|col(p_v) & c| - [v in c],
-    |row(A_v) & c| - [v in c]), packed as c1 * base + c2 < base**2.  Of the
-    k splitters, the counts into the j-th fill the `width` bits from
-    `width * (k - 1 - j)` of three keys: one per row, one per column and
-    one per member of c (its [v in c] terms).  v's key is its row's plus
-    its column's minus its own; no field carries, so keys order as the
-    count tuples do.  Only live vertices in a splitter's rows and columns
-    are read; key 0, no edge into any splitter, is the first bucket, and a
-    cell without a nonzero key keeps its place.
+    Of the k splitters, the count into the j-th fills the `width` bits
+    from `width * (k - 1 - j)` of a vertex's key, so keys order as the
+    count tuples do.  A cell of points counts at the live rows it meets,
+    one set at its live points and more sets at every live point; key 0,
+    no incidence into any splitter, is the first bucket, and a cell
+    without a nonzero key keeps its place.
 
     Without `against`, returns the partition and the trace of this
     refinement; `part` is left as it was.  With `against`, the trace of
-    another graph's refinement from cells of the same sizes, each piece is
-    ordered by that trace's keys, and the result is None at the first
-    round whose touched cells or buckets differ from it; on success the
-    trace returned is `against`.
+    another structure's refinement from cells of the same sizes, each
+    piece is ordered by that trace's keys, and the result is None at the
+    first round whose touched cells or buckets differ from it; on success
+    the trace returned is `against`.
     """
     stats.refinements += 1
-    rows, cols = graph.by_set, graph.by_point
-    row_of, point_of = graph.row_of, graph.point_of
-    base = graph.n + 1
-    width = (base * base).bit_length()
+    adj, npts, width = inc.adj, inc.npts, inc.width
     trace: Trace = [] if against is None else against
     cells, open_ = list(part[0]), part[1]
     live = sum(cells[s] for s in open_)  # the open cells' vertices
     new = splitters
     rnd = 0
+    points = (1 << npts) - 1
     while True:
-        row_key = [0] * len(rows)
-        col_key = [0] * len(cols)
-        own = [0] * graph.n  # a live splitter member's count of itself
+        key = [0] * len(adj)
         reach = 0
         shift = width * len(new)
         for s in new:
             shift -= width
             c = cells[s]
-            if not c & (c - 1):  # a singleton: one row and one column
-                u = c.bit_length() - 1
-                row_key[row_of[u]] += 1 << shift
-                col_key[point_of[u]] += base << shift
-                nbrs = rows[row_of[u]] | cols[point_of[u]]
-                counted = (nbrs & live).bit_count()
-            else:
-                members = elements_of(c)
-                row_n: Dict[int, int] = {}
-                col_n: Dict[int, int] = {}
-                for u in members:
-                    r, p = row_of[u], point_of[u]
-                    row_n[r] = row_n.get(r, 0) + 1
-                    col_n[p] = col_n.get(p, 0) + 1
+            if s < npts:
                 nbrs = 0
-                for r, x in row_n.items():
-                    row_key[r] += x << shift
-                    nbrs |= rows[r]
-                for p, x in col_n.items():
-                    col_key[p] += x * base << shift
-                    nbrs |= cols[p]
-                # N(c): c's rows and columns but the members alone in both
-                counted = (nbrs & live).bit_count()
-                mine = (base + 1) << shift
-                for u in members:
-                    own[u] = mine
-                    counted -= row_n[row_of[u]] == 1 and col_n[point_of[u]] == 1
-            stats.splitter_counts += counted
+                for u in iter_bits(c):
+                    nbrs |= adj[u]
+                nbrs &= live
+            elif c & (c - 1):  # at most npts points, whatever the size of c
+                nbrs = live & points
+            else:  # one set: its own points
+                nbrs = adj[c.bit_length() - 1] & live
+            for v in iter_bits(nbrs):
+                key[v] += (adj[v] & c).bit_count() << shift
+            stats.splitter_counts += nbrs.bit_count()
             reach |= nbrs
-        reach &= live
         if against is None:
             trace.append({})
         spec = trace[rnd]
@@ -273,25 +289,22 @@ def _refine(
                 next_open.append(s)
                 continue
             m = t & (t - 1)  # the reached vertices after the first
-            v = (t ^ m).bit_length() - 1
-            key = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
+            first = key[(t ^ m).bit_length() - 1]
             while m:  # drop them while they share the first one's key
                 low = m & -m
-                v = low.bit_length() - 1
-                if row_key[row_of[v]] + col_key[point_of[v]] - own[v] != key:
+                if key[low.bit_length() - 1] != first:
                     break
                 m ^= low
-            if not m and (c == t or not key):  # one bucket: the cell stays
+            if not m and (c == t or not first):  # one bucket: the cell stays
                 next_open.append(s)
-                if not key:
+                if not first:
                     continue
-                want = [(key, c.bit_count())]
+                want = [(first, c.bit_count())]
             else:
-                buckets = {key: t ^ m}
+                buckets = {first: t ^ m}
                 while m:
                     low = m & -m
-                    v = low.bit_length() - 1
-                    k = row_key[row_of[v]] + col_key[point_of[v]] - own[v]
+                    k = key[low.bit_length() - 1]
                     buckets[k] = buckets.get(k, 0) | low
                     m ^= low
                 if c != t:
@@ -324,11 +337,6 @@ def _refine(
         open_, new = next_open, next_new
 
 
-def _unit(n: int) -> Partition:
-    """The partition of n > 0 vertices into one cell."""
-    return [(1 << n) - 1] + [0] * (n - 1), [0] if n > 1 else []
-
-
 def _split(part: Partition, s: int, v: int) -> Partition:
     """`part` with v split off the cell at s as a singleton before the rest."""
     cells, open_ = part
@@ -342,23 +350,29 @@ def _first(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _branch_cell(part: Partition, npts: int) -> int:
+    """Start of the first smallest open point cell, or else of any open
+    cell (rows with the same points, which pointed sets never have), or -1."""
+    starts = [s for s in part[1] if s < npts] or part[1]
+    return min(starts, key=lambda s: part[0][s].bit_count(), default=-1)
+
+
 class _PairSearch:
-    """Backtracking isomorphism search from g to h.
+    """Backtracking isomorphism search from g to h on their incidence structures.
 
     g branches on the first vertex of its branch cell at every depth, so
     `_node(d)` refines g's first path once per depth, when first asked,
-    and every h candidate at depth d is refined against its trace.
+    and every h candidate at depth d is refined against its trace, with
+    the singleton as the one splitter.  The search works with incidence
+    maps; `lift` turns one into a vertex map.
     """
 
-    def __init__(
-        self,
-        g: RelColoredGraph,
-        h: RelColoredGraph,
-        stats: Optional[SearchStats] = None,
-    ):
+    def __init__(self, g: RelColoredGraph, h: RelColoredGraph, stats=None):
         self.g = g
         self.h = h
-        self.stats = SearchStats() if stats is None else stats
+        self.stats: SearchStats = SearchStats() if stats is None else stats
+        self.gi = _Incidence(g)
+        self.hi = self.gi if h is g else _Incidence(h)
         self._path: List[Tuple[Partition, Trace, int]] = []
 
     def _node(self, depth: int) -> Tuple[Partition, Trace, int]:
@@ -369,85 +383,77 @@ class _PairSearch:
                 part, _, s = path[-1]
                 trial, at = _split(part, s, _first(part[0][s])), (s,)
             else:
-                trial, at = _unit(self.g.n), (0,)
-            part, trace = _refine(self.g, trial, at, self.stats)
-            path.append((part, trace, _branch_cell(part)))
+                trial, at = self.gi.root, (0, self.gi.npts)
+            part, trace = _refine(self.gi, trial, at, self.stats)
+            path.append((part, trace, _branch_cell(part, self.gi.npts)))
         return path[depth]
 
-    def _individualize(
-        self, part: Partition, s: int, w: int, trace: Trace
-    ) -> Optional[Partition]:
-        """h's equitable `part` with w split off the cell at s, refined against `trace`.
-
-        The rest's counts follow from the singleton's, so the singleton is
-        the only splitter.  None where g's refinement differs.
-        """
-        hit = _refine(self.h, _split(part, s, w), (s,), self.stats, trace)
-        return None if hit is None else hit[0]
-
-    def _h_orbits(self) -> List[int]:
-        """The Aut(h)-orbit of each vertex of h, as a bitset."""
-        group = automorphism_group(self.h, self.stats)
-        orbits = [0] * self.h.n
-        for v in range(self.h.n):
-            if not orbits[v]:
-                orbit = _close_orbit(1 << v, group.generators)
-                for u in iter_bits(orbit):
-                    orbits[u] = orbit
-        return orbits
+    def lift(self, phi: Sequence[int]) -> Tuple[int, ...]:
+        """The vertex map (A, p) -> (phi A, phi p) of an incidence isomorphism
+        phi from g to h."""
+        at, npts, size, image = self.gi.at, self.gi.npts, self.hi.size, self.hi.vertex
+        pairs = zip(self.g.row_of, self.g.point_of)
+        return tuple(image[phi[at[p]] * size + phi[npts + r]] for r, p in pairs)
 
     def _descend(
-        self, depth: int, part: Optional[Partition], prune: bool
-    ) -> Optional[Tuple[int, ...]]:
-        """The first isomorphism below h's equitable `part` at `depth`, or None.
+        self,
+        depth: int,
+        hit: Optional[Tuple[Partition, Trace]],
+        fixed: Optional[List[int]],
+    ) -> Optional[List[int]]:
+        """The first incidence isomorphism below h's refinement `hit` at `depth`.
 
-        A failed refinement, None, has none.  `prune` skips every candidate
-        in the Aut(h)-orbit of one that failed: if an isomorphism sent v to
-        alpha(w), composing it with alpha^-1 would send v to w.  Aut(h) is
-        computed at the first failed candidate, not before.
+        A failed refinement, None, has none.  With `fixed`, the h vertices
+        individualized above, a candidate is skipped when an automorphism of
+        h that fixes them carries a failed candidate w to it: an isomorphism
+        sending v to alpha(w), composed with alpha^-1, would send v to w.
+        Aut(h) is computed at the first failed candidate, not before.
         """
-        if part is None:
+        if hit is None:
             return None
+        part = hit[0]
         g_part, _, s = self._node(depth)
         if s < 0:
-            mapping = [0] * self.g.n
+            phi = [0] * len(part[0])
             for gm, hm in zip(g_part[0], part[0]):
-                mapping[gm.bit_length() - 1] = hm.bit_length() - 1
+                phi[gm.bit_length() - 1] = hm.bit_length() - 1
             self.stats.leaves += 1
-            ok = preserves_adjacency(self.g, self.h, mapping)
-            return tuple(mapping) if ok else None
+            adj, at, npts = self.hi.adj, self.gi.at, self.gi.npts
+            pairs = zip(self.g.row_of, self.g.point_of)  # g's incidences
+            if all(adj[phi[npts + r]] >> phi[at[p]] & 1 for r, p in pairs):
+                return phi
+            return None
         trace = self._node(depth + 1)[1]
-        orbits: Optional[List[int]] = None
-        failed = 0  # union of the Aut(h)-orbits of failed candidates
+        gens: Optional[List[List[int]]] = None
+        failed = 0  # union of the orbits of failed candidates under `gens`
         for w in iter_bits(part[0][s]):
             if failed >> w & 1:
                 self.stats.orbit_prunes += 1
                 continue
-            child = self._individualize(part, s, w, trace)
-            hit = self._descend(depth + 1, child, False)
-            if hit is not None:
-                return hit
-            if prune:
-                if orbits is None:
-                    orbits = self._h_orbits()
-                failed |= orbits[w]
+            child = _refine(self.hi, _split(part, s, w), (s,), self.stats, trace)
+            below = None if fixed is None else fixed + [w]
+            phi = self._descend(depth + 1, child, below)
+            if phi is not None:
+                return phi
+            if fixed is not None:
+                if gens is None:  # Aut(h)'s generators that fix `fixed`
+                    group = automorphism_group(self.h, self.stats)
+                    gens = [self.hi.perm(p) for p in group.generators]
+                    gens = [p for p in gens if all(p[x] == x for x in fixed)]
+                failed = _close_orbit(failed | 1 << w, gens)
         return None
 
     def run(self) -> Optional[Tuple[int, ...]]:
-        """The first isomorphism, pruning root candidates by Aut(h), or None."""
-        if self.g.n != self.h.n:
+        """The first isomorphism, pruning by Aut(h), or None."""
+        gi, hi = self.gi, self.hi
+        if (self.g.n, gi.npts, gi.size) != (self.h.n, hi.npts, hi.size):
             return None
         if self.g.n == 0:
             return ()
         trace = self._node(0)[1]
-        root = _refine(self.h, _unit(self.h.n), (0,), self.stats, trace)
-        return self._descend(0, None if root is None else root[0], True)
-
-
-def _branch_cell(part: Partition) -> int:
-    """Start of the first smallest non-singleton cell, or -1 if there is none."""
-    cells, open_ = part
-    return min(open_, key=lambda s: cells[s].bit_count(), default=-1)
+        root = _refine(self.hi, self.hi.root, (0, self.hi.npts), self.stats, trace)
+        phi = self._descend(0, root, [])
+        return None if phi is None else self.lift(phi)
 
 
 def preserves_adjacency(
@@ -455,8 +461,9 @@ def preserves_adjacency(
 ) -> bool:
     """Whether the bijection `mapping` carries g's colored adjacencies onto h's.
 
-    O(n): the set and point maps it induces must be well defined and
-    injective (the module docstring has the argument).
+    O(n): vertices are distinct pointed sets, so for u != v colour 2 means
+    "same set" and colour 1 "same point", and both are kept exactly when
+    the maps induced on sets and on points are well defined and injective.
     """
     set_img: Dict[int, int] = {}
     set_pre: Dict[int, int] = {}
@@ -480,7 +487,7 @@ def find_isomorphism(
     The bijection is the first verified leaf in branch order.  `stats`,
     if given, collects the search's counts.
     """
-    return _PairSearch(g, h, stats).run()
+    return _PairSearch(g, h, stats).run() if g.n == h.n else None
 
 
 def find_matroid_isomorphism(
@@ -518,7 +525,8 @@ def find_matroid_isomorphism(
 
 
 class AutomorphismGroup:
-    """Generators plus exact order from an orbit-stabilizer chain."""
+    """Generators plus exact order from an orbit-stabilizer chain; `base`
+    has a graph vertex on each point that the chain fixes in turn."""
 
     def __init__(self, generators: List[Tuple[int, ...]], order: int, base: List[int]):
         self.generators = generators
@@ -534,8 +542,7 @@ class AutomorphismGroup:
             )
         n_pts = len(self.generators[0]) if self.generators else 0
         identity = tuple(range(n_pts))
-        seen = {identity}
-        frontier = [identity]
+        seen, frontier = {identity}, [identity]
         while frontier:
             cur = frontier.pop()
             for g in self.generators:
@@ -595,7 +602,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     base points so far as singletons, as refining from them would give.
     The levels run from the deepest up: the generators below level k fix
     b_0 .. b_k, so they carry a failed w to others that fail, and those
-    are skipped as orbit prunes.  The generators found do not change.
+    are skipped as orbit prunes.  Generators are lifted to vertex maps.
     """
     if search.g.n == 0:
         return AutomorphismGroup([], 1, [])
@@ -616,8 +623,8 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
             if failed >> w & 1:
                 search.stats.orbit_prunes += 1
                 continue
-            child = search._individualize(part, s, w, trace)
-            res = search._descend(k + 1, child, False)
+            child = _refine(search.hi, _split(part, s, w), (s,), search.stats, trace)
+            res = search._descend(k + 1, child, None)
             if res is None:
                 failed = _close_orbit(failed | 1 << w, gens)
             else:
@@ -625,8 +632,8 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens = level_gens + gens
-    base = [_first(part[0][s]) for part, _, s in search._path[:depth]]
-    return AutomorphismGroup(gens, order, base)
+    base = [search.gi.rep[_first(part[0][s])] for part, _, s in search._path[:depth]]
+    return AutomorphismGroup([search.lift(p) for p in gens], order, base)
 
 
 def disjoint_automorphism_pair(
@@ -645,13 +652,7 @@ def disjoint_automorphism_pair(
     elems = group.elements()
     identity = tuple(range(g.n))
     nontrivial = [p for p in elems if p != identity]
-    moved = []
-    for p in nontrivial:
-        mask = 0
-        for i, x in enumerate(p):
-            if x != i:
-                mask |= 1 << i
-        moved.append(mask)
+    moved = [sum(1 << i for i, x in enumerate(p) if x != i) for p in nontrivial]
 
     def scan(indices: List[int]) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         for ii, i in enumerate(indices):

@@ -197,9 +197,11 @@ def test_quantum_commands(capsys):
 MAGIC_SQUARE_SHA256 = "51301d067d3197c3f690020c2a53559e4fac7bfea4eddd10f7be10757da766fe"
 PAPER_PAIR_SHA256 = "d7e20642a267913e8091b077a2582b072d5767cc0f0ad7ff78f570af889fcb32"
 VERIFY_ISO_SHA256 = "1c1de4da9bbe1827a69193902722fbadac6cb3b7581e2059d67502392e936930"
+# the generators are those of the incidence search's chain; the group they
+# generate, as a set of vertex permutations, is the line-graph search's
 GRAPH_AUT_SHA256 = {
-    "P": "c4d337c53b40623e84c70e6ef7deb8cb318b5730926097a4d4d0f6f0739893b6",
-    "Q": "d09549e517316916c4b7bcfaec5be42dbafdd12a1dc3e141d1a488615d7f0f2b",
+    "P": "13626023eefb5968afb8be7ef7d4e044a0da0b9e997a7f0292ab68ba508d16da",
+    "Q": "7817d61eca15f4cd7d488c95db7c76895a30ffceafe14f26446bd82c4311d6de",
 }
 
 
@@ -260,11 +262,11 @@ def test_stats_flag(files, capsys):
     code, out, _ = run(capsys, *pq, "--stats")
     data = json.loads(out)
     assert code == 1 and data.pop("stats") == {
-        "refinements": 62,
-        "failedRefinements": 8,
-        "splitterCounts": 7402,
-        "orbitPrunes": 71,
-        "leaves": 9,
+        "refinements": 45,
+        "failedRefinements": 1,
+        "splitterCounts": 2796,
+        "orbitPrunes": 28,
+        "leaves": 10,
     }
     assert dumps(data) == plain
     aut = ("graph", "aut", files["P"], "--structure", "nonbases")
@@ -560,6 +562,15 @@ def test_negative_sizes_in_matroid_json_named(files, capsys, text, field):
     code, out, err = run(capsys, "matroid", "info", str(bad))
     assert code == 2 and out == ""
     assert err == f"error: MigError: matroid JSON field {field}\n"
+
+
+def test_rank_above_ground_size_in_matroid_json_named(files, capsys):
+    """A nonbasis-form rank above n has no bases at all; the field is named."""
+    bad = files["dir"] / "rank.json"
+    bad.write_text('{"n": 3, "rank": 4, "nonbases": []}')
+    code, out, err = run(capsys, "matroid", "info", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: MigError: matroid JSON field 'rank' (4) exceeds 'n' (3)\n"
 
 
 def test_repeated_constraint_variable_refused(files, capsys):

@@ -18,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import line_engine  # noqa: E402
 from mig.catalog import all_matroids  # noqa: E402
 from mig.cli import main  # noqa: E402
 from mig.derived import tutte_polynomial  # noqa: E402
@@ -30,7 +31,7 @@ from mig.relgraph import (  # noqa: E402
     find_matroid_isomorphism,
     induced_map,
 )
-from mig.structures import IsoStructure, covers  # noqa: E402
+from mig.structures import IsoStructure, covers, structure_sets  # noqa: E402
 
 DOUBLED_KINDS = (IsoStructure.NONBASES, IsoStructure.HYPERPLANES, IsoStructure.FLATS)
 SETTINGS = settings(
@@ -97,6 +98,25 @@ def test_isomorphism_vertex_map_is_induced_by_its_ground_map(case):
 
 
 catalog_matroids = st.integers(0, 6).flatmap(lambda n: st.sampled_from(all_matroids(n)))
+
+
+@SETTINGS
+@given(catalog_matroids, st.data())
+def test_incidence_search_carries_each_covering_family_across(m, data):
+    """M from the catalog, sigma M a drawn relabelling, every covering kind.
+
+    The ground map must carry the kind's family onto sigma M's, and the two
+    automorphism groups must have the order that the line-graph engine
+    finds.
+    """
+    n = m.relabel(data.draw(st.permutations(range(m.n))))
+    for kind in (k for k in IsoStructure if covers(m, k).covered):
+        ground, _ = find_matroid_isomorphism(m, n, kind)
+        fam = {_image(ground, a) for a in structure_sets(m, kind)}
+        assert fam == set(structure_sets(n, kind))
+        g, h = build_graph(m, kind), build_graph(n, kind)
+        order = line_engine.automorphism_group(g).order
+        assert automorphism_group(g).order == automorphism_group(h).order == order
 
 
 @SETTINGS

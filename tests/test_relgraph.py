@@ -34,8 +34,15 @@ from mig.relgraph import (
     find_isomorphism,
     find_matroid_isomorphism,
     induced_map,
+    preserves_adjacency,
 )
-from mig.structures import IsoStructure, covers, pointed_sets, structure_sets
+from mig.structures import (
+    IsoStructure,
+    PointedSet,
+    covers,
+    pointed_sets,
+    structure_sets,
+)
 from oracles import brute_force_automorphism_count, rel
 
 
@@ -117,23 +124,28 @@ def test_nontrivial_pair_found_and_extracted():
 def test_paper_pair_search_counters(paper_pair):
     """P vs Q on the nonbasis graphs, the call `find_isomorphism` makes.
 
-    The initial refinement leaves one 72-vertex root cell.  The first root
-    candidate fails, Aut(Q) is transitive, so the other 71 are pruned; the
-    unpruned search needed 1081 refinements.  Refinement evaluates 7402
-    (vertex, splitter) counts, only at neighbours of each splitter; Aut(Q)
-    is found on one tree, and each node of g's first path is refined once,
-    every candidate refining h alone against its trace (13334 when each
-    candidate refined both sides, 20074 when the chain refined every
-    candidate from the unit cell).  The graphs are built here, not taken
-    from `build_graph`, so that no automorphism group is already known.
+    The search runs on the incidence structures of 18 points and 24 sets
+    and branches on cells of 18, 8, 4 and 2 points down g's first path.
+    h's first candidate refines at each depth until the fourth, where the
+    refinement fails; at each depth above it the automorphisms of Q that
+    fix the points chosen higher up carry the failed candidate onto every
+    other (17 + 7 + 3 + 1 = 28 prunes).  With Aut(Q), 35 refinements and 10
+    leaves on one tree, that is 45 refinements.  The line-graph engine in
+    `line_engine` takes 62 refinements, 71 prunes and 7402 counts against
+    2796 here.  The graphs are built here, not taken from `build_graph`, so
+    that no automorphism group is already known.
     """
     kind = IsoStructure.NONBASES
     gp, gq = (RelColoredGraph(pointed_sets(m, kind)) for m in paper_pair)
     search = _PairSearch(gp, gq)
     assert search.run() is None
-    assert search.stats.orbit_prunes == 71
-    assert search.stats.refinements <= 100
-    assert search.stats.splitter_counts == 7402
+    assert search.stats.to_json() == {
+        "refinements": 45,
+        "failedRefinements": 1,
+        "splitterCounts": 2796,
+        "orbitPrunes": 28,
+        "leaves": 10,
+    }
     assert find_isomorphism(gp, gq) is None
 
 
@@ -144,25 +156,25 @@ GRID_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
 # flats, then of aut on nonbases and hyperplanes
 PINNED_WORK = {
     13: [
-        (12, 0, 1534, 0, 1),
-        (12, 0, 11884, 0, 1),
-        (14, 0, 17958, 0, 1),
-        (31, 0, 3529, 0, 7),
-        (31, 0, 28430, 0, 7),
+        (10, 0, 626, 0, 1),
+        (10, 0, 2128, 0, 1),
+        (10, 0, 2546, 0, 1),
+        (27, 0, 1628, 0, 8),
+        (22, 0, 4946, 0, 6),
     ],
     40: [
-        (12, 0, 1526, 0, 1),
-        (12, 0, 11884, 0, 1),
-        (14, 0, 17958, 0, 1),
-        (36, 0, 4188, 0, 8),
-        (36, 0, 33904, 0, 8),
+        (10, 0, 626, 0, 1),
+        (10, 0, 2128, 0, 1),
+        (10, 0, 2546, 0, 1),
+        (35, 0, 2170, 0, 10),
+        (34, 0, 7792, 0, 10),
     ],
     3: [
-        (12, 0, 1526, 0, 1),
-        (12, 0, 11884, 0, 1),
-        (14, 0, 17958, 0, 1),
-        (31, 0, 3497, 0, 7),
-        (31, 0, 28430, 0, 7),
+        (10, 0, 626, 0, 1),
+        (10, 0, 2128, 0, 1),
+        (10, 0, 2546, 0, 1),
+        (27, 0, 1628, 0, 8),
+        (30, 0, 6869, 0, 9),
     ],
 }
 
@@ -196,6 +208,46 @@ def test_search_work_pinned_on_doubled_grid_relabelings():
             assert automorphism_group(graph, stats).order == 1152
             work.append(tuple(stats.to_json().values()))
     assert got == PINNED_WORK
+
+
+def test_automorphism_group_on_large_graphs_of_p(paper_pair):
+    """Aut on P's bases (2376 vertices) and circuits (10 872) graphs.
+
+    Their incidence structures have 810 and 2742 vertices, and branching on
+    the 18 points never meets a failing candidate.  The line-graph engine
+    in `line_engine` refines 453 times on the bases graph, 429 of them
+    failing.
+    """
+    work = {}
+    for kind in (IsoStructure.BASES, IsoStructure.CIRCUITS):
+        g = RelColoredGraph(pointed_sets(paper_pair[0], kind))
+        stats = SearchStats()
+        group = automorphism_group(g, stats)
+        assert group.order == 1152
+        assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
+        work[g.n] = stats.refinements, stats.failed_refinements
+    assert work == {2376: (38, 0), 10872: (35, 0)}
+
+
+def test_rows_with_the_same_points_are_branched_on():
+    """Rows whose points agree stay in one cell once the points are discrete.
+
+    Pointed sets never give such rows, but a graph built by hand can: here
+    two sets meet the graph only in point 0 and one set only in point 1.
+    The line graph has a colour-1 edge and an isolated vertex, so swapping
+    the two vertices on point 0 is its one nontrivial automorphism.
+    """
+    g = RelColoredGraph(
+        [PointedSet(0b011, 0), PointedSet(0b101, 0), PointedSet(0b110, 1)]
+    )
+    group = automorphism_group(g)
+    assert group.order == 2 and group.generators == [(1, 0, 2)]
+    h = RelColoredGraph(
+        [PointedSet(0b110, 1), PointedSet(0b011, 0), PointedSet(0b101, 0)]
+    )
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None and preserves_adjacency(g, h, mapping)
+    assert find_isomorphism(g, RelColoredGraph(g.vertices[:2])) is None
 
 
 def test_search_matches_brute_force_verdicts(catalog5):

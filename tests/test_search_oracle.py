@@ -1,4 +1,11 @@
-"""Differential tests of the relation-graph search against a reference engine.
+"""Differential tests of the relation-graph searches against reference engines.
+
+The line-graph engine (`tests/line_engine.py`) is the search as it ran on
+the relation graph's own vertices; the production search now runs on the
+set-point incidence structure and is compared with it in
+`test_incidence_search.py`.  Here the line-graph engine is compared with
+the engines before it, and the production search with the oldest of them
+on verdicts, groups and verified maps.
 
 `OracleSearch` is the search as it was before splitter-restricted,
 neighbour-only refinement, one-sided refinement and root orbit pruning:
@@ -8,25 +15,26 @@ candidate, a search can start from prescribed vertex pairs, and leaves
 are checked by walking every neighbour bit (`_bitwalk_preserves`).
 `_oracle_chain` is the stabilizer chain as it was: it refines every level
 and every candidate from the prescribed pairs of its prefix.  The
-production engine refines g alone and h against g's trace; it must fail
+line-graph engine refines g alone and h against g's trace; it must fail
 exactly where the joint refinement fails, and otherwise its zipped cells
 must be the joint refinement's.  It must return the same first solution
-and the same automorphism groups; the production chain walks one tree, so
-its generators may differ from the oracle's, but not the group they
-generate.  `_pairwise_adjacency` is the graph build as it was, `rel` on
-every vertex pair, and the oracle for `RelColoredGraph`; the reference
-engine reads its adjacency from it, not from the graph under test.
+and the same automorphism groups; its chain walks one tree, so its
+generators may differ from the oracle's, but not the group they
+generate.  The production search must give the same verdicts, maps that
+preserve rel, and the same groups as sets of vertex permutations.
+`_pairwise_adjacency` is the graph build as it was, `rel` on every vertex
+pair, and the oracle for `RelColoredGraph`; the reference engine reads
+its adjacency from it, not from the graph under test.
 `_refine_by_pairs` is the refinement as it was before counting through
 rows and columns: two popcounts per (neighbour, splitter).
 `_top_down_chain` is the stabilizer chain as it was before its levels ran
 from the deepest up, pruning by the orbits of failed candidates.
 `_refine_by_cells` is the refinement as it was before partitions were
 positional: an ordered list of cells, every cell visited every round, and
-traces keyed by cell index.  `_refine_listed` runs the production
+traces keyed by cell index.  `_refine_listed` runs the line-graph
 refinement on such a list, so the older oracles compare with it as they
 did.
 """
-
 import random
 from functools import lru_cache
 from itertools import accumulate
@@ -36,17 +44,21 @@ import pytest
 
 from mig.bitset import elements_of, iter_bits
 from mig.errors import InvariantViolation
+from line_engine import (
+    _first,
+    _PairSearch,
+    _refine,
+    _split,
+    _stabilizer_chain,
+    _unit,
+)
+from line_engine import automorphism_group as line_group
+from line_engine import find_isomorphism as line_isomorphism
 from mig.relgraph import (
     AutomorphismGroup,
     RelColoredGraph,
     SearchStats,
     _close_orbit,
-    _PairSearch,
-    _first,
-    _refine,
-    _split,
-    _stabilizer_chain,
-    _unit,
     automorphism_group,
     build_graph,
     find_isomorphism,
@@ -450,7 +462,7 @@ def _at_starts(trace, cells):
 
 
 def _refine_listed(graph, cells, splitters, stats, against=None):
-    """The production `_refine` on an ordered cell list and splitter indexes.
+    """The line-graph `_refine` on an ordered cell list and splitter indexes.
 
     Returns the refined cell list and the positional trace, or None.
     """
@@ -710,11 +722,19 @@ def _relabelled_pairs(small_graphs, seed):
         yield g, build_graph(m.relabel(perm), kind)
 
 
+def _assert_isomorphism(g, h) -> None:
+    """The production search finds an isomorphism g -> h, and it preserves rel."""
+    got = find_isomorphism(g, h)
+    assert got is not None and preserves_adjacency(g, h, got)
+    assert _bitwalk_preserves(g, h, got)
+
+
 def test_first_solution_matches_oracle_on_relabelled_pairs(small_graphs):
     for seed in (1, 2):
         for g, h in _relabelled_pairs(small_graphs, seed):
             want = OracleSearch(g, h).run()
-            assert want is not None and find_isomorphism(g, h) == want
+            assert want is not None and line_isomorphism(g, h) == want
+            _assert_isomorphism(g, h)
 
 
 def _cycles_graph(rng):
@@ -744,6 +764,7 @@ def test_orbit_pruning_keeps_first_solution():
         search = _PairSearch(g, h)
         got = search.run()
         assert got is not None and got == OracleSearch(g, h).run()
+        _assert_isomorphism(g, h)
         prunes += search.stats.orbit_prunes
     assert prunes > 0
 
@@ -757,7 +778,10 @@ def test_first_solution_matches_oracle_on_nonisomorphic_pairs(small_graphs):
         for g in graphs[:8]:
             for h in graphs[:8]:
                 want = OracleSearch(g, h).run()
-                assert find_isomorphism(g, h) == want
+                assert line_isomorphism(g, h) == want
+                got = find_isomorphism(g, h)
+                assert (got is None) == (want is None)
+                assert got is None or _bitwalk_preserves(g, h, got)
                 negatives += want is None
     assert negatives > 500
 
@@ -845,7 +869,7 @@ def test_pruned_chain_matches_top_down_chain_on_bases_of_p(paper_pair):
 def _assert_chain_partitions(g) -> int:
     """Every level's partition and every candidate's, against the oracle's.
 
-    Level k of the production chain is node k of g's first path; each
+    Level k of the line-graph chain is node k of g's first path; each
     candidate b -> w refines h alone on the level's cells against the
     trace of node k + 1.  The oracle refines from the prescribed
     singletons of the prefix.  As sets of cell pairs they agree.
@@ -853,7 +877,7 @@ def _assert_chain_partitions(g) -> int:
     if g.n == 0:  # the chain returns before it refines an empty graph
         return 0
     new, old = _PairSearch(g, g), OracleSearch(g, g)
-    base = automorphism_group(g).base
+    base = line_group(g).base
     compared = 0
     for k, b in enumerate(base):
         prefix = [(f, f) for f in base[:k]]
@@ -914,7 +938,7 @@ def test_verdicts_match_networkx_vf2(catalog5):
 def test_refinement_matches_oracle_along_first_path(doubled_graphs):
     """Every node on the way to the first solution, with all its siblings."""
     for g, h in doubled_graphs:
-        solution = find_isomorphism(g, h)
+        solution = line_isomorphism(g, h)
         old = OracleSearch(g, h)
         unit = old._initial_cells()
         cells = _sided(g, h, unit, (0,))
@@ -942,7 +966,8 @@ def test_refinement_matches_oracle_along_first_path(doubled_graphs):
 def test_first_solution_matches_oracle_on_doubled_grid(doubled_graphs):
     for g, h in doubled_graphs:
         want = OracleSearch(g, h).run()
-        assert want is not None and find_isomorphism(g, h) == want
+        assert want is not None and line_isomorphism(g, h) == want
+        _assert_isomorphism(g, h)
 
 
 @pytest.mark.slow
