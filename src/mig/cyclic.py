@@ -16,11 +16,15 @@ their cyclic flats are re-derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .bitset import subsets_of_size
+from .derived import popcount
 from .errors import AxiomViolation, ConstructionInconsistency
-from .matroid import Matroid, check_basis_scan
+from .matroid import MAX_GROUND, Matroid, _ground_guard, check_basis_scan
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,15 @@ def matroid_from_cyclic_flats(pres: CyclicFlatPresentation) -> Matroid:
     """Reconstruct the unique matroid with the presented cyclic flats."""
     check_presentation(pres)
     n = pres.n
-    flats = pres.flats
-    rho = pres.rho
-
-    def rank_of(a_mask: int) -> int:
-        return min(rho[f] + (a_mask & ~f).bit_count() for f in flats)
-
-    r = rank_of((1 << n) - 1)
+    if n > MAX_GROUND:  # the r-subsets are held as uint64
+        raise _ground_guard(n)
+    full = (1 << n) - 1
+    r = min(pres.rho[f] + (full & ~f).bit_count() for f in pres.flats)
     check_basis_scan(n, r)
-    bases = tuple(m for m in subsets_of_size(n, r) if rank_of(m) == r)
-    if not bases:
+    subsets = np.fromiter(subsets_of_size(n, r), dtype=np.uint64, count=comb(n, r))
+    keep = np.ones(len(subsets), dtype=bool)  # rk(A) = r: every flat's term >= r
+    for f in pres.flats:
+        keep &= popcount(subsets & (full & ~f), n) >= r - pres.rho[f]
+    if not keep.any():
         raise ConstructionInconsistency("presentation produced no bases")
-    return Matroid(n, r, bases)
+    return Matroid(n, r, tuple(subsets[keep].tolist()))

@@ -1,8 +1,12 @@
 """Exhaustive derived data: independents, circuits, flats, Tutte polynomial.
 
-Everything here runs over the full 2^n subset lattice, vectorized with
-numpy tables indexed by mask.  The transforms are the usual
-subset-lattice sweeps: one pass per bit position, O(n * 2^n) total.
+The rank and independence tables run over the full 2^n subset lattice,
+vectorized with numpy tables indexed by mask: one sweep per bit position,
+O(n * 2^n) total.  The Tutte polynomial and the connectivity scan read
+them.  `derive_sets` walks only the independent sets instead, down from
+the bases, and reads every family off them and their closures (the flats
+are exactly the closures of the independent sets), so its cost follows
+|Ind| * n; the 2^n bool tables it marks only deduplicate and order.
 Ground sets are guarded (n <= DERIVE_GUARD = 24); exceeding the guard
 raises rather than truncating.
 """
@@ -20,14 +24,12 @@ import numpy as np
 from .errors import GuardExceeded, InvariantViolation
 
 DERIVE_GUARD = 24
+ROWS = 1 << 12  # rows per (sets x n) temporary of derive_sets
 
 
 @lru_cache(maxsize=None)
 def popcount_table(n: int) -> np.ndarray:
-    """uint8 array t with t[mask] = popcount(mask), for masks < 2^n.
-
-    Built once per n and shared, so it is read-only.
-    """
+    """uint8 t with t[mask] = popcount(mask) for masks < 2^n (shared, read-only)."""
     t = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         t[1 << i : 1 << (i + 1)] = t[: 1 << i] + 1
@@ -35,34 +37,31 @@ def popcount_table(n: int) -> np.ndarray:
     return t
 
 
-def _bit_passes(tables, n: int, visit) -> list:
-    """Call visit(*views) once per bit i, on views of shape (-1, 2, 2^i).
+def popcount(masks: np.ndarray, n: int) -> np.ndarray:
+    """Bit counts of an array of masks below 2^n (n <= 64), 16 bits at a time."""
+    t = popcount_table(16)
+    out = t[masks & 0xFFFF]
+    for shift in range(16, n, 16):
+        out = out + t[masks >> shift & 0xFFFF]
+    return out
 
-    numpy is slow over runs shorter than 2^(n // 2), so the low bits run on
-    copies with those index bits moved to the top.  Returns the swept copies.
+
+def _bit_passes(table: np.ndarray, n: int, visit) -> np.ndarray:
+    """Call visit(view) once per bit i on a copy of `table`, with the view of
+    shape (-1, 2, 2^i); return the swept copy.
+
+    numpy is slow over runs shorter than 32 entries, so the low
+    h = min(n // 2, 5) bits run first on a copy with those index bits moved
+    to the top.
     """
-    h = n // 2
-    low = [t.reshape(-1, 1 << h).T.flatten() for t in tables]
+    h = min(n // 2, 5)
+    low = table.reshape(-1, 1 << h).T.flatten()
     for i in range(n - h, n):
-        visit(*(t.reshape(-1, 2, 1 << i) for t in low))
-    high = [t.reshape(-1, 1 << (n - h)).T.flatten() for t in low]
+        visit(low.reshape(-1, 2, 1 << i))
+    high = low.reshape(-1, 1 << (n - h)).T.flatten()
     for i in range(h, n):
-        visit(*(t.reshape(-1, 2, 1 << i) for t in high))
+        visit(high.reshape(-1, 2, 1 << i))
     return high
-
-
-def or_over_supersets(flags: np.ndarray, n: int) -> np.ndarray:
-    """out[A] = OR of flags[B] over B >= A (supersets)."""
-    return _bit_passes(
-        [flags], n, lambda v: np.bitwise_or(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
-    )[0]
-
-
-def max_over_subsets(vals: np.ndarray, n: int) -> np.ndarray:
-    """out[A] = max of vals[B] over B <= A (subsets)."""
-    return _bit_passes(
-        [vals], n, lambda v: np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    )[0]
 
 
 def _guard(m) -> None:
@@ -77,10 +76,12 @@ def independence_table(m) -> np.ndarray:
     """uint8 table: 1 iff the mask is an independent set of `m` (cached)."""
     _guard(m)
 
-    def build() -> np.ndarray:
+    def build() -> np.ndarray:  # OR over supersets of the bases
         t = np.zeros(1 << m.n, dtype=np.uint8)
         t[list(m.bases)] = 1
-        return or_over_supersets(t, m.n)
+        return _bit_passes(
+            t, m.n, lambda v: np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 0])
+        )
 
     return m.cached("independence_table", build)
 
@@ -90,8 +91,10 @@ def rank_table(m) -> np.ndarray:
     _guard(m)
     return m.cached(
         "rank_table",
-        lambda: max_over_subsets(
-            popcount_table(m.n) * independence_table(m), m.n
+        lambda: _bit_passes(  # max over subsets of the independent sizes
+            popcount_table(m.n) * independence_table(m),
+            m.n,
+            lambda v: np.maximum(v[:, 1], v[:, 0], out=v[:, 1]),
         ),
     )
 
@@ -117,37 +120,56 @@ def derive_sets(m) -> SubsetReport:
 
 
 def _derive_sets(m) -> SubsetReport:
-    n = m.n
-    rk = rank_table(m)
-    pc = popcount_table(n)
+    n, r = m.n, m.rank
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    ind, mark = np.zeros((2, 1 << n), dtype=bool)
 
-    # One sweep: per bit i, the rank step d = r[A+i] - r[A] (0 or 1) over
-    # the sets A without i.  A is a flat iff every step out of it is 1, and
-    # A+i has a coloop iff some step into it is 1.  Circuits are the sets
-    # of nullity 1 without a coloop, cyclic flats the flats without one.
-    def visit(r, flat, has_coloop):
-        d = step.reshape(-1, r.shape[2])
-        np.subtract(r[:, 1, :], r[:, 0, :], out=d)
-        flat[:, 0, :] &= d
-        has_coloop[:, 1, :] |= d
+    def read() -> np.ndarray:
+        """The marked masks in colex order; the marks are cleared."""
+        out = np.flatnonzero(mark)
+        mark[out] = False
+        return out
 
-    step = np.empty(1 << max(n - 1, 0), dtype=np.uint8)
-    fresh = (np.ones(1 << n, dtype=np.uint8), np.zeros(1 << n, dtype=np.uint8))
-    _, flat, has_coloop = _bit_passes((rk, *fresh), n, visit)
-    circuits_mask = (pc == rk + 1) & (has_coloop == 0)
+    # level k - 1 is every I - e over level k; I itself is marked too (for
+    # e not in I), so level k is unmarked
+    level = np.array(m.bases, dtype=np.int64)
+    ind[level] = True
+    for _ in range(r):
+        for s in range(0, len(level), ROWS):
+            mark[level[s : s + ROWS, None] & ~bits] = True
+        mark[level] = False
+        level = read()
+        ind[level] = True
+    independents = np.flatnonzero(ind)
 
-    def listed(mask: np.ndarray) -> Tuple[int, ...]:
-        return tuple(np.flatnonzero(mask).tolist())
+    # cl(I) adds each e with I + e dependent.  A circuit C is I + e with
+    # e = max C and every C - f independent; cl(I) has rank |I|.
+    closures = np.empty_like(independents)
+    for s in range(0, len(independents), ROWS):
+        rows = independents[s : s + ROWS, None]
+        grown = rows | bits
+        dep = ~ind[grown]
+        closures[s : s + ROWS] = rows[:, 0] | dep @ bits
+        new = grown[dep & (bits > rows)]
+        mark[new[ind[new[:, None] & ~bits].sum(axis=1) == popcount(new, n)]] = True
+    circuits = read()
+    mark[closures] = True
+    flats = read()
+    at = np.searchsorted(flats, closures)
+    rank = np.empty(len(flats), dtype=np.uint8)
+    rank[at] = popcount(independents, n)
+    # the independents closing to F are the bases of M|F: F is cyclic iff
+    # M|F has no coloop
+    meet = np.full(len(flats), -1, dtype=np.int64)
+    np.bitwise_and.at(meet, at, independents)
 
+    # independents, circuits, flats, hyperplanes, cyclic flats
+    families = (independents, circuits, flats, flats[rank == r - 1], flats[meet == 0])
     return SubsetReport(
-        independents=listed(independence_table(m)),
-        circuits=listed(circuits_mask),
-        flats=listed(flat),
-        hyperplanes=listed(flat & (rk == m.rank - 1)),
-        cyclic_flats=listed(flat > has_coloop),
+        *(tuple(f.tolist()) for f in families),
         loops=m.loops(),
         coloops=m.coloops(),
-        girth=int(pc[circuits_mask].min()) if circuits_mask.any() else None,
+        girth=int(popcount(circuits, n).min()) if len(circuits) else None,
     )
 
 
@@ -165,19 +187,6 @@ class TuttePolynomial:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        terms = []
-        for (i, j), c in sorted(self.coeffs.items()):
-            parts = []
-            if c != 1 or (i == 0 and j == 0):
-                parts.append(str(c))
-            if i:
-                parts.append(f"x^{i}" if i > 1 else "x")
-            if j:
-                parts.append(f"y^{j}" if j > 1 else "y")
-            terms.append("*".join(parts))
-        return " + ".join(terms) if terms else "0"
 
     def terms_sorted(self):
         return sorted(self.coeffs.items())

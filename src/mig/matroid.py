@@ -139,19 +139,6 @@ class Matroid:
         every = subsets_of_size(self.n, self.rank)
         return self.cached("nonbases", lambda: tuple(sorted({*every} - {*self.bases})))
 
-    def independent_sets(self) -> Tuple[int, ...]:
-        """All independent sets (subsets of bases), canonical order."""
-        out = set()
-        stack = list(self.bases)
-        while stack:
-            m = stack.pop()
-            if m in out:
-                continue
-            out.add(m)
-            for e in iter_bits(m):
-                stack.append(m ^ (1 << e))
-        return tuple(sorted(out))
-
     # -- constructions on matroids ----------------------------------------
 
     def relabel(self, perm: Sequence[int]) -> "Matroid":
@@ -223,7 +210,8 @@ class Matroid:
 
     # -- predicates ---------------------------------------------------------
     #
-    # One lattice route: the girth and the hyperplanes of `derive_sets`.
+    # One route: the girth and the hyperplanes of `derive_sets`, which walks
+    # the independent sets rather than the subset lattice.
 
     def girth(self) -> Optional[int]:
         """Size of the smallest circuit, or None when there is none."""

@@ -525,13 +525,11 @@ def find_matroid_isomorphism(
 
 
 class AutomorphismGroup:
-    """Generators plus exact order from an orbit-stabilizer chain; `base`
-    has a graph vertex on each point that the chain fixes in turn."""
+    """Generators plus exact order from an orbit-stabilizer chain."""
 
-    def __init__(self, generators: List[Tuple[int, ...]], order: int, base: List[int]):
+    def __init__(self, generators: List[Tuple[int, ...]], order: int):
         self.generators = generators
         self.order = order
-        self.base = base
 
     def elements(self) -> List[Tuple[int, ...]]:
         """Every group element via closure of the generators (guarded)."""
@@ -605,7 +603,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     are skipped as orbit prunes.  Generators are lifted to vertex maps.
     """
     if search.g.n == 0:
-        return AutomorphismGroup([], 1, [])
+        return AutomorphismGroup([], 1)
     depth = 0
     while search._node(depth)[2] >= 0:
         depth += 1
@@ -632,8 +630,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
                 orbit = _close_orbit(orbit | (1 << w), level_gens)
         order *= orbit.bit_count()
         gens = level_gens + gens
-    base = [search.gi.rep[_first(part[0][s])] for part, _, s in search._path[:depth]]
-    return AutomorphismGroup([search.lift(p) for p in gens], order, base)
+    return AutomorphismGroup([search.lift(p) for p in gens], order)
 
 
 def disjoint_automorphism_pair(

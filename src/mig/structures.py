@@ -53,10 +53,9 @@ def _structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
         return m.bases
     if kind is IsoStructure.NONBASES:
         return m.nonbases()
-    if kind is IsoStructure.INDEPENDENT:
-        return m.independent_sets()
     rep = derive_sets(m)
     return {
+        IsoStructure.INDEPENDENT: rep.independents,
         IsoStructure.CIRCUITS: rep.circuits,
         IsoStructure.FLATS: rep.flats,
         IsoStructure.HYPERPLANES: rep.hyperplanes,

@@ -32,7 +32,16 @@ Partition = Tuple[List[int], List[int]]  # (cells, open), positional
 # per round, each touched cell's start -> its (count key, size) buckets in key order
 Trace = List[Dict[int, List[Tuple[int, int]]]]
 
-_GROUPS: "weakref.WeakKeyDictionary[RelColoredGraph, AutomorphismGroup]" = (
+
+class ChainGroup(AutomorphismGroup):
+    """A group with the base of its chain: the vertex each level fixes."""
+
+    def __init__(self, generators: List[Tuple[int, ...]], order: int, base: List[int]):
+        super().__init__(generators, order)
+        self.base = base
+
+
+_GROUPS: "weakref.WeakKeyDictionary[RelColoredGraph, ChainGroup]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -313,7 +322,7 @@ def _branch_cell(part: Partition) -> int:
 
 
 
-def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
+def _stabilizer_chain(search: _PairSearch) -> ChainGroup:
     """Automorphism group of `search.g`, which must be `search.h`.
 
     Level k is node k of g's first path, whose branch cell starts with the
@@ -327,7 +336,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     are skipped as orbit prunes.  The generators found do not change.
     """
     if search.g.n == 0:
-        return AutomorphismGroup([], 1, [])
+        return ChainGroup([], 1, [])
     depth = 0
     while search._node(depth)[2] >= 0:
         depth += 1
@@ -355,7 +364,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
         order *= orbit.bit_count()
         gens = level_gens + gens
     base = [_first(part[0][s]) for part, _, s in search._path[:depth]]
-    return AutomorphismGroup(gens, order, base)
+    return ChainGroup(gens, order, base)
 
 
 def find_isomorphism(
@@ -367,7 +376,7 @@ def find_isomorphism(
 
 def automorphism_group(
     g: RelColoredGraph, stats: Optional[SearchStats] = None
-) -> AutomorphismGroup:
+) -> ChainGroup:
     """The stabilizer chain on g's vertices, computed once per graph."""
     if g not in _GROUPS:
         _GROUPS[g] = _stabilizer_chain(_PairSearch(g, g, stats))

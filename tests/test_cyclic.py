@@ -10,13 +10,20 @@ from mig.cyclic import (
     matroid_from_cyclic_flats,
 )
 from mig.derived import derive_sets
-from mig.errors import AxiomViolation
+from mig.errors import AxiomViolation, GuardExceeded
 
 
 def test_free_presentation_gives_uniform():
     full = (1 << 18) - 1
     pres = CyclicFlatPresentation(18, (0, full), {0: 0, full: 3})
     assert matroid_from_cyclic_flats(pres) == uniform_matroid(3, 18)
+
+
+def test_ground_guard_before_the_basis_scan():
+    full = (1 << 65) - 1
+    pres = CyclicFlatPresentation(65, (0, full), {0: 0, full: 1})
+    with pytest.raises(GuardExceeded, match="65 elements exceeds the guard MAX_GROUND"):
+        matroid_from_cyclic_flats(pres)
 
 
 def test_rank_zero_bottom_required():

@@ -16,6 +16,7 @@ from mig.derived import (
     tutte_polynomial,
 )
 from mig.errors import GuardExceeded
+from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
 
 
 def brute_report(m):
@@ -240,20 +241,45 @@ def _add_at_tutte(m):
     return {k: v for k, v in acc.items() if v}
 
 
-def test_one_sweep_and_bincount_match_oracles(catalog5, catalog6, paper_pair):
-    """The fused sweep and the uint16 count agree with the old routes."""
+def _families(rep):
+    return (
+        rep.independents,
+        rep.circuits,
+        rep.flats,
+        rep.hyperplanes,
+        rep.cyclic_flats,
+    )
+
+
+def test_derive_sets_and_bincount_match_oracles(catalog5, catalog6, paper_pair):
+    """The independent-set walk and the uint16 count agree with the lattice
+    routes."""
     grid = matroid_from_nonbases(
         9, 3, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8]]
     )
     small = [m for n in range(6) for m in catalog5[n]] + list(catalog6)
     for m in small + [grid, *paper_pair]:
-        rep = _derive_sets(m)
-        got = (
-            rep.independents,
-            rep.circuits,
-            rep.flats,
-            rep.hyperplanes,
-            rep.cyclic_flats,
-        )
-        assert got == _three_sweep_families(m)
+        assert _families(_derive_sets(m)) == _three_sweep_families(m)
         assert _tutte_polynomial(m).coeffs == _add_at_tutte(m)
+
+
+def _sign_patterns():
+    grid = grid_matroid()
+    lines = grid.cyclic_hyperplanes()
+    for pattern in range(1 << len(lines)):
+        negative = [h for i, h in enumerate(lines) if pattern >> i & 1]
+        yield m_s_matroid(grid, SignAssignment.with_negatives(grid, negative))
+
+
+def test_independent_walk_matches_lattice_oracles(paper_pair):
+    """Every doubled grid, sparse and dense uniform matroids, P's dual."""
+    doubled = list(_sign_patterns())
+    assert len(doubled) == 64
+    uniform = [uniform_matroid(r, n) for r, n in ((3, 18), (0, 3), (4, 4), (9, 18))]
+    for m in doubled + uniform + [paper_pair[0].dual()]:
+        rep = _derive_sets(m)
+        assert _families(rep) == _three_sweep_families(m)
+        circuits = rep.circuits
+        assert rep.girth == (min(c.bit_count() for c in circuits) if circuits else None)
+        if m.n <= 4:
+            assert _families(rep) == tuple(map(tuple, brute_report(m)))

@@ -120,7 +120,7 @@ def test_rank_and_closure(grid):
 def test_rank_against_definition(catalog5):
     """Oracle: rank = size of the largest independent subset (by definition)."""
     for m in catalog5[4]:
-        ind = set(m.independent_sets())
+        ind = {s for b in m.bases for s in _subsets(b)}
         for a in range(1 << m.n):
             want = max(
                 (bin(s).count("1") for s in _subsets(a) if s in ind), default=0

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import line_engine  # noqa: E402
 from mig.catalog import all_matroids  # noqa: E402
 from mig.cli import main  # noqa: E402
-from mig.derived import tutte_polynomial  # noqa: E402
+from mig.derived import derive_sets, tutte_polynomial  # noqa: E402
 from mig.jsonio import dumps, matroid_from_json, matroid_to_json  # noqa: E402
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid  # noqa: E402
 from mig.matroid import Matroid  # noqa: E402
@@ -124,6 +124,22 @@ def test_incidence_search_carries_each_covering_family_across(m, data):
 def test_tutte_polynomial_of_the_dual_swaps_x_and_y(m):
     swapped = {(j, i): c for (i, j), c in tutte_polynomial(m).coeffs.items()}
     assert tutte_polynomial(m.dual()).coeffs == swapped
+
+
+@SETTINGS
+@given(catalog_matroids, st.data())
+def test_derive_sets_commutes_with_relabelling(m, data):
+    """Each family of pi M is the pi-image of M's, in canonical order."""
+    perm = data.draw(st.permutations(range(m.n)))
+
+    def image(mask):
+        return sum(1 << perm[e] for e in range(m.n) if mask >> e & 1)
+
+    rep, got = derive_sets(m), derive_sets(m.relabel(perm))
+    for name in ("independents", "circuits", "flats", "hyperplanes", "cyclic_flats"):
+        assert getattr(got, name) == tuple(sorted(map(image, getattr(rep, name))))
+    assert (got.loops, got.coloops) == (image(rep.loops), image(rep.coloops))
+    assert got.girth == rep.girth
 
 
 @st.composite

@@ -45,6 +45,7 @@ import pytest
 from mig.bitset import elements_of, iter_bits
 from mig.errors import InvariantViolation
 from line_engine import (
+    ChainGroup,
     _first,
     _PairSearch,
     _refine,
@@ -210,14 +211,14 @@ def _branch_index(cells: Sequence[int]) -> int:
     return branch_at
 
 
-def _oracle_chain(search: OracleSearch) -> AutomorphismGroup:
+def _oracle_chain(search: OracleSearch) -> ChainGroup:
     """Automorphism group of `search.g`, which must be `search.h`."""
     g = search.g
     fixed: List[int] = []
     gens: List[Tuple[int, ...]] = []
     order = 1
     if g.n == 0:
-        return AutomorphismGroup([], 1, [])
+        return ChainGroup([], 1, [])
     while True:
         cells = search._refine(search._initial_cells([(f, f) for f in fixed]))
         if cells is None:
@@ -246,7 +247,7 @@ def _oracle_chain(search: OracleSearch) -> AutomorphismGroup:
         order *= orbit.bit_count()
         gens.extend(level_gens)
         fixed.append(b)
-    return AutomorphismGroup(gens, order, fixed)
+    return ChainGroup(gens, order, fixed)
 
 
 def _individualizations(cells, branch_at):
@@ -805,10 +806,10 @@ def test_automorphism_group_matches_oracle(small_graphs, pq_graphs):
         _assert_same_group(g, automorphism_group(g), _oracle_chain(OracleSearch(g, g)))
 
 
-def _top_down_chain(search: _PairSearch) -> AutomorphismGroup:
+def _top_down_chain(search: _PairSearch) -> ChainGroup:
     """`_stabilizer_chain` as it was: levels from the root down, no failure pruning."""
     if search.g.n == 0:
-        return AutomorphismGroup([], 1, [])
+        return ChainGroup([], 1, [])
     fixed: List[int] = []
     gens: List[Tuple[int, ...]] = []
     order = 1
@@ -833,7 +834,7 @@ def _top_down_chain(search: _PairSearch) -> AutomorphismGroup:
         gens.extend(level_gens)
         fixed.append(b)
         depth += 1
-    return AutomorphismGroup(gens, order, fixed)
+    return ChainGroup(gens, order, fixed)
 
 
 def _assert_same_chain(vertices) -> Tuple[SearchStats, SearchStats]:
