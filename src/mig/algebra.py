@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import iter_bits, mask_of
+from .bitset import mask_of
 from .errors import GuardExceeded, UnsupportedKind
 from .matroid import Matroid
 from .relgraph import (
@@ -309,12 +310,13 @@ def export_comparison_substitution(
     """
     require_covering(kind, m, n)
     g, h = build_graph(m, kind), build_graph(n, kind)
-    out = {}
-    for a, col in enumerate(g.by_point):
-        row = (col & -col).bit_length() - 1
-        for x, answers in enumerate(h.by_point):
-            out[f"w[{a}][{x}]"] = [f"u[{row}][{j}]" for j in iter_bits(answers)]
-    return out
+    rows = [g.point_of.index(a) for a in range(m.n)]  # the least vertex on a
+    answers = [[j for j, x in enumerate(h.point_of) if x == y] for y in range(n.n)]
+    return {
+        f"w[{a}][{x}]": [f"u[{row}][{j}]" for j in answers[x]]
+        for a, row in enumerate(rows)
+        for x in range(n.n)
+    }
 
 
 # -- screeners -----------------------------------------------------------------
@@ -385,12 +387,12 @@ def _membership_pattern(g: RelColoredGraph) -> Optional[List[List[int]]]:
 
     An element lies in one member exactly when one vertex has it as point.
     """
+    count = Counter(g.point_of)
     buckets: Dict[int, List[int]] = {}
-    for e, col in enumerate(g.by_point):
-        if col and not col & (col - 1):
-            owner = g.vertices[col.bit_length() - 1].members
-            buckets.setdefault(owner, []).append(e)
-    keyed = [elems for _, elems in sorted(buckets.items()) if len(elems) >= 2]
+    for a, e in g.vertices:
+        if count[e] == 1:
+            buckets.setdefault(a, []).append(e)
+    keyed = [sorted(elems) for _, elems in sorted(buckets.items()) if len(elems) >= 2]
     if keyed and len(keyed[0]) >= 4:
         return [keyed[0][:2], keyed[0][2:4]]
     if len(keyed) >= 2:
@@ -398,9 +400,9 @@ def _membership_pattern(g: RelColoredGraph) -> Optional[List[List[int]]]:
     return None
 
 
-def _transposition(g: RelColoredGraph, a: int, b: int) -> Tuple[int, ...]:
-    """The automorphism of g that the ground transposition (a b) induces."""
-    swap = list(range(len(g.by_point)))
+def _transposition(g: RelColoredGraph, n: int, a: int, b: int) -> Tuple[int, ...]:
+    """The automorphism of g that the transposition (a b) of 0..n-1 induces."""
+    swap = list(range(n))
     swap[a], swap[b] = b, a
     return induced_map(g, g, swap)
 
@@ -418,7 +420,7 @@ def noncommutativity_certificate(
     g = build_graph(m, kind)
     ground = _membership_pattern(g)
     if ground is not None:
-        perm1, perm2 = (_transposition(g, a, b) for a, b in ground)
+        perm1, perm2 = (_transposition(g, m.n, a, b) for a, b in ground)
         method = "membership-pattern"
     else:
         hit = disjoint_automorphism_pair(g)

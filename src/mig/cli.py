@@ -40,6 +40,15 @@ def _parse_elements(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _ground_mask(text: Optional[str], flag: str, n: int) -> int:
+    """The mask of the elements that option `flag` lists, each below n."""
+    elems = _parse_elements(text) if text else []
+    for e in elems:
+        if not 0 <= e < n:
+            raise MigError(f"{flag} names {e}, not an element of 0..{n - 1}")
+    return mask_of(elems)
+
+
 def _output(out: Optional[str]):
     """The --out file to write, or stdout."""
     if out:
@@ -75,8 +84,8 @@ def cmd_matroid(args) -> int:
         _emit(matroid_to_json(m.dual()), args.out)
         return EXIT_OK
     if args.action == "minor":
-        cmask = mask_of(_parse_elements(args.contract)) if args.contract else 0
-        dmask = mask_of(_parse_elements(args.delete)) if args.delete else 0
+        cmask = _ground_mask(args.contract, "--contract", m.n)
+        dmask = _ground_mask(args.delete, "--delete", m.n)
         if cmask & dmask:
             raise MigError("contract and delete sets overlap")
         out = m.contract(cmask) if cmask else m

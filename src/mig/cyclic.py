@@ -67,14 +67,14 @@ def check_presentation(pres: CyclicFlatPresentation) -> None:
         raise AxiomViolation(0, 0, 0, "rank map domain differs from the family")
     joins = {}
     meets = {}
-    for x in flats:
-        for y in flats:
+    for i, x in enumerate(flats):  # join and meet are symmetric
+        for y in flats[i:]:
             j = _lattice_join(flats, x, y)
             w = _lattice_meet(flats, x, y)
             if j is None or w is None:
                 raise AxiomViolation(0, x, y, "pair has no join or no meet")
-            joins[(x, y)] = j
-            meets[(x, y)] = w
+            joins[(x, y)] = joins[(y, x)] = j
+            meets[(x, y)] = meets[(y, x)] = w
     bottom = flats[0]
     for f in flats[1:]:
         bottom = meets[(bottom, f)]

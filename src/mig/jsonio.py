@@ -46,12 +46,14 @@ def _is_int_list(x: object) -> bool:
     return isinstance(x, list) and all(_is_int(e) for e in x)
 
 
-def _family_field(data: Dict, key: str) -> List[List[int]]:
+def _family_field(data: Dict, key: str, n: int) -> List[List[int]]:
     fam = data[key]
     if not isinstance(fam, list) or not all(_is_int_list(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} must be a list of integer lists")
     if any(e < 0 for s in fam for e in s):
         raise MigError(f"matroid JSON field {key!r} holds a negative element")
+    if any(e >= n for s in fam for e in s):
+        raise MigError(f"matroid JSON field {key!r} holds an element >= 'n' ({n})")
     if any(len(set(s)) != len(s) for s in fam):
         raise MigError(f"matroid JSON field {key!r} repeats an element in a member")
     return fam
@@ -67,7 +69,7 @@ def matroid_from_json(data: Dict) -> Matroid:
         raise MigError("matroid JSON field 'labels' must be a list of strings")
     if "bases" in data:
         n = _int_field(data, "n")
-        m = matroid_from_bases(n, _family_field(data, "bases"), labels)
+        m = matroid_from_bases(n, _family_field(data, "bases", n), labels)
         if "rank" in data and _int_field(data, "rank") != m.rank:
             raise MigError(
                 f"declared rank {data['rank']} does not match the bases ({m.rank})"
@@ -77,7 +79,8 @@ def matroid_from_json(data: Dict) -> Matroid:
         n, rank = _int_field(data, "n"), _int_field(data, "rank")
         if rank > n:
             raise MigError(f"matroid JSON field 'rank' ({rank}) exceeds 'n' ({n})")
-        return matroid_from_nonbases(n, rank, _family_field(data, "nonbases"), labels)
+        nonbases = _family_field(data, "nonbases", n)
+        return matroid_from_nonbases(n, rank, nonbases, labels)
     raise MigError("matroid JSON needs a 'bases' or 'nonbases' field")
 
 

@@ -7,19 +7,20 @@ non-edges, so a bijection preserves rel on all pairs exactly when it
 preserves both colored adjacencies.
 
 The graph is the line graph of the incidence between its sets (rows) and
-points (columns), vertex (A, p) being the incidence of A and p, and the
-search runs on that incidence structure: the k covered points, then the
-sets, |F| + k vertices against the graph's sum of |A|.  Colour 2 (or
-equality) is "same row" and colour 1 "same column", so a colour-preserving
-bijection of graphs is a pair of bijections, on rows and on points, that
-carries incidences onto incidences, and each such pair maps (A, p) to
-(A', p'): the isomorphisms correspond one to one and the groups agree.
-Uncovered points have no vertex and stay out (as isolated points they
-would multiply the group by k!).  Only point cells are branched on: the
-sets are distinct sets of points, so once the points are singletons an
-equitable partition splits the sets too.  A leaf zips into bijections on
-points and on sets and is verified in O(n): each incidence of g must go
-to one of h.  Maps and generators come back as vertex permutations.
+points (columns), vertex (A, p) being the incidence of A and p.  It is
+kept as that incidence structure, built once with the graph, and the
+search runs on it: the k covered points, then the sets, |F| + k vertices
+against the graph's sum of |A|.  Colour 2 (or equality) is "same row" and
+colour 1 "same column", so a colour-preserving bijection of graphs is a
+pair of bijections, on rows and on points, that carries incidences onto
+incidences, and each such pair maps (A, p) to (A', p'): the isomorphisms
+correspond one to one and the groups agree.  Uncovered points have no
+vertex and stay out (as isolated points they would multiply the group by
+k!).  Only point cells are branched on: the sets are distinct sets of
+points, so once the points are singletons an equitable partition splits
+the sets too.  A leaf zips into bijections on points and on sets and is
+verified in O(n): each incidence of g must go to one of h.  Maps and
+generators come back as vertex permutations.
 
 The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton point cell, in
@@ -65,14 +66,16 @@ GROUP_ENUM_CAP = 20_000
 
 
 class RelColoredGraph:
-    """Colored graph on distinct pointed sets, kept as rows and columns.
+    """Colored graph on distinct pointed sets, kept as its set-point incidence.
 
-    Row r, `by_set[r]`, is the mask of the vertices with one set, and
-    column p, `by_point[p]`, of those with point p; vertex v lies in row
-    `row_of[v]` and column `point_of[v]`.  Its colour-2 neighbours are the
-    rest of its row, its colour-1 neighbours the rest of its column.  The
-    automorphism group and the vertex index are computed at most once, on
-    first use, and kept here.
+    Vertex v is the incidence of row (set) `row_of[v]` and point
+    `point_of[v]`; its colour-2 neighbours share its row, its colour-1
+    neighbours its point.  Node i < `npts` of the incidence structure is
+    the i-th covered point and node npts + r is row r; `adj[x]` is the
+    mask of x's incidences, `rep[x]` a vertex on x and `at[p]` the node of
+    point p (-1 if p is uncovered).  Counts fit in `width` bits; `root`
+    has the points and the rows as two cells.  The automorphism group and
+    the vertex index are computed at most once, on first use, and kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -80,15 +83,26 @@ class RelColoredGraph:
         self.n = len(self.vertices)
         if len(set(self.vertices)) != self.n:
             raise InvariantViolation("relation graph vertices repeat a pointed set")
-        by_set: Dict[int, int] = {}
-        self.by_point = [0] * (max((p for _, p in self.vertices), default=-1) + 1)
-        for i, (a, p) in enumerate(self.vertices):
-            by_set[a] = by_set.get(a, 0) | 1 << i
-            self.by_point[p] |= 1 << i
-        row_id = {a: r for r, a in enumerate(by_set)}
-        self.by_set = list(by_set.values())
-        self.row_of = [row_id[a] for a, _ in self.vertices]
+        row_id: Dict[int, int] = {}
+        self.row_of = [row_id.setdefault(a, len(row_id)) for a, _ in self.vertices]
         self.point_of = [p for _, p in self.vertices]
+        covered = sorted(set(self.point_of))
+        self.at = at = [-1] * (covered[-1] + 1 if covered else 0)
+        for i, p in enumerate(covered):
+            at[p] = i
+        self.npts = npts = len(covered)
+        self.size = size = npts + len(row_id)
+        self.adj = adj = [0] * size
+        self.rep = rep = [0] * size
+        for v, (r, p) in enumerate(zip(self.row_of, self.point_of)):
+            i, r = at[p], npts + r
+            adj[i] |= 1 << r
+            adj[r] |= 1 << i
+            rep[i] = rep[r] = v
+        self.width = max(npts, size - npts).bit_length()
+        cells = [0] * max(size, 1)  # the empty graph is never searched
+        cells[0], cells[npts] = (1 << npts) - 1, (1 << size) - (1 << npts)
+        self.root = cells, [s for s in (0, npts) if cells[s] & (cells[s] - 1)]
         self._aut: Optional[AutomorphismGroup] = None
         self._index: Optional[Dict[PointedSet, int]] = None
 
@@ -104,12 +118,19 @@ class RelColoredGraph:
         return (row[:, None] != row) + np.int8(2) * (point[:, None] != point)
 
     def edges(self, color: int) -> List[Tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            row, col = self.by_set[self.row_of[i]], self.by_point[self.point_of[i]]
-            adj = col & ~row if color == 1 else row & ~col
-            out += [(i, j) for j in iter_bits(adj >> i + 1 << i + 1)]
-        return out
+        """The colour-`color` edges (i, j), i < j, in order: distinct vertices
+        share their point (colour 1) or their row (colour 2), never both."""
+        key = self.point_of if color == 1 else self.row_of
+        ends: Dict[int, List[int]] = {}
+        for v, k in enumerate(key):
+            ends.setdefault(k, []).append(v)
+        return [(i, j) for i, k in enumerate(key) for j in ends[k] if j > i]
+
+    def perm(self, vertex_perm: Sequence[int]) -> List[int]:
+        """The incidence permutation of an automorphism of the graph."""
+        npts = self.npts
+        out = [self.at[self.point_of[vertex_perm[v]]] for v in self.rep[:npts]]
+        return out + [npts + self.row_of[vertex_perm[v]] for v in self.rep[npts:]]
 
 
 def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
@@ -175,54 +196,14 @@ class SearchStats:
         }
 
 
-class _Incidence:
-    """The set-point incidence structure of a graph, built for one search.
-
-    Vertex i < `npts` is the i-th covered point and vertex npts + r is row
-    r; `adj[x]` is the mask of x's incidences, `rep[x]` a graph vertex on x,
-    `at[p]` the vertex of point p (-1 if p is uncovered) and `vertex[i *
-    size + x]` the graph vertex on point i and row x.  Counts fit in `width`
-    bits; `root` has the points and the rows as two cells.
-    """
-
-    __slots__ = ("graph", "npts", "size", "adj", "rep", "at", "vertex", "width", "root")
-
-    def __init__(self, graph: RelColoredGraph):
-        self.graph = graph
-        covered = [p for p, col in enumerate(graph.by_point) if col]
-        self.at = at = [-1] * len(graph.by_point)
-        for i, p in enumerate(covered):
-            at[p] = i
-        self.npts = npts = len(covered)
-        self.size = size = npts + len(graph.by_set)
-        self.adj = adj = [0] * size
-        self.rep = rep = [0] * size
-        self.vertex: Dict[int, int] = {}
-        for v, (r, p) in enumerate(zip(graph.row_of, graph.point_of)):
-            i, r = at[p], npts + r
-            adj[i] |= 1 << r
-            adj[r] |= 1 << i
-            rep[i] = rep[r] = self.vertex[i * size + r] = v
-        self.width = max(npts, size - npts).bit_length()
-        cells = [0] * max(size, 1)  # the empty graph is never searched
-        cells[0], cells[npts] = (1 << npts) - 1, (1 << size) - (1 << npts)
-        self.root = cells, [s for s in (0, npts) if cells[s] & (cells[s] - 1)]
-
-    def perm(self, vertex_perm: Sequence[int]) -> List[int]:
-        """The incidence permutation of an automorphism of the graph."""
-        graph, npts = self.graph, self.npts
-        out = [self.at[graph.point_of[vertex_perm[v]]] for v in self.rep[:npts]]
-        return out + [npts + graph.row_of[vertex_perm[v]] for v in self.rep[npts:]]
-
-
 def _refine(
-    inc: _Incidence,
+    graph: RelColoredGraph,
     part: Partition,
     splitters: Sequence[int],
     stats: SearchStats,
     against: Optional[Trace] = None,
 ) -> Optional[Tuple[Partition, Trace]]:
-    """Equitable refinement of one incidence structure's partition, with its trace.
+    """Equitable refinement of one graph's incidence partition, with its trace.
 
     Each round buckets the reached vertices of every open cell by their
     incidence counts into the splitters, given by their starts, and orders
@@ -248,7 +229,7 @@ def _refine(
     the trace returned is `against`.
     """
     stats.refinements += 1
-    adj, npts, width = inc.adj, inc.npts, inc.width
+    adj, npts, width = graph.adj, graph.npts, graph.width
     trace: Trace = [] if against is None else against
     cells, open_ = list(part[0]), part[1]
     live = sum(cells[s] for s in open_)  # the open cells' vertices
@@ -358,22 +339,22 @@ def _branch_cell(part: Partition, npts: int) -> int:
 
 
 class _PairSearch:
-    """Backtracking isomorphism search from g to h on their incidence structures.
+    """Backtracking isomorphism search from g to h on the graphs' incidences.
 
     g branches on the first vertex of its branch cell at every depth, so
     `_node(d)` refines g's first path once per depth, when first asked,
     and every h candidate at depth d is refined against its trace, with
     the singleton as the one splitter.  The search works with incidence
-    maps; `lift` turns one into a vertex map.
+    maps; `lift` turns one into a vertex map, through a table of h's
+    vertices that it builds on its first call.
     """
 
     def __init__(self, g: RelColoredGraph, h: RelColoredGraph, stats=None):
         self.g = g
         self.h = h
         self.stats: SearchStats = SearchStats() if stats is None else stats
-        self.gi = _Incidence(g)
-        self.hi = self.gi if h is g else _Incidence(h)
         self._path: List[Tuple[Partition, Trace, int]] = []
+        self._image: Dict[int, int] = {}  # the lift table, built by `lift`
 
     def _node(self, depth: int) -> Tuple[Partition, Trace, int]:
         """g's partition, its trace and branch cell at `depth` of its first path."""
@@ -383,17 +364,20 @@ class _PairSearch:
                 part, _, s = path[-1]
                 trial, at = _split(part, s, _first(part[0][s])), (s,)
             else:
-                trial, at = self.gi.root, (0, self.gi.npts)
-            part, trace = _refine(self.gi, trial, at, self.stats)
-            path.append((part, trace, _branch_cell(part, self.gi.npts)))
+                trial, at = self.g.root, (0, self.g.npts)
+            part, trace = _refine(self.g, trial, at, self.stats)
+            path.append((part, trace, _branch_cell(part, self.g.npts)))
         return path[depth]
 
     def lift(self, phi: Sequence[int]) -> Tuple[int, ...]:
         """The vertex map (A, p) -> (phi A, phi p) of an incidence isomorphism
         phi from g to h."""
-        at, npts, size, image = self.gi.at, self.gi.npts, self.hi.size, self.hi.vertex
-        pairs = zip(self.g.row_of, self.g.point_of)
-        return tuple(image[phi[at[p]] * size + phi[npts + r]] for r, p in pairs)
+        g, h = self.g, self.h
+        if not self._image:  # h's vertex on point node i and row node x at i * size + x
+            for w, (r, q) in enumerate(zip(h.row_of, h.point_of)):
+                self._image[h.at[q] * h.size + h.npts + r] = w
+        image, pairs = self._image, zip(g.row_of, g.point_of)
+        return tuple(image[phi[g.at[p]] * h.size + phi[g.npts + r]] for r, p in pairs)
 
     def _descend(
         self,
@@ -418,7 +402,7 @@ class _PairSearch:
             for gm, hm in zip(g_part[0], part[0]):
                 phi[gm.bit_length() - 1] = hm.bit_length() - 1
             self.stats.leaves += 1
-            adj, at, npts = self.hi.adj, self.gi.at, self.gi.npts
+            adj, at, npts = self.h.adj, self.g.at, self.g.npts
             pairs = zip(self.g.row_of, self.g.point_of)  # g's incidences
             if all(adj[phi[npts + r]] >> phi[at[p]] & 1 for r, p in pairs):
                 return phi
@@ -430,7 +414,7 @@ class _PairSearch:
             if failed >> w & 1:
                 self.stats.orbit_prunes += 1
                 continue
-            child = _refine(self.hi, _split(part, s, w), (s,), self.stats, trace)
+            child = _refine(self.h, _split(part, s, w), (s,), self.stats, trace)
             below = None if fixed is None else fixed + [w]
             phi = self._descend(depth + 1, child, below)
             if phi is not None:
@@ -438,20 +422,20 @@ class _PairSearch:
             if fixed is not None:
                 if gens is None:  # Aut(h)'s generators that fix `fixed`
                     group = automorphism_group(self.h, self.stats)
-                    gens = [self.hi.perm(p) for p in group.generators]
+                    gens = [self.h.perm(p) for p in group.generators]
                     gens = [p for p in gens if all(p[x] == x for x in fixed)]
                 failed = _close_orbit(failed | 1 << w, gens)
         return None
 
     def run(self) -> Optional[Tuple[int, ...]]:
         """The first isomorphism, pruning by Aut(h), or None."""
-        gi, hi = self.gi, self.hi
-        if (self.g.n, gi.npts, gi.size) != (self.h.n, hi.npts, hi.size):
+        g, h = self.g, self.h
+        if (g.n, g.npts, g.size) != (h.n, h.npts, h.size):
             return None
-        if self.g.n == 0:
+        if g.n == 0:
             return ()
         trace = self._node(0)[1]
-        root = _refine(self.hi, self.hi.root, (0, self.hi.npts), self.stats, trace)
+        root = _refine(h, h.root, (0, h.npts), self.stats, trace)
         phi = self._descend(0, root, [])
         return None if phi is None else self.lift(phi)
 
@@ -487,7 +471,7 @@ def find_isomorphism(
     The bijection is the first verified leaf in branch order.  `stats`,
     if given, collects the search's counts.
     """
-    return _PairSearch(g, h, stats).run() if g.n == h.n else None
+    return _PairSearch(g, h, stats).run()
 
 
 def find_matroid_isomorphism(
@@ -621,7 +605,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
             if failed >> w & 1:
                 search.stats.orbit_prunes += 1
                 continue
-            child = _refine(search.hi, _split(part, s, w), (s,), search.stats, trace)
+            child = _refine(search.h, _split(part, s, w), (s,), search.stats, trace)
             res = search._descend(k + 1, child, None)
             if res is None:
                 failed = _close_orbit(failed | 1 << w, gens)

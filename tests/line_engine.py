@@ -11,7 +11,9 @@ production search against it: the same verdicts and group orders, and
 generators that are automorphisms of the graph.
 
 `automorphism_group` here keeps its groups in a table of its own, so the
-production search's cache on the graph is never read or written.
+production search's cache on the graph is never read or written.  The
+row and column vertex masks the engine counts through are kept the same
+way, built once per graph by `line_masks`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,25 @@ class ChainGroup(AutomorphismGroup):
 _GROUPS: "weakref.WeakKeyDictionary[RelColoredGraph, ChainGroup]" = (
     weakref.WeakKeyDictionary()
 )
+_MASKS: "weakref.WeakKeyDictionary[RelColoredGraph, Tuple[List[int], List[int]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def line_masks(graph: RelColoredGraph) -> Tuple[List[int], List[int]]:
+    """The graph's rows and columns as vertex masks, built once per graph.
+
+    Row r is the mask of the vertices with one set, column p of those with
+    point p; vertex v lies in row `row_of[v]` and column `point_of[v]`.
+    """
+    if graph not in _MASKS:
+        rows = [0] * (max(graph.row_of, default=-1) + 1)
+        cols = [0] * (max(graph.point_of, default=-1) + 1)
+        for v, (r, p) in enumerate(zip(graph.row_of, graph.point_of)):
+            rows[r] |= 1 << v
+            cols[p] |= 1 << v
+        _MASKS[graph] = rows, cols
+    return _MASKS[graph]
 
 
 def _refine(
@@ -82,7 +103,7 @@ def _refine(
     trace returned is `against`.
     """
     stats.refinements += 1
-    rows, cols = graph.by_set, graph.by_point
+    rows, cols = line_masks(graph)
     row_of, point_of = graph.row_of, graph.point_of
     base = graph.n + 1
     width = (base * base).bit_length()

@@ -203,6 +203,11 @@ GRAPH_AUT_SHA256 = {
     "P": "13626023eefb5968afb8be7ef7d4e044a0da0b9e997a7f0292ab68ba508d16da",
     "Q": "7817d61eca15f4cd7d488c95db7c76895a30ffceafe14f26446bd82c4311d6de",
 }
+# `graph build` on P: the vertices and both colours' edge lists
+GRAPH_BUILD_SHA256 = {
+    "nonbases": "c844763f62228672c9e3c69776c9d343b6fe7f53d1e541f70aabb752a5c20d9c",
+    "hyperplanes": "dc52ac6db38f96ec4519aefe47a4cc58f3dc003dd19d369e74a2909191811e6a",
+}
 
 
 def test_paper_pair_commands(files, capsys):
@@ -252,6 +257,15 @@ def test_graph_aut_on_paper_pair(files, capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["order"] == "1152"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_BUILD_SHA256))
+def test_graph_build_bytes_on_p(files, capsys, kind):
+    code, out, _ = run(capsys, "graph", "build", files["P"], "--structure", kind)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0,
+        GRAPH_BUILD_SHA256[kind],
+    )
 
 
 def test_stats_flag(files, capsys):
@@ -562,6 +576,36 @@ def test_negative_sizes_in_matroid_json_named(files, capsys, text, field):
     code, out, err = run(capsys, "matroid", "info", str(bad))
     assert code == 2 and out == ""
     assert err == f"error: MigError: matroid JSON field {field}\n"
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 3, "bases": [[0, 1000000000000]]}', "'bases'"),
+        ('{"n": 3, "bases": [[0, %d]]}' % 2**70, "'bases'"),
+        ('{"n": 3, "rank": 2, "nonbases": [[0, 3]]}', "'nonbases'"),
+    ],
+    ids=["huge", "beyond-int64", "nonbases"],
+)
+def test_elements_beyond_ground_in_matroid_json_named(files, capsys, text, field):
+    """An element >= n is refused, and its field named, before any mask is built."""
+    bad = files["dir"] / "beyond.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "matroid", "info", str(bad))
+    assert code == 2 and out == ""
+    want = f"matroid JSON field {field} holds an element >= 'n' (3)"
+    assert err == f"error: MigError: {want}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, element",
+    [("--contract", "1000000000000"), ("--delete", "7"), ("--delete", "-1")],
+    ids=["huge-contract", "delete-above-n", "negative-delete"],
+)
+def test_minor_refuses_elements_outside_the_ground_set(files, capsys, flag, element):
+    code, out, err = run(capsys, "matroid", "minor", files["u13"], flag, element)
+    assert code == 2 and out == ""
+    assert err == f"error: MigError: {flag} names {element}, not an element of 0..2\n"
 
 
 def test_rank_above_ground_size_in_matroid_json_named(files, capsys):

@@ -52,6 +52,7 @@ from line_engine import (
     _split,
     _stabilizer_chain,
     _unit,
+    line_masks,
 )
 from line_engine import automorphism_group as line_group
 from line_engine import find_isomorphism as line_isomorphism
@@ -305,18 +306,29 @@ def doubled_graphs():
 
 
 def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graphs):
-    """Row and column masks against `rel`, and `edges` against its rows."""
+    """The graph's incidence structure against `rel`, and `edges` against its rows.
+
+    Each vertex's point node and row node are incident, the incidences
+    number the vertices and each node's `rep` lies on it; two vertices
+    share a point (colour 1) or a row (colour 2) exactly as `rel` says.
+    """
     graphs = [g for _, _, g in small_graphs] + pq_graphs
     graphs += [g for pair in doubled_graphs for g in pair]
     for g in graphs:
         want = _adjacency(g)
-        rows = [g.by_set[r] for r in g.row_of]
-        cols = [g.by_point[p] for p in g.point_of]
-        assert [c & ~r for r, c in zip(rows, cols)] == want[0]
-        assert [r & ~c for r, c in zip(rows, cols)] == want[1]
-        for v in range(g.n):
-            assert rows[v] >> v & 1 and cols[v] >> v & 1
-        assert sum(r.bit_count() for r in g.by_set) == g.n
+        points = [g.at[p] for p in g.point_of]
+        rows = [g.npts + r for r in g.row_of]
+        on = [0] * g.size  # the vertices on each node
+        for v, (i, r) in enumerate(zip(points, rows)):
+            assert 0 <= i < g.npts <= r < g.size
+            assert g.adj[i] >> r & 1 and g.adj[r] >> i & 1
+            on[i] |= 1 << v
+            on[r] |= 1 << v
+        assert sum(x.bit_count() for x in g.adj[: g.npts]) == g.n
+        assert sum(x.bit_count() for x in g.adj[g.npts :]) == g.n
+        assert all(on[x] >> g.rep[x] & 1 for x in range(g.size))
+        assert [on[i] & ~on[r] for i, r in zip(points, rows)] == want[0]
+        assert [on[r] & ~on[i] for i, r in zip(points, rows)] == want[1]
         for color, adj in zip((1, 2), want):
             pairs = [(i, j) for i in range(g.n) for j in iter_bits(adj[i]) if i < j]
             assert g.edges(color) == pairs
@@ -329,7 +341,7 @@ def _refine_by_cells(graph, cells, splitters, stats, against=None):
     `splitters` and the trace's keys are cell indexes.
     """
     stats.refinements += 1
-    rows, cols = graph.by_set, graph.by_point
+    rows, cols = line_masks(graph)
     row_of, point_of = graph.row_of, graph.point_of
     base = graph.n + 1
     width = (base * base).bit_length()
