@@ -167,8 +167,9 @@ class SearchStats:
     one set, and every live point for a larger cell of sets.
     `orbit_prunes` counts candidates skipped as images of failed ones,
     under Aut(h)'s generators that fix the candidates above them in an
-    existence search and under the deeper levels' generators in the chain;
-    `leaves` the discrete partitions checked against the graphs.
+    existence search and, in the chain, under the generators found at the
+    level and below it; `leaves` the discrete partitions checked against
+    the graphs.
     """
 
     __slots__ = (
@@ -244,18 +245,23 @@ def _refine(
             shift -= width
             c = cells[s]
             if s < npts:
-                nbrs = 0
-                for u in iter_bits(c):
-                    nbrs |= adj[u]
+                nbrs, b = 0, c
+                while b:
+                    low = b & -b
+                    nbrs |= adj[low.bit_length() - 1]
+                    b ^= low
                 nbrs &= live
             elif c & (c - 1):  # at most npts points, whatever the size of c
                 nbrs = live & points
             else:  # one set: its own points
                 nbrs = adj[c.bit_length() - 1] & live
-            for v in iter_bits(nbrs):
-                key[v] += (adj[v] & c).bit_count() << shift
             stats.splitter_counts += nbrs.bit_count()
             reach |= nbrs
+            while nbrs:
+                low = nbrs & -nbrs
+                v = low.bit_length() - 1
+                key[v] += (adj[v] & c).bit_count() << shift
+                nbrs ^= low
         if against is None:
             trace.append({})
         spec = trace[rnd]
@@ -559,18 +565,19 @@ def automorphism_group(
 
 
 def _close_orbit(orbit: int, generators: Sequence[Tuple[int, ...]]) -> int:
-    """Smallest superset of the bitset `orbit` closed under the generators."""
-    while True:
-        grew = False
-        for perm in generators:
-            img = 0
-            for v in iter_bits(orbit):
+    """Smallest superset of the bitset `orbit` closed under the generators.
+
+    Each pass maps only the points that the pass before added.
+    """
+    new = orbit
+    while new:
+        img = 0
+        for v in iter_bits(new):
+            for perm in generators:
                 img |= 1 << perm[v]
-            if img & ~orbit:
-                orbit |= img
-                grew = True
-        if not grew:
-            return orbit
+        new = img & ~orbit
+        orbit |= new
+    return orbit
 
 
 def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
@@ -582,9 +589,14 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     of node k + 1, which is b_k -> b_k; node k + 1 is the next level.  As a
     set of cells each node is the coarsest equitable partition with the
     base points so far as singletons, as refining from them would give.
-    The levels run from the deepest up: the generators below level k fix
-    b_0 .. b_k, so they carry a failed w to others that fail, and those
-    are skipped as orbit prunes.  Generators are lifted to vertex maps.
+    The levels run from the deepest up, and level k closes both the orbit
+    of b_k and the set of failed candidates under every generator found
+    at or below it (Schreier-Sims): those fix b_0 .. b_{k-1}, so they
+    carry b_k onto images it already reaches and a failed w onto others
+    that fail, and both are skipped, the failed ones as orbit prunes.
+    Each new generator thus reaches an image that the ones before could
+    not, and lies outside the group they generate, so a chain yields at
+    most floor(log2 |G|) of them.  Generators are lifted to vertex maps.
     """
     if search.g.n == 0:
         return AutomorphismGroup([], 1)
@@ -608,10 +620,10 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
             child = _refine(search.h, _split(part, s, w), (s,), search.stats, trace)
             res = search._descend(k + 1, child, None)
             if res is None:
-                failed = _close_orbit(failed | 1 << w, gens)
+                failed = _close_orbit(failed | 1 << w, level_gens + gens)
             else:
                 level_gens.append(res)
-                orbit = _close_orbit(orbit | (1 << w), level_gens)
+                orbit = _close_orbit(orbit | 1 << w, level_gens + gens)
         order *= orbit.bit_count()
         gens = level_gens + gens
     return AutomorphismGroup([search.lift(p) for p in gens], order)

@@ -200,8 +200,8 @@ VERIFY_ISO_SHA256 = "1c1de4da9bbe1827a69193902722fbadac6cb3b7581e2059d67502392e9
 # the generators are those of the incidence search's chain; the group they
 # generate, as a set of vertex permutations, is the line-graph search's
 GRAPH_AUT_SHA256 = {
-    "P": "13626023eefb5968afb8be7ef7d4e044a0da0b9e997a7f0292ab68ba508d16da",
-    "Q": "7817d61eca15f4cd7d488c95db7c76895a30ffceafe14f26446bd82c4311d6de",
+    "P": "6cb671824d0262727d079079d1cd0bd9955830d9d3ca5450eeb8d8ae64851670",
+    "Q": "f564517e349edccc8f3b7d38d398e2b5caf59f7b0e69447bd13b8c21fa8199bb",
 }
 # `graph build` on P: the vertices and both colours' edge lists
 GRAPH_BUILD_SHA256 = {
@@ -276,11 +276,11 @@ def test_stats_flag(files, capsys):
     code, out, _ = run(capsys, *pq, "--stats")
     data = json.loads(out)
     assert code == 1 and data.pop("stats") == {
-        "refinements": 45,
+        "refinements": 37,
         "failedRefinements": 1,
-        "splitterCounts": 2796,
+        "splitterCounts": 2254,
         "orbitPrunes": 28,
-        "leaves": 10,
+        "leaves": 8,
     }
     assert dumps(data) == plain
     aut = ("graph", "aut", files["P"], "--structure", "nonbases")

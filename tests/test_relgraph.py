@@ -129,10 +129,11 @@ def test_paper_pair_search_counters(paper_pair):
     h's first candidate refines at each depth until the fourth, where the
     refinement fails; at each depth above it the automorphisms of Q that
     fix the points chosen higher up carry the failed candidate onto every
-    other (17 + 7 + 3 + 1 = 28 prunes).  With Aut(Q), 35 refinements and 10
-    leaves on one tree, that is 45 refinements.  The line-graph engine in
+    other (17 + 7 + 3 + 1 = 28 prunes).  That tree takes 10 refinements
+    (five down g's first path, five for h) and Aut(Q) 27 refinements and 8
+    leaves, so 37 refinements in all.  The line-graph engine in
     `line_engine` takes 62 refinements, 71 prunes and 7402 counts against
-    2796 here.  The graphs are built here, not taken from `build_graph`, so
+    2254 here.  The graphs are built here, not taken from `build_graph`, so
     that no automorphism group is already known.
     """
     kind = IsoStructure.NONBASES
@@ -140,11 +141,11 @@ def test_paper_pair_search_counters(paper_pair):
     search = _PairSearch(gp, gq)
     assert search.run() is None
     assert search.stats.to_json() == {
-        "refinements": 45,
+        "refinements": 37,
         "failedRefinements": 1,
-        "splitterCounts": 2796,
+        "splitterCounts": 2254,
         "orbitPrunes": 28,
-        "leaves": 10,
+        "leaves": 8,
     }
     assert find_isomorphism(gp, gq) is None
 
@@ -159,22 +160,22 @@ PINNED_WORK = {
         (10, 0, 626, 0, 1),
         (10, 0, 2128, 0, 1),
         (10, 0, 2546, 0, 1),
-        (27, 0, 1628, 0, 8),
-        (22, 0, 4946, 0, 6),
+        (23, 0, 1357, 0, 7),
+        (18, 0, 4023, 0, 5),
     ],
     40: [
         (10, 0, 626, 0, 1),
         (10, 0, 2128, 0, 1),
         (10, 0, 2546, 0, 1),
-        (35, 0, 2170, 0, 10),
-        (34, 0, 7792, 0, 10),
+        (17, 0, 947, 0, 5),
+        (19, 0, 4324, 0, 6),
     ],
     3: [
         (10, 0, 626, 0, 1),
         (10, 0, 2128, 0, 1),
         (10, 0, 2546, 0, 1),
-        (27, 0, 1628, 0, 8),
-        (30, 0, 6869, 0, 9),
+        (17, 0, 947, 0, 5),
+        (19, 0, 4324, 0, 6),
     ],
 }
 
@@ -226,7 +227,75 @@ def test_automorphism_group_on_large_graphs_of_p(paper_pair):
         assert group.order == 1152
         assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
         work[g.n] = stats.refinements, stats.failed_refinements
-    assert work == {2376: (38, 0), 10872: (35, 0)}
+    assert work == {2376: (23, 0), 10872: (27, 0)}
+
+
+def _check_strong_generators(g: RelColoredGraph) -> None:
+    """At most floor(log2 |G|) generators, and they generate every level.
+
+    The base b_0, b_1, ... is read off g's first path.  Over its levels,
+    the orbit of b_k under the generators that fix b_0 .. b_{k-1} must
+    multiply up to the group order.
+    """
+    group = automorphism_group(g)
+    assert len(group.generators) <= group.order.bit_length() - 1
+    assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
+    search = _PairSearch(g, g)
+    perms = [g.perm(gen) for gen in group.generators]
+    fixed = []
+    product = 1
+    depth = 0
+    while g.n and search._node(depth)[2] >= 0:
+        part, _, s = search._node(depth)
+        cell = part[0][s]
+        base = (cell & -cell).bit_length() - 1
+        level = [p for p in perms if all(p[b] == b for b in fixed)]
+        orbit, frontier = {base}, [base]
+        while frontier:
+            x = frontier.pop()
+            for p in level:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    frontier.append(p[x])
+        product *= len(orbit)
+        fixed.append(base)
+        depth += 1
+    assert product == group.order
+
+
+def test_chain_generators_are_few_and_strong(catalog5, catalog6, paper_pair):
+    """Each generator of the chain lies outside the group of those before it.
+
+    The covering-kind graphs of every matroid on at most five elements,
+    of every 25th on six, all six kinds of P and Q, and three seeded
+    relabellings of the doubled grid.
+    """
+    mats = [m for n in sorted(catalog5) for m in catalog5[n]] + list(catalog6[::25])
+    graphs = [
+        RelColoredGraph(pointed_sets(m, kind))
+        for m in mats
+        for kind in IsoStructure
+        if covers(m, kind).covered
+    ]
+    graphs += [
+        RelColoredGraph(pointed_sets(m, kind))
+        for m in paper_pair
+        for kind in IsoStructure
+    ]
+    rng = random.Random(20)
+    grid = grid_matroid()
+    for _ in range(3):
+        pattern = rng.randrange(1 << len(GRID_LINES))
+        negatives = [line for i, line in enumerate(GRID_LINES) if pattern >> i & 1]
+        m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        sm = m.relabel(perm)
+        graphs += [RelColoredGraph(pointed_sets(sm, kind)) for kind in IsoStructure]
+    for g in graphs:
+        _check_strong_generators(g)
+    orders = [automorphism_group(g).order for g in graphs[-18:]]
+    assert orders == [1152] * 18
 
 
 def test_rows_with_the_same_points_are_branched_on():
