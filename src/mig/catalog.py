@@ -23,7 +23,7 @@ from math import comb
 from typing import List, Tuple
 
 from .bitset import iter_bits
-from .derived import derive_sets, rank_table
+from .derived import derive_sets
 from .errors import GuardExceeded
 from .matroid import Matroid
 
@@ -69,13 +69,13 @@ def extensions(m: Matroid) -> List[Matroid]:
     out = [Matroid(n + 1, r + 1, tuple(sorted(b | new_bit for b in m.bases)))]
 
     rep = derive_sets(m)
-    hyps, rk = rep.hyperplanes, rank_table(m)
+    hyps = rep.hyperplanes
 
     def over(f: int) -> int:
         """The hyperplanes that contain f, as a bitmask."""
         return sum(1 << i for i, h in enumerate(hyps) if f & ~h == 0)
 
-    lines = [over(f) for f in rep.flats if rk[f] == r - 2]
+    lines = [over(f) for f, k in zip(rep.flats, rep.flat_ranks) if k == r - 2]
     # an (r-1)-element independent set lies in one hyperplane, its closure
     completed: List[List[int]] = [[] for _ in hyps]
     for a in {b ^ (1 << e) for b in m.bases for e in iter_bits(b)}:

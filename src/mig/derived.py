@@ -4,23 +4,28 @@ The rank and independence tables run over the full 2^n subset lattice,
 vectorized with numpy tables indexed by mask: one sweep per bit position,
 O(n * 2^n) total.  The Tutte polynomial and the connectivity scan read
 them.  `derive_sets` walks only the independent sets instead, down from
-the bases, and reads every family off them and their closures (the flats
-are exactly the closures of the independent sets), so its cost follows
-|Ind| * n; the 2^n bool tables it marks only deduplicate and order.
-Ground sets are guarded (n <= DERIVE_GUARD = 24); exceeding the guard
-raises rather than truncating.
+the bases, so its cost follows |Ind| * n; the 2^n bool tables it marks
+only deduplicate and order.  Its report is lazy: each family is derived
+on first read by one of three passes, and kept.  The walk yields the
+independents; the lattice pass closes them (the flats are exactly the
+closures of the independent sets) into flats, flat ranks, hyperplanes and
+cyclic flats; the circuit pass finds the circuits and the girth.  So a
+query of the flats or hyperplanes never finds a circuit.  Ground sets are
+guarded (n <= DERIVE_GUARD = 24); exceeding the guard raises rather than
+truncating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
+from operator import and_, or_
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .bitset import complement, full_mask
 from .errors import GuardExceeded, InvariantViolation
 
 DERIVE_GUARD = 24
@@ -99,78 +104,143 @@ def rank_table(m) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
 class SubsetReport:
-    """Full derived-set listing of a matroid, all families canonical."""
+    """The derived families of a matroid, each computed on first read.
 
-    independents: Tuple[int, ...]
-    circuits: Tuple[int, ...]
-    flats: Tuple[int, ...]
-    hyperplanes: Tuple[int, ...]
-    cyclic_flats: Tuple[int, ...]
-    loops: int
-    coloops: int
-    girth: Optional[int]
+    Three passes fill the fields, each at most once and only when a field
+    it yields is read:
+    - the walk of the independent sets, down from the bases;
+    - the lattice pass: the closures of the independent sets, hence the
+      flats, their ranks, the hyperplanes and the cyclic flats;
+    - the circuit pass: the circuits and the girth.
+    The last two start from the walk's independents.  Every family is a
+    canonical (colex) tuple of masks.  The report keeps n, rank and bases,
+    not the matroid, so caching it on the matroid makes no reference cycle.
+    """
+
+    def __init__(self, n: int, rank: int, bases: Tuple[int, ...]):
+        self.n, self.rank, self.bases = n, rank, bases
+
+    @cached_property
+    def _walk(self) -> np.ndarray:
+        """The independent sets in colex order."""
+        bits = _bits(self.n)
+        mark = np.zeros(1 << self.n, dtype=bool)
+        # level k - 1 is every I - e over level k; I itself is marked too
+        # (for e not in I), so level k is unmarked
+        levels = [np.array(self.bases, dtype=np.int64)]
+        for _ in range(self.rank):
+            level = levels[-1]
+            for s in range(0, len(level), ROWS):
+                mark[level[s : s + ROWS, None] & ~bits] = True
+            mark[level] = False
+            levels.append(np.flatnonzero(mark))
+            mark[levels[-1]] = False
+        # marked again, the union comes out in colex order; np.sort would
+        # page in numpy's sort kernels, about 0.3 MB of peak RSS
+        for level in levels:
+            mark[level] = True
+        return np.flatnonzero(mark)
+
+    def _table(self) -> np.ndarray:
+        """bool table over the 2^n masks: True on the independent sets."""
+        ind = np.zeros(1 << self.n, dtype=bool)
+        ind[self._walk] = True
+        return ind
+
+    @cached_property
+    def _lattice(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flats, the rank of each, and which of them are cyclic."""
+        n, independents = self.n, self._walk
+        bits, ind = _bits(n), self._table()
+        # cl(I) adds each e with I + e dependent; cl(I) has rank |I|
+        closures = np.empty_like(independents)
+        for s in range(0, len(independents), ROWS):
+            rows = independents[s : s + ROWS, None]
+            closures[s : s + ROWS] = rows[:, 0] | ~ind[rows | bits] @ bits
+        mark = np.zeros(1 << n, dtype=bool)
+        mark[closures] = True
+        flats = np.flatnonzero(mark)
+        at = np.searchsorted(flats, closures)
+        rank = np.empty(len(flats), dtype=np.uint8)
+        rank[at] = popcount(independents, n)
+        # the independents closing to F are the bases of M|F: F is cyclic
+        # iff M|F has no coloop
+        meet = np.full(len(flats), -1, dtype=np.int64)
+        np.bitwise_and.at(meet, at, independents)
+        return flats, rank, meet == 0
+
+    @cached_property
+    def _circuits(self) -> np.ndarray:
+        """The circuits in colex order."""
+        n, independents = self.n, self._walk
+        bits, ind = _bits(n), self._table()
+        # a circuit C is I + e with e = max C and every C - f independent
+        mark = np.zeros(1 << n, dtype=bool)
+        for s in range(0, len(independents), ROWS):
+            rows = independents[s : s + ROWS, None]
+            grown = rows | bits
+            new = grown[~ind[grown] & (bits > rows)]
+            mark[new[ind[new[:, None] & ~bits].sum(axis=1) == popcount(new, n)]] = True
+        return np.flatnonzero(mark)
+
+    @cached_property
+    def independents(self) -> Tuple[int, ...]:
+        return tuple(self._walk.tolist())
+
+    @cached_property
+    def circuits(self) -> Tuple[int, ...]:
+        return tuple(self._circuits.tolist())
+
+    @cached_property
+    def girth(self) -> Optional[int]:
+        """Size of the smallest circuit, or None when there is none."""
+        c = self._circuits
+        return int(popcount(c, self.n).min()) if len(c) else None
+
+    @cached_property
+    def flats(self) -> Tuple[int, ...]:
+        return tuple(self._lattice[0].tolist())
+
+    @cached_property
+    def flat_ranks(self) -> Tuple[int, ...]:
+        """The rank of each flat, in the order of `flats`."""
+        return tuple(self._lattice[1].tolist())
+
+    @cached_property
+    def hyperplanes(self) -> Tuple[int, ...]:
+        flats, rank, _ = self._lattice
+        return tuple(flats[rank == self.rank - 1].tolist())
+
+    @cached_property
+    def cyclic_flats(self) -> Tuple[int, ...]:
+        flats, _, cyclic = self._lattice
+        return tuple(flats[cyclic].tolist())
+
+    @cached_property
+    def loops(self) -> int:
+        """Mask of the elements in no basis."""
+        return complement(reduce(or_, self.bases, 0), self.n)
+
+    @cached_property
+    def coloops(self) -> int:
+        """Mask of the elements in every basis."""
+        return reduce(and_, self.bases, full_mask(self.n))
+
+
+def _bits(n: int) -> np.ndarray:
+    """int64 array of the singletons 1 << e, e < n."""
+    return np.left_shift(1, np.arange(n, dtype=np.int64))
 
 
 def derive_sets(m) -> SubsetReport:
-    """Enumerate independents, circuits, flats, hyperplanes, cyclic flats (cached)."""
+    """The lazily derived families of `m` (the report is cached on `m`)."""
     _guard(m)
     return m.cached("derive_sets", lambda: _derive_sets(m))
 
 
 def _derive_sets(m) -> SubsetReport:
-    n, r = m.n, m.rank
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    ind, mark = np.zeros((2, 1 << n), dtype=bool)
-
-    def read() -> np.ndarray:
-        """The marked masks in colex order; the marks are cleared."""
-        out = np.flatnonzero(mark)
-        mark[out] = False
-        return out
-
-    # level k - 1 is every I - e over level k; I itself is marked too (for
-    # e not in I), so level k is unmarked
-    level = np.array(m.bases, dtype=np.int64)
-    ind[level] = True
-    for _ in range(r):
-        for s in range(0, len(level), ROWS):
-            mark[level[s : s + ROWS, None] & ~bits] = True
-        mark[level] = False
-        level = read()
-        ind[level] = True
-    independents = np.flatnonzero(ind)
-
-    # cl(I) adds each e with I + e dependent.  A circuit C is I + e with
-    # e = max C and every C - f independent; cl(I) has rank |I|.
-    closures = np.empty_like(independents)
-    for s in range(0, len(independents), ROWS):
-        rows = independents[s : s + ROWS, None]
-        grown = rows | bits
-        dep = ~ind[grown]
-        closures[s : s + ROWS] = rows[:, 0] | dep @ bits
-        new = grown[dep & (bits > rows)]
-        mark[new[ind[new[:, None] & ~bits].sum(axis=1) == popcount(new, n)]] = True
-    circuits = read()
-    mark[closures] = True
-    flats = read()
-    at = np.searchsorted(flats, closures)
-    rank = np.empty(len(flats), dtype=np.uint8)
-    rank[at] = popcount(independents, n)
-    # the independents closing to F are the bases of M|F: F is cyclic iff
-    # M|F has no coloop
-    meet = np.full(len(flats), -1, dtype=np.int64)
-    np.bitwise_and.at(meet, at, independents)
-
-    # independents, circuits, flats, hyperplanes, cyclic flats
-    families = (independents, circuits, flats, flats[rank == r - 1], flats[meet == 0])
-    return SubsetReport(
-        *(tuple(f.tolist()) for f in families),
-        loops=m.loops(),
-        coloops=m.coloops(),
-        girth=int(popcount(circuits, n).min()) if len(circuits) else None,
-    )
+    return SubsetReport(m.n, m.rank, m.bases)
 
 
 class TuttePolynomial:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bitset import (
     canonical_family,
-    complement,
     elements_of,
     full_mask,
     iter_bits,
@@ -120,20 +119,6 @@ class Matroid:
             if not a_mask & bit and self.subset_rank(a_mask | bit) == rk:
                 out |= bit
         return out
-
-    def loops(self) -> int:
-        """Mask of elements lying in no basis."""
-        u = 0
-        for b in self.bases:
-            u |= b
-        return complement(u, self.n)
-
-    def coloops(self) -> int:
-        """Mask of elements lying in every basis."""
-        u = self.ground_mask()
-        for b in self.bases:
-            u &= b
-        return u
 
     def nonbases(self) -> Tuple[int, ...]:
         every = subsets_of_size(self.n, self.rank)

@@ -48,18 +48,21 @@ def structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
     return m.cached(("structure", kind), lambda: _structure_sets(m, kind))
 
 
+# the `derive_sets` field of each kind; a report derives only what is read
+_FAMILY = {
+    IsoStructure.INDEPENDENT: "independents",
+    IsoStructure.CIRCUITS: "circuits",
+    IsoStructure.FLATS: "flats",
+    IsoStructure.HYPERPLANES: "hyperplanes",
+}
+
+
 def _structure_sets(m: Matroid, kind: IsoStructure) -> Tuple[int, ...]:
     if kind is IsoStructure.BASES:
         return m.bases
     if kind is IsoStructure.NONBASES:
         return m.nonbases()
-    rep = derive_sets(m)
-    return {
-        IsoStructure.INDEPENDENT: rep.independents,
-        IsoStructure.CIRCUITS: rep.circuits,
-        IsoStructure.FLATS: rep.flats,
-        IsoStructure.HYPERPLANES: rep.hyperplanes,
-    }[kind]
+    return getattr(derive_sets(m), _FAMILY[kind])
 
 
 def pointed_sets(m: Matroid, kind: IsoStructure) -> Tuple[PointedSet, ...]:
@@ -78,7 +81,11 @@ class CoverResult(NamedTuple):
 
 
 def covers(m: Matroid, kind: IsoStructure) -> CoverResult:
-    """Does every ground element lie in some member of the family?"""
+    """Does every ground element lie in some member of the family? (cached)"""
+    return m.cached(("covers", kind), lambda: _covers(m, kind))
+
+
+def _covers(m: Matroid, kind: IsoStructure) -> CoverResult:
     union = 0
     for a in structure_sets(m, kind):
         union |= a

@@ -62,6 +62,22 @@ def test_matroid_derive_and_tutte(files, capsys):
     assert data["characteristic"] == [2, -3, 1]
 
 
+# `matroid derive` (every family as JSON) and `matroid info` on P
+MATROID_SHA256 = {
+    "derive": "45fc07364137e299309933b0d80d3a85d0efc8bd4fc1831b2033f7ad243bb01d",
+    "info": "cb51749dac729f619d3539126d7a2bcd4ef130a2ec11193179d7f0a571a32f39",
+}
+
+
+@pytest.mark.parametrize("action", sorted(MATROID_SHA256))
+def test_matroid_bytes_on_p(files, capsys, action):
+    code, out, _ = run(capsys, "matroid", action, files["P"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0,
+        MATROID_SHA256[action],
+    )
+
+
 def test_matroid_dual_and_minor(files, capsys):
     code, out, _ = run(capsys, "matroid", "dual", files["u23"])
     assert code == 0 and json.loads(out)["rank"] == 1

@@ -1,10 +1,13 @@
 """Derived families and polynomials against definitional brute force."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from mig import derived, matroid_from_nonbases, uniform_matroid
-from mig.bitset import elements_of, iter_bits
+from mig.bitset import elements_of, iter_bits, mask_of
 from mig.derived import (
     _derive_sets,
     _tutte_polynomial,
@@ -17,6 +20,8 @@ from mig.derived import (
 )
 from mig.errors import GuardExceeded
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
+from mig.matroid import Matroid
+from mig.structures import IsoStructure, covers, structure_sets
 
 
 def brute_report(m):
@@ -283,3 +288,92 @@ def test_independent_walk_matches_lattice_oracles(paper_pair):
         assert rep.girth == (min(c.bit_count() for c in circuits) if circuits else None)
         if m.n <= 4:
             assert _families(rep) == tuple(map(tuple, brute_report(m)))
+
+
+# Every field of a report; each read order below starts a fresh report.
+FIELDS = (
+    "independents",
+    "circuits",
+    "flats",
+    "flat_ranks",
+    "hyperplanes",
+    "cyclic_flats",
+    "loops",
+    "coloops",
+    "girth",
+)
+READ_ORDERS = (
+    FIELDS,
+    FIELDS[::-1],  # girth first
+    ("hyperplanes", "cyclic_flats", "flat_ranks", "flats", "girth", "circuits",
+     "independents", "coloops", "loops"),
+    ("circuits", "girth", "hyperplanes", "independents", "flats", "loops",
+     "flat_ranks", "cyclic_flats", "coloops"),
+    ("cyclic_flats", "independents", "girth", "flat_ranks", "coloops",
+     "hyperplanes", "circuits", "loops", "flats"),
+)
+
+
+def _expected_fields(m):
+    """Every field, from the lattice oracles and the rank function."""
+    ind, circ, flats, hyper, cyclic = _three_sweep_families(m)
+    rk = rank_table(m)
+    full = (1 << m.n) - 1
+    return {
+        "independents": ind,
+        "circuits": circ,
+        "flats": flats,
+        "flat_ranks": tuple(int(rk[f]) for f in flats),
+        "hyperplanes": hyper,
+        "cyclic_flats": cyclic,
+        "loops": mask_of(e for e in range(m.n) if m.subset_rank(1 << e) == 0),
+        "coloops": mask_of(
+            e for e in range(m.n) if m.subset_rank(full ^ 1 << e) < m.rank
+        ),
+        "girth": min((c.bit_count() for c in circ), default=None),
+    }
+
+
+def test_fields_agree_in_every_read_order(catalog5, paper_pair):
+    """Each field is the same whichever is read first, and whichever of
+    the lazy passes ran before it."""
+    small = [m for n in range(6) for m in catalog5[n]]
+    for m in small + list(paper_pair) + list(_sign_patterns()):
+        want = _expected_fields(m)
+        for order in READ_ORDERS:
+            rep = _derive_sets(m)
+            assert {f: getattr(rep, f) for f in order} == want
+
+
+def test_families_are_derived_only_when_read(paper_pair):
+    """The flats and hyperplanes leave the circuit pass unrun, the circuits
+    leave the lattice pass unrun; neither builds the independents tuple."""
+    p = paper_pair[0]
+    m = Matroid(p.n, p.rank, p.bases)
+    structure_sets(m, IsoStructure.FLATS)
+    structure_sets(m, IsoStructure.HYPERPLANES)
+    done = vars(derive_sets(m))
+    assert "_lattice" in done and "_walk" in done
+    assert not {"_circuits", "circuits", "girth", "independents"} & set(done)
+
+    m = Matroid(p.n, p.rank, p.bases)
+    res = covers(m, IsoStructure.CIRCUITS)
+    assert covers(m, IsoStructure.CIRCUITS) is res  # cached on the matroid
+    done = vars(derive_sets(m))
+    assert "_circuits" in done and "circuits" in done
+    assert not {"_lattice", "flats", "hyperplanes", "independents"} & set(done)
+
+
+def test_report_holds_no_reference_to_its_matroid(paper_pair):
+    """A matroid and its cached report are freed without the garbage collector."""
+    p = paper_pair[0]
+    m = Matroid(p.n, p.rank, p.bases)
+    for name in FIELDS:
+        getattr(derive_sets(m), name)
+    gone = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()

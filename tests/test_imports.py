@@ -9,9 +9,15 @@ as referenced only through an attribute (`x.name`): a local variable or a
 module function of the same name does not keep it alive.  A private
 (`_`-prefixed, not dunder) one has no exception; a public one may be kept
 without a caller only under `PUBLIC_WITHOUT_SRC_CALLER`, with its reason.
+A last test runs the paper pair and a search in a fresh interpreter and
+checks that they load neither numpy.ma nor a test-only package.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -188,3 +194,38 @@ def test_public_defs_without_a_caller_in_src_are_allowlisted():
     found = [entry.rsplit(": ", 1)[1] for entry in unreferenced_public_defs(sources)]
     assert sorted(found) == sorted(PUBLIC_WITHOUT_SRC_CALLER)
     assert all(PUBLIC_WITHOUT_SRC_CALLER.values())
+
+
+# Never imported by `mig` at run time: numpy.ma costs about 1.4 MB of peak
+# RSS, and the rest are test-only dependencies.
+TEST_ONLY_MODULES = ("numpy.ma", "scipy", "sympy", "networkx", "hypothesis")
+
+RUNTIME_SCRIPT = """
+import contextlib, io, json, sys
+from mig.cli import main
+from mig.lbcs_construct import build_paper_pair
+from mig.relgraph import find_matroid_isomorphism
+from mig.structures import IsoStructure
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["paper-pair", "--verify-all"])
+p, _ = build_paper_pair()
+hit = find_matroid_isomorphism(p, p.relabel(range(p.n)[::-1]), IsoStructure.HYPERPLANES)
+print(json.dumps([code, hit is not None, sorted(set(sys.argv[1:]) & set(sys.modules))]))
+"""
+
+
+def test_paper_pair_and_search_load_no_test_only_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", RUNTIME_SCRIPT, *TEST_ONLY_MODULES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, True, []]
