@@ -141,9 +141,10 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     # aut
     stats = SearchStats()
-    payload = automorphism_group(g, stats).to_json()
+    group = automorphism_group(g, stats)
+    payload = group.to_json()
     if args.stats:
-        payload["stats"] = stats.to_json()
+        payload["stats"] = {**stats.to_json(), "chainStructure": group.structure.value}
     _emit(payload, args.out)
     return EXIT_OK
 

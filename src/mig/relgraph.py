@@ -14,23 +14,30 @@ against the graph's sum of |A|.  Colour 2 (or equality) is "same row" and
 colour 1 "same column", so a colour-preserving bijection of graphs is a
 pair of bijections, on rows and on points, that carries incidences onto
 incidences, and each such pair maps (A, p) to (A', p'): the isomorphisms
-correspond one to one and the groups agree.  Uncovered points have no
-vertex and stay out (as isolated points they would multiply the group by
-k!).  Only point cells are branched on: the sets are distinct sets of
-points, so once the points are singletons an equitable partition splits
-the sets too.  A leaf zips into bijections on points and on sets and is
-verified in O(n): each incidence of g must go to one of h.  Maps and
-generators come back as vertex permutations.
+correspond one to one and the groups agree.  When the points are all of
+m's ground set, the rows, being distinct sets, follow from the points, so
+the group is the ground permutations that fix the family: Aut(m) for
+every kind that covers m, since each family determines m.  Uncovered
+points have no vertex and stay out (as isolated points they would
+multiply the group by k!).  Only point cells are branched on: the sets
+are distinct sets of points, so once the points are singletons an
+equitable partition splits the sets too.  A leaf zips into bijections
+on points and on sets and is verified in O(n): each incidence of g must
+go to one of h.  Maps and generators come back as vertex permutations.
 
 The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton point cell, in
 ascending order; automorphism groups come from a stabilizer chain on the
-same tree.  A partition is positional: `cells[s]` is the cell that starts
-at position s and 0 elsewhere, and `open` lists the starts of the
-non-singleton cells in ascending order.  The pieces of a split cell start
-where it started, so a start names a cell for good and a round visits
-only the open cells.  Refinement only counts incidences into the cells
-that changed in the round before (Berkholz-Bonsma-Grohe, ESA 2013).
+same tree.  The chain runs once per matroid, on the smallest of the
+graph asked for and m's bases and nonbases graphs that covers m, and its
+generators are mapped onto the other covering graphs of m through their
+ground permutations (`automorphism_group`).  A partition is positional:
+`cells[s]` is the cell that starts at position s and 0 elsewhere, and
+`open` lists the starts of the non-singleton cells in ascending order.
+The pieces of a split cell start where it started, so a start names a
+cell for good and a round visits only the open cells.  Refinement only
+counts incidences into the cells that changed in the round before
+(Berkholz-Bonsma-Grohe, ESA 2013).
 Pruning skips candidates in the orbit of a failed one (McKay-Piperno,
 arXiv:1301.1493), never a solution.  The solution is the first verified
 leaf in branch order, which need not be the least in lexicographic order.
@@ -47,16 +54,19 @@ are the joint refinement (McKay-Piperno's comparison with the first path).
 
 from __future__ import annotations
 
+import weakref
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import iter_bits, mask_of
+from .bitset import elements_of, iter_bits, mask_of
 from .errors import GuardExceeded, InvariantViolation
 from .matroid import Matroid
 from .structures import (
     IsoStructure,
     PointedSet,
+    covers,
     pointed_sets,
     require_covering,
     structure_sets,
@@ -73,9 +83,12 @@ class RelColoredGraph:
     neighbours its point.  Node i < `npts` of the incidence structure is
     the i-th covered point and node npts + r is row r; `adj[x]` is the
     mask of x's incidences, `rep[x]` a vertex on x and `at[p]` the node of
-    point p (-1 if p is uncovered).  Counts fit in `width` bits; `root`
-    has the points and the rows as two cells.  The automorphism group and
-    the vertex index are computed at most once, on first use, and kept here.
+    point p (-1 if p is uncovered); `points` lists the covered points and
+    `row_index` maps each row's set to its row.  Counts fit in `width`
+    bits; `root` has the points and the rows as two cells.  `kind` is the
+    structure of a graph made by `build_graph`, else None.  The
+    automorphism group, the vertex index and the vertex table are computed
+    at most once, on first use, and kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -103,8 +116,14 @@ class RelColoredGraph:
         cells = [0] * max(size, 1)  # the empty graph is never searched
         cells[0], cells[npts] = (1 << npts) - 1, (1 << size) - (1 << npts)
         self.root = cells, [s for s in (0, npts) if cells[s] & (cells[s] - 1)]
+        self.points = covered
+        self.row_index = row_id
         self._aut: Optional[AutomorphismGroup] = None
         self._index: Optional[Dict[PointedSet, int]] = None
+        self._table: Optional[Dict[int, int]] = None
+        # set by `build_graph`: the kind, and (weak reference to m, m.key)
+        self.kind: Optional[IsoStructure] = None
+        self._origin: Optional[Tuple[weakref.ref, tuple]] = None
 
     def index_of(self, v: PointedSet) -> int:
         """The index of pointed set v; KeyError when it is not a vertex."""
@@ -126,16 +145,64 @@ class RelColoredGraph:
             ends.setdefault(k, []).append(v)
         return [(i, j) for i, k in enumerate(key) for j in ends[k] if j > i]
 
-    def perm(self, vertex_perm: Sequence[int]) -> List[int]:
-        """The incidence permutation of an automorphism of the graph."""
-        npts = self.npts
-        out = [self.at[self.point_of[vertex_perm[v]]] for v in self.rep[:npts]]
-        return out + [npts + self.row_of[vertex_perm[v]] for v in self.rep[npts:]]
+    def vertex_table(self) -> Dict[int, int]:
+        """The vertex on point node i and row node x, at key i * size + x."""
+        if self._table is None:
+            size, npts, at = self.size, self.npts, self.at
+            pairs = enumerate(zip(self.row_of, self.point_of))
+            self._table = {at[p] * size + npts + r: v for v, (r, p) in pairs}
+        return self._table
 
 
 def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
-    """The relation colored graph of (m, kind), built once per matroid."""
-    return m.cached(("graph", kind), lambda: RelColoredGraph(pointed_sets(m, kind)))
+    """The relation colored graph of (m, kind), built once per matroid.
+
+    The graph keeps m only by a weak reference and its key, so that m's
+    cache of graphs forms no reference cycle.
+    """
+
+    def build() -> RelColoredGraph:
+        g = RelColoredGraph(pointed_sets(m, kind))
+        g.kind, g._origin = kind, (weakref.ref(m), m.key)
+        return g
+
+    return m.cached(("graph", kind), build)
+
+
+def _incidence_map(
+    g: RelColoredGraph, h: RelColoredGraph, ground: Sequence[int]
+) -> List[int]:
+    """The incidence map A -> ground(A), p -> ground[p] from g to h.
+
+    Each row mask is mapped once; InvariantViolation when its image is not
+    a row of h.  Every point of g lies on a row, so its image is then
+    covered in h.
+    """
+    bits = [1 << x for x in ground]
+    rows, npts = h.row_index, h.npts
+    row_map = []
+    for a in g.row_index:
+        b = 0
+        for e in iter_bits(a):
+            b |= bits[e]
+        x = rows.get(b)
+        if x is None:
+            raise InvariantViolation(
+                f"ground map {list(ground)} carries {elements_of(a)}"
+                " onto a set that is not in the family"
+            )
+        row_map.append(npts + x)
+    return [h.at[ground[p]] for p in g.points] + row_map
+
+
+def _vertex_map(
+    g: RelColoredGraph, h: RelColoredGraph, phi: Sequence[int]
+) -> Tuple[int, ...]:
+    """The vertex map (A, p) -> (phi A, phi p) of an incidence map phi from g
+    to h, through h's vertex table."""
+    table, size, at, npts = h.vertex_table(), h.size, g.at, g.npts
+    pairs = zip(g.row_of, g.point_of)
+    return tuple(table[phi[at[p]] * size + phi[npts + r]] for r, p in pairs)
 
 
 def induced_map(
@@ -143,10 +210,9 @@ def induced_map(
 ) -> Tuple[int, ...]:
     """The vertex map (A, p) -> (ground(A), ground[p]) from g to h.
 
-    KeyError when an image is not a vertex of h.
+    InvariantViolation when the image of a set of g is not a set of h.
     """
-    image = {a: mask_of(ground[e] for e in iter_bits(a)) for a, _ in g.vertices}
-    return tuple(h.index_of(PointedSet(image[a], ground[p])) for a, p in g.vertices)
+    return _vertex_map(g, h, _incidence_map(g, h, ground))
 
 
 # -- search ------------------------------------------------------------------
@@ -351,8 +417,7 @@ class _PairSearch:
     `_node(d)` refines g's first path once per depth, when first asked,
     and every h candidate at depth d is refined against its trace, with
     the singleton as the one splitter.  The search works with incidence
-    maps; `lift` turns one into a vertex map, through a table of h's
-    vertices that it builds on its first call.
+    maps, which `_vertex_map` turns into vertex maps.
     """
 
     def __init__(self, g: RelColoredGraph, h: RelColoredGraph, stats=None):
@@ -360,7 +425,6 @@ class _PairSearch:
         self.h = h
         self.stats: SearchStats = SearchStats() if stats is None else stats
         self._path: List[Tuple[Partition, Trace, int]] = []
-        self._image: Dict[int, int] = {}  # the lift table, built by `lift`
 
     def _node(self, depth: int) -> Tuple[Partition, Trace, int]:
         """g's partition, its trace and branch cell at `depth` of its first path."""
@@ -374,16 +438,6 @@ class _PairSearch:
             part, trace = _refine(self.g, trial, at, self.stats)
             path.append((part, trace, _branch_cell(part, self.g.npts)))
         return path[depth]
-
-    def lift(self, phi: Sequence[int]) -> Tuple[int, ...]:
-        """The vertex map (A, p) -> (phi A, phi p) of an incidence isomorphism
-        phi from g to h."""
-        g, h = self.g, self.h
-        if not self._image:  # h's vertex on point node i and row node x at i * size + x
-            for w, (r, q) in enumerate(zip(h.row_of, h.point_of)):
-                self._image[h.at[q] * h.size + h.npts + r] = w
-        image, pairs = self._image, zip(g.row_of, g.point_of)
-        return tuple(image[phi[g.at[p]] * h.size + phi[g.npts + r]] for r, p in pairs)
 
     def _descend(
         self,
@@ -428,8 +482,7 @@ class _PairSearch:
             if fixed is not None:
                 if gens is None:  # Aut(h)'s generators that fix `fixed`
                     group = automorphism_group(self.h, self.stats)
-                    gens = [self.h.perm(p) for p in group.generators]
-                    gens = [p for p in gens if all(p[x] == x for x in fixed)]
+                    gens = [p for p in group.perms if all(p[x] == x for x in fixed)]
                 failed = _close_orbit(failed | 1 << w, gens)
         return None
 
@@ -443,7 +496,7 @@ class _PairSearch:
         trace = self._node(0)[1]
         root = _refine(h, h.root, (0, h.npts), self.stats, trace)
         phi = self._descend(0, root, [])
-        return None if phi is None else self.lift(phi)
+        return None if phi is None else _vertex_map(g, h, phi)
 
 
 def preserves_adjacency(
@@ -515,11 +568,24 @@ def find_matroid_isomorphism(
 
 
 class AutomorphismGroup:
-    """Generators plus exact order from an orbit-stabilizer chain."""
+    """Generators plus exact order from an orbit-stabilizer chain.
 
-    def __init__(self, generators: List[Tuple[int, ...]], order: int):
+    `perms` are the generators as incidence permutations, the form the
+    existence search prunes with; `structure` is the kind of the graph
+    whose chain found them (None for a graph built by hand).
+    """
+
+    def __init__(
+        self,
+        generators: List[Tuple[int, ...]],
+        order: int,
+        perms: List[List[int]],
+        structure: Optional[IsoStructure],
+    ):
         self.generators = generators
         self.order = order
+        self.perms = perms
+        self.structure = structure
 
     def elements(self) -> List[Tuple[int, ...]]:
         """Every group element via closure of the generators (guarded)."""
@@ -554,14 +620,64 @@ class AutomorphismGroup:
 def automorphism_group(
     g: RelColoredGraph, stats: Optional[SearchStats] = None
 ) -> AutomorphismGroup:
-    """Stabilizer chain over vertices in canonical order, computed once per graph.
+    """Aut(g), computed once per graph.
 
-    `stats`, if given, collects the counts of the search when this call
-    makes it.
+    A graph of `build_graph(m, kind)` whose kind covers m has Aut(m), read
+    on the ground set, as its group.  So the stabilizer chain runs once per
+    matroid, on the graph that `_chain_graph` picks, and its generators are
+    mapped onto g as ground permutations; each image of a set of g must be
+    a set of g, else InvariantViolation, which checks every generator
+    mapped.  The order is the chain's.  Any other graph runs its own
+    chain.  `stats`, if given, collects the counts of the search when this
+    call makes it.
     """
     if g._aut is None:
-        g._aut = _stabilizer_chain(_PairSearch(g, g, stats))
+        source = _chain_graph(g)
+        if source._aut is None:
+            source._aut = _stabilizer_chain(_PairSearch(source, source, stats))
+        g._aut = source._aut if source is g else _lift(source._aut, g)
     return g._aut
+
+
+def _chain_graph(g: RelColoredGraph) -> RelColoredGraph:
+    """The graph whose stabilizer chain gives Aut(g).
+
+    For a graph of `build_graph(m, kind)` that covers m: the first of g,
+    m's bases graph and m's nonbases graph that has the fewest vertices
+    among those that cover m.  The counts r|B| and r(C(n, r) - |B|) decide
+    before any graph is built, so the nonbases are enumerated only when
+    they win, and the choice depends on (m, kind) alone.  Any other graph
+    is its own.
+    """
+    if g._origin is None:
+        return g
+    ref, key = g._origin
+    m = ref()
+    if m is None:  # m is gone; a matroid with its key picks the same graph
+        m = Matroid(*key)
+    if g.npts < m.n:
+        return g
+    r, nb = m.rank, len(m.bases)
+    candidates = (
+        (g.n, g.kind),
+        (r * nb, IsoStructure.BASES),
+        (r * (comb(m.n, r) - nb), IsoStructure.NONBASES),
+    )
+    for _, kind in sorted(candidates, key=lambda c: c[0]):  # stable on ties
+        if kind is g.kind or covers(m, kind).covered:
+            break
+    return g if kind is g.kind else build_graph(m, kind)
+
+
+def _lift(group: AutomorphismGroup, g: RelColoredGraph) -> AutomorphismGroup:
+    """`group`, of another graph that covers g's matroid, mapped onto g.
+
+    Both graphs cover the ground set, so point node e of either is element
+    e, and a generator's first npts entries are its ground permutation.
+    """
+    perms = [_incidence_map(g, g, p[: g.npts]) for p in group.perms]
+    gens = [_vertex_map(g, g, p) for p in perms]
+    return AutomorphismGroup(gens, group.order, perms, group.structure)
 
 
 def _close_orbit(orbit: int, generators: Sequence[Tuple[int, ...]]) -> int:
@@ -599,7 +715,7 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
     most floor(log2 |G|) of them.  Generators are lifted to vertex maps.
     """
     if search.g.n == 0:
-        return AutomorphismGroup([], 1)
+        return AutomorphismGroup([], 1, [], search.g.kind)
     depth = 0
     while search._node(depth)[2] >= 0:
         depth += 1
@@ -626,7 +742,8 @@ def _stabilizer_chain(search: _PairSearch) -> AutomorphismGroup:
                 orbit = _close_orbit(orbit | 1 << w, level_gens + gens)
         order *= orbit.bit_count()
         gens = level_gens + gens
-    return AutomorphismGroup([search.lift(p) for p in gens], order)
+    lifted = [_vertex_map(search.g, search.g, p) for p in gens]
+    return AutomorphismGroup(lifted, order, gens, search.g.kind)
 
 
 def disjoint_automorphism_pair(

@@ -36,10 +36,14 @@ Trace = List[Dict[int, List[Tuple[int, int]]]]
 
 
 class ChainGroup(AutomorphismGroup):
-    """A group with the base of its chain: the vertex each level fixes."""
+    """A group with the base of its chain: the vertex each level fixes.
+
+    The line-graph chain works on vertices, so it keeps no incidence
+    permutations.
+    """
 
     def __init__(self, generators: List[Tuple[int, ...]], order: int, base: List[int]):
-        super().__init__(generators, order)
+        super().__init__(generators, order, [], None)
         self.base = base
 
 

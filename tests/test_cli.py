@@ -306,6 +306,13 @@ def test_stats_flag(files, capsys):
     stats = data.pop("stats")
     assert code == 0 and dumps(data) == plain
     assert stats["leaves"] >= len(data["generators"]) and stats["orbitPrunes"] == 0
+    assert stats["chainStructure"] == "nonbases"
+    # hyperplanes (234 vertices) take the group of the nonbases graph (72)
+    hyperplanes = ("graph", "aut", files["P"], "--structure", "hyperplanes")
+    code, out, _ = run(capsys, *hyperplanes, "--stats")
+    lifted = json.loads(out)
+    assert code == 0 and lifted.pop("stats") == stats
+    assert lifted["order"] == data["order"]
     u23 = ("iso", files["u23"], files["u23"], "--structure", "bases", "--stats")
     code, out, _ = run(capsys, *u23)
     assert code == 0 and json.loads(out)["stats"]["leaves"] == 1

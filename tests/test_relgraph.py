@@ -7,8 +7,10 @@ bijective, and checks the family against it.  It is the oracle for the
 ground maps that `find_matroid_isomorphism` returns.
 """
 
+import gc
 import random
-from typing import Dict, Sequence, Tuple
+import weakref
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
@@ -24,10 +26,13 @@ from mig.lbcs_construct import (
     minor_obstruction_certificate,
 )
 from mig.matroid import Matroid
+from mig.errors import InvariantViolation
 from mig.relgraph import (
+    AutomorphismGroup,
     RelColoredGraph,
     SearchStats,
     _PairSearch,
+    _stabilizer_chain,
     automorphism_group,
     build_graph,
     disjoint_automorphism_pair,
@@ -230,18 +235,29 @@ def test_automorphism_group_on_large_graphs_of_p(paper_pair):
     assert work == {2376: (23, 0), 10872: (27, 0)}
 
 
+def incidence_perm(g: RelColoredGraph, vertex_perm: Sequence[int]) -> List[int]:
+    """The incidence permutation of an automorphism of g: point node i goes
+    to the point node, and row node x to the row node, of the image of the
+    vertex `rep[i]` or `rep[x]` on it."""
+    npts = g.npts
+    out = [g.at[g.point_of[vertex_perm[v]]] for v in g.rep[:npts]]
+    return out + [npts + g.row_of[vertex_perm[v]] for v in g.rep[npts:]]
+
+
 def _check_strong_generators(g: RelColoredGraph) -> None:
     """At most floor(log2 |G|) generators, and they generate every level.
 
     The base b_0, b_1, ... is read off g's first path.  Over its levels,
     the orbit of b_k under the generators that fix b_0 .. b_{k-1} must
-    multiply up to the group order.
+    multiply up to the group order.  The incidence permutations that the
+    group keeps are those of its vertex generators.
     """
     group = automorphism_group(g)
     assert len(group.generators) <= group.order.bit_length() - 1
     assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
     search = _PairSearch(g, g)
-    perms = [g.perm(gen) for gen in group.generators]
+    perms = [incidence_perm(g, gen) for gen in group.generators]
+    assert perms == group.perms
     fixed = []
     product = 1
     depth = 0
@@ -296,6 +312,121 @@ def test_chain_generators_are_few_and_strong(catalog5, catalog6, paper_pair):
         _check_strong_generators(g)
     orders = [automorphism_group(g).order for g in graphs[-18:]]
     assert orders == [1152] * 18
+
+
+def _ground_group(group: AutomorphismGroup, n: int) -> AutomorphismGroup:
+    """The group's generators read as permutations of the n ground elements."""
+    return AutomorphismGroup([tuple(p[:n]) for p in group.perms], group.order, [], None)
+
+
+def _assert_lift_matches_own_chain(m: Matroid, kind: IsoStructure, by_elements: bool):
+    """Aut of m's graph of `kind` is the group its own chain finds.
+
+    With `by_elements` the two groups are compared as sets of vertex
+    permutations.  Otherwise, for graphs too large to list, every
+    generator of both must be the vertex map its ground permutation
+    induces; the ground map is then a faithful homomorphism onto each
+    group, so they agree when the ground groups do.
+    """
+    g = build_graph(m, kind)
+    got, want = automorphism_group(g), _stabilizer_chain(_PairSearch(g, g))
+    assert got.order == want.order, (m.key, kind)
+    assert len(got.generators) <= max(got.order.bit_length() - 1, 0)
+    if by_elements:
+        assert got.elements() == want.elements(), (m.key, kind)
+        return
+    for group in (got, want):
+        for gen, perm in zip(group.generators, group.perms):
+            assert induced_map(g, g, perm[: m.n]) == gen
+    assert _ground_group(got, m.n).elements() == _ground_group(want, m.n).elements()
+
+
+def test_lifted_group_matches_own_chain(catalog5, catalog6, paper_pair):
+    """Every covering kind of the catalogs n <= 5 and of every 25th matroid at
+    n = 6, as sets of vertex permutations, and all six kinds of P and Q."""
+    mats = [m for n in sorted(catalog5) for m in catalog5[n]] + list(catalog6[::25])
+    sources = set()
+    for m in mats:
+        for kind in IsoStructure:
+            if covers(m, kind).covered:
+                _assert_lift_matches_own_chain(m, kind, True)
+                sources.add((kind, automorphism_group(build_graph(m, kind)).structure))
+    # every kind has been lifted from the bases and from the nonbases graph
+    lifted = {(k, s) for k, s in sources if k is not s}
+    assert {s for _, s in lifted} == {IsoStructure.BASES, IsoStructure.NONBASES}
+    assert {k for k, _ in lifted} == set(IsoStructure)
+    for m in paper_pair:
+        for kind in IsoStructure:
+            _assert_lift_matches_own_chain(m, kind, False)
+            assert automorphism_group(build_graph(m, kind)).structure is (
+                IsoStructure.NONBASES
+            )
+
+
+def test_lifted_generators_do_not_depend_on_earlier_queries(paper_pair):
+    """Aut of P's hyperplanes graph, alone, after the nonbases group, and
+    after its matroid was freed: the same generators each time."""
+    key = paper_pair[0].key
+    alone = Matroid(*key)
+    first = automorphism_group(build_graph(alone, IsoStructure.HYPERPLANES))
+    after = Matroid(*key)
+    automorphism_group(build_graph(after, IsoStructure.NONBASES))
+    second = automorphism_group(build_graph(after, IsoStructure.HYPERPLANES))
+    freed = automorphism_group(build_graph(Matroid(*key), IsoStructure.HYPERPLANES))
+    assert first.generators == second.generators == freed.generators
+    assert first.perms == second.perms == freed.perms
+    assert first.order == 1152 and first.structure is IsoStructure.NONBASES
+
+
+def test_hand_built_and_noncovering_graphs_keep_their_own_chain(paper_pair):
+    """A graph built by hand, or of a kind that misses an element, is its own
+    chain's source: its generators and counts are its own chain's."""
+    from mig import matroid_from_bases
+
+    hand = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.HYPERPLANES))
+    looped = matroid_from_bases(6, uniform_matroid(2, 4).bases)
+    for g in (hand, build_graph(looped, IsoStructure.BASES)):
+        stats = SearchStats()
+        got = automorphism_group(g, stats)
+        search = _PairSearch(g, g)
+        want = _stabilizer_chain(search)
+        assert got.generators == want.generators and got.order == want.order
+        assert stats.to_json() == search.stats.to_json() and stats.refinements > 0
+    assert automorphism_group(hand).structure is None
+    assert automorphism_group(build_graph(looped, IsoStructure.BASES)).structure is (
+        IsoStructure.BASES
+    )
+
+
+def test_graphs_hold_no_reference_to_their_matroid(paper_pair):
+    """A matroid with cached graphs and a lifted group is freed without the
+    garbage collector."""
+    m = Matroid(*paper_pair[0].key)
+    automorphism_group(build_graph(m, IsoStructure.HYPERPLANES))
+    gone = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_corrupted_source_generator_is_refused(paper_pair):
+    """A source generator that is no automorphism fails its lift."""
+    p = Matroid(*paper_pair[0].key)
+    group = automorphism_group(build_graph(p, IsoStructure.NONBASES))
+    hyperplanes = set(structure_sets(p, IsoStructure.HYPERPLANES))
+    for e in range(1, p.n):  # a transposition (0 e) that moves a hyperplane off
+        swap = list(range(p.n))
+        swap[0], swap[e] = e, 0
+        if {mask_of(swap[x] for x in iter_bits(a)) for a in hyperplanes} != hyperplanes:
+            break
+    group.perms[0][: p.n] = swap
+    with pytest.raises(InvariantViolation):
+        automorphism_group(build_graph(p, IsoStructure.HYPERPLANES))
+    with pytest.raises(InvariantViolation):
+        induced_map(*[build_graph(p, IsoStructure.HYPERPLANES)] * 2, swap)
 
 
 def test_rows_with_the_same_points_are_branched_on():
