@@ -29,9 +29,12 @@ The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton point cell, in
 ascending order; automorphism groups come from a stabilizer chain on the
 same tree.  The chain runs once per matroid, on the smallest of the
-graph asked for and m's bases and nonbases graphs that covers m, and its
-generators are mapped onto the other covering graphs of m through their
-ground permutations (`automorphism_group`).  A partition is positional:
+graph asked for and m's bases and nonbases graphs that covers m
+(`source_graph`), and its generators are mapped onto the other covering
+graphs of m through their ground permutations (`automorphism_group`).
+An isomorphism search m -> n runs on the same graph of m and n's graph of
+its kind, and its ground map is mapped onto the graphs of the kind asked
+for (`find_matroid_isomorphism`).  A partition is positional:
 `cells[s]` is the cell that starts at position s and 0 elsewhere, and
 `open` lists the starts of the non-singleton cells in ascending order.
 The pieces of a split cell start where it started, so a start names a
@@ -87,8 +90,8 @@ class RelColoredGraph:
     `row_index` maps each row's set to its row.  Counts fit in `width`
     bits; `root` has the points and the rows as two cells.  `kind` is the
     structure of a graph made by `build_graph`, else None.  The
-    automorphism group, the vertex index and the vertex table are computed
-    at most once, on first use, and kept here.
+    automorphism group and the vertex table, which `index_of` reads, are
+    computed at most once, on first use, and kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -119,17 +122,22 @@ class RelColoredGraph:
         self.points = covered
         self.row_index = row_id
         self._aut: Optional[AutomorphismGroup] = None
-        self._index: Optional[Dict[PointedSet, int]] = None
         self._table: Optional[Dict[int, int]] = None
         # set by `build_graph`: the kind, and (weak reference to m, m.key)
         self.kind: Optional[IsoStructure] = None
         self._origin: Optional[Tuple[weakref.ref, tuple]] = None
+        self._source: Optional[IsoStructure] = None  # kept by `source_graph`
 
     def index_of(self, v: PointedSet) -> int:
         """The index of pointed set v; KeyError when it is not a vertex."""
-        if self._index is None:
-            self._index = {u: i for i, u in enumerate(self.vertices)}
-        return self._index[v]
+        a, p = v
+        r = self.row_index.get(a)
+        i = self.at[p] if 0 <= p < len(self.at) else -1
+        if r is not None and i >= 0:
+            w = self.vertex_table().get(i * self.size + self.npts + r)
+            if w is not None:
+                return w
+        raise KeyError(v)
 
     def rel_table(self) -> np.ndarray:
         """rel of every vertex pair: (rows differ) + 2 * (points differ)."""
@@ -538,29 +546,44 @@ def find_matroid_isomorphism(
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """A matroid isomorphism m -> n by graph search: (ground map, vertex map) or None.
 
-    Both families must cover (`require_covering`), so every element is the
-    point of a vertex and the vertex map, which preserves columns, sends
-    element p_v to p_w for each v -> w: the ground map is read off it.
-    The pointed game never sees the empty set, so when exactly one family
-    holds it (flats of an all-loop matroid versus a loop-free one) the
-    graphs can agree while the matroids do not; that is a negative.  The
-    ground map must be a bijection carrying the family onto the family,
-    else `InvariantViolation`.  `stats`, if given, collects the graph
-    search's counts.
+    Both families must cover (`require_covering`).  Every game whose kind
+    covers both matroids has the same answer, whether m and n are
+    isomorphic, so the search runs on the pair that `source_graph` picks
+    for m's graph, the one whose chain gives Aut(m): m's graph of that
+    kind and n's.  When n's family of that kind does not cover, no
+    isomorphism exists, as covering is invariant under isomorphism.  Each
+    element is the point of a vertex and the vertex map found, which
+    preserves columns, sends element p_v to p_w for each v -> w: the
+    ground map is read off it and must be a bijection.  The vertex map
+    returned is the one it induces on the graphs of `kind`: the map found
+    when those were searched, else `induced_map`, which refuses a set
+    carried outside n's family.  The pointed game never sees the empty
+    set, so when exactly one family holds it (flats of an all-loop matroid
+    versus a loop-free one) the graphs can agree while the matroids do
+    not; that is a negative.  The ground map must carry the family onto
+    the family, else `InvariantViolation`.  `stats`, if given, collects
+    the graph search's counts.
     """
     require_covering(kind, m, n)
     g, h = build_graph(m, kind), build_graph(n, kind)
-    mapping = find_isomorphism(g, h, stats)
-    if mapping is None:
+    source = source_graph(g)
+    if not covers(n, source.kind).covered:
+        return None
+    target = build_graph(n, source.kind)
+    found = find_isomorphism(source, target, stats)
+    if found is None:
         return None
     fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
     if (0 in fam_m) != (0 in fam_n):
         return None
     ground = [-1] * m.n
-    for v, w in enumerate(mapping):
-        ground[g.point_of[v]] = h.point_of[w]
+    for v, w in enumerate(found):
+        ground[source.point_of[v]] = target.point_of[w]
+    if sorted(ground) != list(range(n.n)):
+        raise InvariantViolation(f"ground map {ground} is not a bijection")
+    mapping = found if source is g else induced_map(g, h, ground)
     image = {mask_of(ground[e] for e in iter_bits(a)) for a in fam_m}
-    if sorted(ground) != list(range(n.n)) or image != set(fam_n):
+    if image != set(fam_n):
         raise InvariantViolation(
             f"ground map {ground} does not carry the {kind.value} family across"
         )
@@ -624,7 +647,7 @@ def automorphism_group(
 
     A graph of `build_graph(m, kind)` whose kind covers m has Aut(m), read
     on the ground set, as its group.  So the stabilizer chain runs once per
-    matroid, on the graph that `_chain_graph` picks, and its generators are
+    matroid, on the graph that `source_graph` picks, and its generators are
     mapped onto g as ground permutations; each image of a set of g must be
     a set of g, else InvariantViolation, which checks every generator
     mapped.  The order is the chain's.  Any other graph runs its own
@@ -632,31 +655,44 @@ def automorphism_group(
     call makes it.
     """
     if g._aut is None:
-        source = _chain_graph(g)
+        source = source_graph(g)
         if source._aut is None:
             source._aut = _stabilizer_chain(_PairSearch(source, source, stats))
         g._aut = source._aut if source is g else _lift(source._aut, g)
     return g._aut
 
 
-def _chain_graph(g: RelColoredGraph) -> RelColoredGraph:
-    """The graph whose stabilizer chain gives Aut(g).
+def source_graph(g: RelColoredGraph) -> RelColoredGraph:
+    """The graph whose stabilizer chain gives Aut(g), and on which an
+    isomorphism search from g's matroid runs (`find_matroid_isomorphism`).
 
     For a graph of `build_graph(m, kind)` that covers m: the first of g,
     m's bases graph and m's nonbases graph that has the fewest vertices
     among those that cover m.  The counts r|B| and r(C(n, r) - |B|) decide
     before any graph is built, so the nonbases are enumerated only when
-    they win, and the choice depends on (m, kind) alone.  Any other graph
-    is its own.
+    they win, and the choice depends on (m, kind) alone; its kind is kept
+    on g.  Any other graph is its own.
     """
     if g._origin is None:
         return g
+    if g._source is None:
+        g._source = _source_kind(g)
+    return g if g._source is g.kind else build_graph(_matroid_of(g), g._source)
+
+
+def _matroid_of(g: RelColoredGraph) -> Matroid:
+    """The matroid of a graph of `build_graph`, or, once it is gone, a
+    matroid with its key, which picks the same graphs."""
     ref, key = g._origin
     m = ref()
-    if m is None:  # m is gone; a matroid with its key picks the same graph
-        m = Matroid(*key)
+    return Matroid(*key) if m is None else m
+
+
+def _source_kind(g: RelColoredGraph) -> IsoStructure:
+    """The kind of `source_graph(g)`."""
+    m = _matroid_of(g)
     if g.npts < m.n:
-        return g
+        return g.kind
     r, nb = m.rank, len(m.bases)
     candidates = (
         (g.n, g.kind),
@@ -666,7 +702,7 @@ def _chain_graph(g: RelColoredGraph) -> RelColoredGraph:
     for _, kind in sorted(candidates, key=lambda c: c[0]):  # stable on ties
         if kind is g.kind or covers(m, kind).covered:
             break
-    return g if kind is g.kind else build_graph(m, kind)
+    return kind
 
 
 def _lift(group: AutomorphismGroup, g: RelColoredGraph) -> AutomorphismGroup:

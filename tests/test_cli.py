@@ -8,6 +8,7 @@ import pytest
 from mig import matroid_from_graph, matroid_from_nonbases, uniform_matroid
 from mig.cli import main
 from mig.jsonio import dumps, matroid_to_json
+from mig.structures import IsoStructure
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,17 @@ def test_graph_build_bytes_on_p(files, capsys, kind):
     )
 
 
+# the search counts of P vs Q on their nonbases graphs (72 vertices each)
+P_VS_Q_STATS = {
+    "refinements": 37,
+    "failedRefinements": 1,
+    "splitterCounts": 2254,
+    "orbitPrunes": 28,
+    "leaves": 8,
+    "searchStructure": "nonbases",
+}
+
+
 def test_stats_flag(files, capsys):
     """--stats adds the search counts; without it the JSON is unchanged."""
     pq = ("iso", files["P"], files["Q"], "--structure", "nonbases")
@@ -291,13 +303,7 @@ def test_stats_flag(files, capsys):
     assert code == 1
     code, out, _ = run(capsys, *pq, "--stats")
     data = json.loads(out)
-    assert code == 1 and data.pop("stats") == {
-        "refinements": 37,
-        "failedRefinements": 1,
-        "splitterCounts": 2254,
-        "orbitPrunes": 28,
-        "leaves": 8,
-    }
+    assert code == 1 and data.pop("stats") == P_VS_Q_STATS
     assert dumps(data) == plain
     aut = ("graph", "aut", files["P"], "--structure", "nonbases")
     code, plain, _ = run(capsys, *aut)
@@ -318,6 +324,19 @@ def test_stats_flag(files, capsys):
     assert code == 0 and json.loads(out)["stats"]["leaves"] == 1
     build = ("graph", "build", files["u23"], "--structure", "bases", "--stats")
     assert run(capsys, *build)[0] == 2
+
+
+def test_iso_stats_count_the_nonbases_search_on_every_kind(files, capsys):
+    """P vs Q searches the nonbases graphs whatever kind is asked for.
+
+    Each kind covers P and Q, and the nonbases graph is the smallest that
+    covers, so every kind reports its search and the pruning of Aut(Q)'s
+    own chain: 28 prunes and 1 failed refinement.
+    """
+    for kind in IsoStructure:
+        pq = ("iso", files["P"], files["Q"], "--structure", kind.value, "--stats")
+        code, out, _ = run(capsys, *pq)
+        assert code == 1 and json.loads(out)["stats"] == P_VS_Q_STATS, kind
 
 
 def test_paper_pair_computes_each_group_once(capsys, monkeypatch):

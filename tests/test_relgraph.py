@@ -14,7 +14,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
-from mig import brute_force_isomorphic, matroid_from_nonbases, uniform_matroid
+from mig import (
+    brute_force_isomorphic,
+    matroid_from_bases,
+    matroid_from_nonbases,
+    uniform_matroid,
+)
 from mig.bitset import iter_bits, mask_of
 from mig.derived import tutte_polynomial
 from mig.lbcs_construct import (
@@ -40,6 +45,7 @@ from mig.relgraph import (
     find_matroid_isomorphism,
     induced_map,
     preserves_adjacency,
+    source_graph,
 )
 from mig.structures import (
     IsoStructure,
@@ -159,26 +165,27 @@ GRID_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
 
 # by sign pattern: SearchStats.to_json() values (refinements, failedRefinements,
 # splitterCounts, orbitPrunes, leaves) of iso on nonbases, hyperplanes and
-# flats, then of aut on nonbases and hyperplanes
+# flats, then of aut on nonbases and hyperplanes; every iso kind searches the
+# nonbases graphs (72 vertices), the smallest that covers
 PINNED_WORK = {
     13: [
         (10, 0, 626, 0, 1),
-        (10, 0, 2128, 0, 1),
-        (10, 0, 2546, 0, 1),
+        (10, 0, 626, 0, 1),
+        (10, 0, 626, 0, 1),
         (23, 0, 1357, 0, 7),
         (18, 0, 4023, 0, 5),
     ],
     40: [
         (10, 0, 626, 0, 1),
-        (10, 0, 2128, 0, 1),
-        (10, 0, 2546, 0, 1),
+        (10, 0, 626, 0, 1),
+        (10, 0, 626, 0, 1),
         (17, 0, 947, 0, 5),
         (19, 0, 4324, 0, 6),
     ],
     3: [
         (10, 0, 626, 0, 1),
-        (10, 0, 2128, 0, 1),
-        (10, 0, 2546, 0, 1),
+        (10, 0, 626, 0, 1),
+        (10, 0, 626, 0, 1),
         (17, 0, 947, 0, 5),
         (19, 0, 4324, 0, 6),
     ],
@@ -381,8 +388,6 @@ def test_lifted_generators_do_not_depend_on_earlier_queries(paper_pair):
 def test_hand_built_and_noncovering_graphs_keep_their_own_chain(paper_pair):
     """A graph built by hand, or of a kind that misses an element, is its own
     chain's source: its generators and counts are its own chain's."""
-    from mig import matroid_from_bases
-
     hand = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.HYPERPLANES))
     looped = matroid_from_bases(6, uniform_matroid(2, 4).bases)
     for g in (hand, build_graph(looped, IsoStructure.BASES)):
@@ -475,8 +480,6 @@ def test_flats_game_blind_spot():
     isomorphism; only the coloop's family holds the empty set, and the
     combined verdict stays negative.
     """
-    from mig import matroid_from_bases
-
     loop = matroid_from_bases(1, [[]])
     coloop = uniform_matroid(1, 1)
     kind = IsoStructure.FLATS
@@ -489,32 +492,45 @@ def test_flats_game_blind_spot():
         matroid_iso_from_graph_iso(loop, coloop, kind, (0,))
 
 
+def _check_ground_map_pair(m: Matroid, n: Matroid, kinds=tuple(IsoStructure)) -> int:
+    """Isomorphic m and n on each kind of `kinds` that covers both: the ground
+    map is the oracle's, it induces the vertex map returned, and kinds that
+    search the same graphs (`source_graph`) return the same ground map.
+    Returns the number of kinds checked.
+    """
+    by_source: Dict[IsoStructure, Tuple[int, ...]] = {}
+    checked = 0
+    for kind in kinds:
+        if not (covers(m, kind).covered and covers(n, kind).covered):
+            continue
+        hit = find_matroid_isomorphism(m, n, kind)
+        assert hit is not None, (m.key, n.key, kind)
+        ground, mapping = hit
+        assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
+        g, h = build_graph(m, kind), build_graph(n, kind)
+        assert induced_map(g, h, ground) == mapping
+        source = source_graph(g).kind
+        assert by_source.setdefault(source, ground) == ground, (m.key, n.key, kind)
+        checked += 1
+    return checked
+
+
 def _check_ground_maps(mats) -> int:
-    """Each isomorphic covering pair of `mats`: the ground map is the oracle's,
-    and it induces the vertex map the search found.
+    """`_check_ground_map_pair` on each isomorphic pair of `mats`.
 
     Isomorphic matroids share their Tutte polynomial, so pairs are drawn
     within its classes; up to n = 5 each class is one isomorphism class.
-    Returns the number of pairs checked.
+    Returns the number of (pair, kind) cases checked.
     """
     classes: Dict[object, list] = {}
     for m in mats:
         classes.setdefault(tutte_polynomial(m), []).append(m)
-    checked = 0
-    for cls in classes.values():
-        for m in cls:
-            for n in cls:
-                for kind in IsoStructure:
-                    if not (covers(m, kind).covered and covers(n, kind).covered):
-                        continue
-                    hit = find_matroid_isomorphism(m, n, kind)
-                    assert hit is not None, (m.key, n.key, kind)
-                    ground, mapping = hit
-                    assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
-                    g, h = build_graph(m, kind), build_graph(n, kind)
-                    assert induced_map(g, h, ground) == mapping
-                    checked += 1
-    return checked
+    return sum(
+        _check_ground_map_pair(m, n)
+        for cls in classes.values()
+        for m in cls
+        for n in cls
+    )
 
 
 def test_ground_maps_match_extraction_oracle(catalog5):
@@ -541,30 +557,64 @@ def test_doubled_grid_ground_maps_match_extraction_oracle():
     """Seeded relabelings of two doubled grids, on three kinds each."""
     grid = grid_matroid()
     rng = random.Random(5)
+    kinds = (IsoStructure.NONBASES, IsoStructure.HYPERPLANES, IsoStructure.FLATS)
     for negatives in ([(0, 1, 2), (0, 3, 6)], [(2, 5, 8)]):
         m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
         perm = list(range(m.n))
         rng.shuffle(perm)
         sm = m.relabel(perm)
-        for kind in (
-            IsoStructure.NONBASES,
-            IsoStructure.HYPERPLANES,
-            IsoStructure.FLATS,
-        ):
-            ground, mapping = find_matroid_isomorphism(m, sm, kind)
-            assert matroid_iso_from_graph_iso(m, sm, kind, mapping) == ground
-            assert m.relabel(ground) == sm
-            g, h = build_graph(m, kind), build_graph(sm, kind)
-            assert induced_map(g, h, ground) == mapping
+        assert _check_ground_map_pair(m, sm, kinds) == 3
+        assert m.relabel(find_matroid_isomorphism(m, sm, kinds[1])[0]) == sm
+
+
+def test_kinds_of_p_share_the_nonbases_ground_map(paper_pair):
+    """P against a seeded relabelling of itself: every kind covers P, each
+    searches the nonbases graphs, and all return the same ground map."""
+    p = paper_pair[0]
+    perm = list(range(p.n))
+    random.Random(23).shuffle(perm)
+    sp = p.relabel(perm)
+    kinds = {source_graph(build_graph(p, k)).kind for k in IsoStructure}
+    assert kinds == {IsoStructure.NONBASES}
+    assert _check_ground_map_pair(p, sp) == len(IsoStructure)
+
+
+def test_second_matroid_outside_the_searched_kind():
+    """m's flats search its nonbases graph, which n's nonbases do not cover.
+
+    m is two parallel pairs, n a coloop beside three parallel elements;
+    both flat families cover, and n's nonbases miss the coloop 0, so there
+    is no isomorphism and no search.
+    """
+    m = matroid_from_bases(4, [[0, 2], [1, 2], [0, 3], [1, 3]])  # masks 5, 6, 9, 10
+    n = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3]])  # masks 3, 5, 9
+    kind = IsoStructure.FLATS
+    assert covers(m, kind).covered and covers(n, kind).covered
+    assert source_graph(build_graph(m, kind)).kind is IsoStructure.NONBASES
+    assert not covers(n, IsoStructure.NONBASES).covered
+    stats = SearchStats()
+    assert find_matroid_isomorphism(m, n, kind, stats) is None
+    assert stats.refinements == 0
+    assert brute_force_isomorphic(m, n) is None
 
 
 def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
-    """The index is built on the first lookup, never by a search."""
+    """The index reads the vertex table, built on first use for the search
+    and the lookups alike; a pointed set that is no vertex is a KeyError."""
     g = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.NONBASES))
-    assert automorphism_group(g).order == 1152 and g._index is None
+    assert g._table is None
     assert [g.index_of(v) for v in g.vertices] == list(range(g.n))
-    with pytest.raises(KeyError):
-        g.index_of((0b1, 0))  # a rank-3 matroid has no one-element nonbasis
+    table = g._table
+    assert automorphism_group(g).order == 1152 and g._table is table
+    a, p = g.vertices[0]
+    outside = next(e for e in range(paper_pair[0].n) if not a >> e & 1)
+    for v in (
+        (0b1, 0),  # a rank-3 matroid has no one-element nonbasis
+        (a, outside),  # a nonbasis and a covered point not in it
+        (a, paper_pair[0].n),  # a point beyond the ground set
+    ):
+        with pytest.raises(KeyError):
+            g.index_of(PointedSet(*v))
 
 
 def test_rel_table_matches_pairwise_rel(catalog5, paper_pair):
