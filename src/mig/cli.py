@@ -150,26 +150,20 @@ def cmd_graph(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    from .relgraph import (
-        SearchStats,
-        build_graph,
-        find_matroid_isomorphism,
-        source_graph,
-    )
+    from .relgraph import SearchStats, find_matroid_isomorphism
 
     m = load_matroid(args.first)
     n = load_matroid(args.second)
-    kind = _structure(args)
     stats = SearchStats()
-    hit = find_matroid_isomorphism(m, n, kind, stats)
+    hit = find_matroid_isomorphism(m, n, _structure(args), stats)
     if hit is None:
         payload: dict = {"isomorphic": False, "groundMap": None}
     else:
         ground, mapping = hit
         payload = {"isomorphic": True, "map": list(mapping), "groundMap": list(ground)}
     if args.stats:
-        searched = source_graph(build_graph(m, kind)).kind
-        payload["stats"] = {**stats.to_json(), "searchStructure": searched.value}
+        searched = None if stats.structure is None else stats.structure.value
+        payload["stats"] = {**stats.to_json(), "searchStructure": searched}
     _emit(payload, args.out)
     return EXIT_NEGATIVE if hit is None else EXIT_OK
 

@@ -32,9 +32,10 @@ same tree.  The chain runs once per matroid, on the smallest of the
 graph asked for and m's bases and nonbases graphs that covers m
 (`source_graph`), and its generators are mapped onto the other covering
 graphs of m through their ground permutations (`automorphism_group`).
-An isomorphism search m -> n runs on the same graph of m and n's graph of
-its kind, and its ground map is mapped onto the graphs of the kind asked
-for (`find_matroid_isomorphism`).  A partition is positional:
+An isomorphism search m -> n, once m and n agree in size, rank and number
+of bases, runs on the same graph of m and n's graph of its kind, and its
+ground map is mapped onto the graphs of the kind asked for
+(`find_matroid_isomorphism`).  A partition is positional:
 `cells[s]` is the cell that starts at position s and 0 elsewhere, and
 `open` lists the starts of the non-singleton cells in ascending order.
 The pieces of a split cell start where it started, so a start names a
@@ -243,7 +244,9 @@ class SearchStats:
     under Aut(h)'s generators that fix the candidates above them in an
     existence search and, in the chain, under the generators found at the
     level and below it; `leaves` the discrete partitions checked against
-    the graphs.
+    the graphs.  `structure` is the kind of the graphs that
+    `find_matroid_isomorphism` searched, None until it runs a search; it
+    is not a count, and `to_json` leaves it out.
     """
 
     __slots__ = (
@@ -252,6 +255,7 @@ class SearchStats:
         "splitter_counts",
         "orbit_prunes",
         "leaves",
+        "structure",
     )
 
     def __init__(self) -> None:
@@ -260,6 +264,7 @@ class SearchStats:
         self.splitter_counts = 0
         self.orbit_prunes = 0
         self.leaves = 0
+        self.structure: Optional[IsoStructure] = None
 
     def to_json(self) -> Dict[str, int]:
         return {
@@ -546,30 +551,38 @@ def find_matroid_isomorphism(
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """A matroid isomorphism m -> n by graph search: (ground map, vertex map) or None.
 
-    Both families must cover (`require_covering`).  Every game whose kind
-    covers both matroids has the same answer, whether m and n are
-    isomorphic, so the search runs on the pair that `source_graph` picks
-    for m's graph, the one whose chain gives Aut(m): m's graph of that
-    kind and n's.  When n's family of that kind does not cover, no
-    isomorphism exists, as covering is invariant under isomorphism.  Each
+    Both families must cover (`require_covering`).  Matroids that differ in
+    size, rank or number of bases are not isomorphic; that is checked before
+    any other family of n is read.  Every game whose kind covers both
+    matroids has the same answer, whether m and n are isomorphic, so the
+    search runs on the pair that `source_graph` picks for m's graph, the one
+    whose chain gives Aut(m): m's graph of that kind and n's.  With the
+    counts equal, n has as many bases and nonbases as m, so m's choice also
+    bounds what reading n's family costs.  When that family does not cover,
+    no isomorphism exists, as covering is invariant under isomorphism.  Each
     element is the point of a vertex and the vertex map found, which
-    preserves columns, sends element p_v to p_w for each v -> w: the
-    ground map is read off it and must be a bijection.  The vertex map
-    returned is the one it induces on the graphs of `kind`: the map found
-    when those were searched, else `induced_map`, which refuses a set
-    carried outside n's family.  The pointed game never sees the empty
-    set, so when exactly one family holds it (flats of an all-loop matroid
-    versus a loop-free one) the graphs can agree while the matroids do
-    not; that is a negative.  The ground map must carry the family onto
-    the family, else `InvariantViolation`.  `stats`, if given, collects
-    the graph search's counts.
+    preserves columns, sends element p_v to p_w for each v -> w: the ground
+    map is read off it and must be a bijection.  The vertex map returned is
+    the one it induces on the graphs of `kind`: the map found when those
+    were searched, else `induced_map`, which refuses a set carried outside
+    n's family.  The pointed game never sees the empty set, so when exactly
+    one family holds it (flats of an all-loop matroid versus a loop-free
+    one) the graphs can agree while the matroids do not; that is a negative.
+    The ground map must carry the family onto the family, else
+    `InvariantViolation`.  `stats`, if given, collects the graph search's
+    counts and, in `structure`, the kind of the graphs searched; both stay
+    as they were when no search runs.
     """
     require_covering(kind, m, n)
-    g, h = build_graph(m, kind), build_graph(n, kind)
+    if (m.n, m.rank, len(m.bases)) != (n.n, n.rank, len(n.bases)):
+        return None
+    g = build_graph(m, kind)
     source = source_graph(g)
     if not covers(n, source.kind).covered:
         return None
     target = build_graph(n, source.kind)
+    if stats is not None:
+        stats.structure = source.kind
     found = find_isomorphism(source, target, stats)
     if found is None:
         return None
@@ -581,7 +594,7 @@ def find_matroid_isomorphism(
         ground[source.point_of[v]] = target.point_of[w]
     if sorted(ground) != list(range(n.n)):
         raise InvariantViolation(f"ground map {ground} is not a bijection")
-    mapping = found if source is g else induced_map(g, h, ground)
+    mapping = found if source is g else induced_map(g, build_graph(n, kind), ground)
     image = {mask_of(ground[e] for e in iter_bits(a)) for a in fam_m}
     if image != set(fam_n):
         raise InvariantViolation(

@@ -322,6 +322,13 @@ def test_stats_flag(files, capsys):
     u23 = ("iso", files["u23"], files["u23"], "--structure", "bases", "--stats")
     code, out, _ = run(capsys, *u23)
     assert code == 0 and json.loads(out)["stats"]["leaves"] == 1
+    # a different number of bases answers without a search
+    u23_u24 = ("iso", files["u23"], files["u24"], "--structure", "bases", "--stats")
+    code, out, _ = run(capsys, *u23_u24)
+    assert code == 1 and json.loads(out)["stats"] == {
+        **{key: 0 for key in P_VS_Q_STATS},
+        "searchStructure": None,
+    }
     build = ("graph", "build", files["u23"], "--structure", "bases", "--stats")
     assert run(capsys, *build)[0] == 2
 

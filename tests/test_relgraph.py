@@ -582,20 +582,48 @@ def test_kinds_of_p_share_the_nonbases_ground_map(paper_pair):
 def test_second_matroid_outside_the_searched_kind():
     """m's flats search its nonbases graph, which n's nonbases do not cover.
 
-    m is two parallel pairs, n a coloop beside three parallel elements;
-    both flat families cover, and n's nonbases miss the coloop 0, so there
-    is no isomorphism and no search.
+    m is a triangle beside the loop 3, n a coloop beside three parallel
+    elements: the same size, rank and number of bases, and both flat
+    families cover, but n's nonbases miss the coloop 0, so there is no
+    isomorphism and no search.
     """
-    m = matroid_from_bases(4, [[0, 2], [1, 2], [0, 3], [1, 3]])  # masks 5, 6, 9, 10
+    m = matroid_from_bases(4, [[0, 1], [0, 2], [1, 2]])  # masks 3, 5, 6
     n = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3]])  # masks 3, 5, 9
     kind = IsoStructure.FLATS
+    assert (m.n, m.rank, len(m.bases)) == (n.n, n.rank, len(n.bases))
     assert covers(m, kind).covered and covers(n, kind).covered
     assert source_graph(build_graph(m, kind)).kind is IsoStructure.NONBASES
     assert not covers(n, IsoStructure.NONBASES).covered
     stats = SearchStats()
     assert find_matroid_isomorphism(m, n, kind, stats) is None
-    assert stats.refinements == 0
+    assert (stats.refinements, stats.structure) == (0, None)
     assert brute_force_isomorphic(m, n) is None
+
+
+def test_differing_counts_answer_before_any_other_family():
+    """Size, rank and number of bases decide before n's families are read.
+
+    m, two parallel pairs, searches its nonbases graph (4 vertices against
+    8 for its bases).  n is loop-free of rank 10 on 20 elements, with 11
+    bases: a basis and the ten elements parallel to its element 0.  Its
+    nonbases would be the other C(20, 10) - 11 ten-subsets; they are never
+    enumerated, and neither are n's bases graph nor its covering.
+    """
+    m = matroid_from_bases(4, [[0, 2], [1, 2], [0, 3], [1, 3]])
+    basis = list(range(10))
+    n = matroid_from_bases(20, [basis] + [[e] + basis[1:] for e in range(10, 20)])
+    kind = IsoStructure.BASES
+    assert source_graph(build_graph(m, kind)).kind is IsoStructure.NONBASES
+    assert covers(n, kind).covered
+    before = set(n._cache)
+    stats = SearchStats()
+    assert find_matroid_isomorphism(m, n, kind, stats) is None
+    assert (stats.refinements, stats.structure) == (0, None)
+    assert set(n._cache) == before
+    # on flats against a coloop beside three parallel elements: 4 bases to 3
+    n3 = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3]])
+    assert find_matroid_isomorphism(m, n3, IsoStructure.FLATS) is None
+    assert brute_force_isomorphic(m, n3) is None
 
 
 def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
