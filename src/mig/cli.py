@@ -121,6 +121,8 @@ def cmd_cover(args) -> int:
 def cmd_graph(args) -> int:
     from .relgraph import SearchStats, automorphism_group, build_graph
 
+    if args.stats and args.action != "aut":
+        raise MigError("--stats applies to graph aut")
     m = load_matroid(args.file)
     kind = _structure(args)
     g = build_graph(m, kind)
@@ -130,8 +132,6 @@ def cmd_graph(args) -> int:
             f"warning: {kind.value} misses element {res.witness}"
             "; the graph has no vertex on it\n"
         )
-    if args.stats and args.action != "aut":
-        raise MigError("--stats applies to graph aut")
     if args.action == "build":
         payload = {
             "vertices": [v.to_json() for v in g.vertices],

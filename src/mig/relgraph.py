@@ -35,7 +35,8 @@ graphs of m through their ground permutations (`automorphism_group`).
 An isomorphism search m -> n, once m and n agree in size, rank and number
 of bases, runs on the same graph of m and n's graph of its kind, and its
 ground map is mapped onto the graphs of the kind asked for
-(`find_matroid_isomorphism`).  A partition is positional:
+(`find_matroid_isomorphism`); the answer is kept on m's graph, so each
+pair is searched once for every kind.  A partition is positional:
 `cells[s]` is the cell that starts at position s and 0 elsewhere, and
 `open` lists the starts of the non-singleton cells in ascending order.
 The pieces of a split cell start where it started, so a start names a
@@ -128,6 +129,9 @@ class RelColoredGraph:
         self.kind: Optional[IsoStructure] = None
         self._origin: Optional[Tuple[weakref.ref, tuple]] = None
         self._source: Optional[IsoStructure] = None  # kept by `source_graph`
+        # n's graph -> the answer of `find_isomorphism(self, it)`, kept by
+        # `find_matroid_isomorphism`; weak keys, so an answer goes with its graph
+        self._found: Optional[weakref.WeakKeyDictionary] = None
 
     def index_of(self, v: PointedSet) -> int:
         """The index of pointed set v; KeyError when it is not a vertex."""
@@ -245,8 +249,9 @@ class SearchStats:
     existence search and, in the chain, under the generators found at the
     level and below it; `leaves` the discrete partitions checked against
     the graphs.  `structure` is the kind of the graphs that
-    `find_matroid_isomorphism` searched, None until it runs a search; it
-    is not a count, and `to_json` leaves it out.
+    `find_matroid_isomorphism` searched, None until it runs a search, or
+    reuses one: a kept answer sets it and adds no counts.  It is not a
+    count, and `to_json` leaves it out.
     """
 
     __slots__ = (
@@ -565,13 +570,19 @@ def find_matroid_isomorphism(
     map is read off it and must be a bijection.  The vertex map returned is
     the one it induces on the graphs of `kind`: the map found when those
     were searched, else `induced_map`, which refuses a set carried outside
-    n's family.  The pointed game never sees the empty set, so when exactly
-    one family holds it (flats of an all-loop matroid versus a loop-free
-    one) the graphs can agree while the matroids do not; that is a negative.
+    n's family.  The pointed game never sees the empty set; at equal counts
+    one family holds it and the other not only when one matroid alone has
+    loops, and then no map is found.  On hyperplanes that is rank 1, where
+    the loop-free family is the empty set alone, which does not cover.  On
+    flats a bases or nonbases search finds matroid isomorphisms only; a
+    flats search of rank 1 meets rows that differ in number, and of rank
+    >= 2 the loops lie on every row while no point of the other matroid
+    does.
     The ground map must carry the family onto the family, else
     `InvariantViolation`.  `stats`, if given, collects the graph search's
-    counts and, in `structure`, the kind of the graphs searched; both stay
-    as they were when no search runs.
+    counts and, in `structure`, the kind of the graphs searched; a search
+    runs once per pair of graphs, so asking again only sets `structure`,
+    and both stay as they were when no search runs.
     """
     require_covering(kind, m, n)
     if (m.n, m.rank, len(m.bases)) != (n.n, n.rank, len(n.bases)):
@@ -583,12 +594,14 @@ def find_matroid_isomorphism(
     target = build_graph(n, source.kind)
     if stats is not None:
         stats.structure = source.kind
-    found = find_isomorphism(source, target, stats)
+    if source._found is None:
+        source._found = weakref.WeakKeyDictionary()
+    if target not in source._found:
+        source._found[target] = find_isomorphism(source, target, stats)
+    found = source._found[target]
     if found is None:
         return None
     fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
-    if (0 in fam_m) != (0 in fam_n):
-        return None
     ground = [-1] * m.n
     for v, w in enumerate(found):
         ground[source.point_of[v]] = target.point_of[w]

@@ -132,6 +132,21 @@ def test_graph_warns_when_not_covering(files, capsys):
     assert run(capsys, *build, "--structure", "bases")[2] == ""
 
 
+def test_graph_build_stats_refused_before_the_matroid_is_read(files, capsys):
+    """`graph build --stats` exits 2 with one stderr line, the refusal: no
+    graph is built and no covering warning comes first, and a missing file
+    is not even opened."""
+    loopy = files["dir"] / "loopy_unranked.json"
+    loopy.write_text('{"n": 3, "bases": [[0, 1]]}')
+    missing = files["dir"] / "missing.json"
+    for path in (loopy, missing):
+        code, out, err = run(
+            capsys, "graph", "build", str(path), "--structure", "bases", "--stats"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: MigError: --stats applies to graph aut\n"
+
+
 def test_game_commands(files, capsys):
     code, out, _ = run(
         capsys, "game", "check", files["u23"], files["u23"], "--structure", "bases"

@@ -166,26 +166,27 @@ GRID_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
 # by sign pattern: SearchStats.to_json() values (refinements, failedRefinements,
 # splitterCounts, orbitPrunes, leaves) of iso on nonbases, hyperplanes and
 # flats, then of aut on nonbases and hyperplanes; every iso kind searches the
-# nonbases graphs (72 vertices), the smallest that covers
+# nonbases graphs (72 vertices), the smallest that covers, and hyperplanes and
+# flats reuse the answer kept by the nonbases query, doing no work
 PINNED_WORK = {
     13: [
         (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
         (23, 0, 1357, 0, 7),
         (18, 0, 4023, 0, 5),
     ],
     40: [
         (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
         (17, 0, 947, 0, 5),
         (19, 0, 4324, 0, 6),
     ],
     3: [
         (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
-        (10, 0, 626, 0, 1),
+        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0),
         (17, 0, 947, 0, 5),
         (19, 0, 4324, 0, 6),
     ],
@@ -473,12 +474,14 @@ def test_search_matches_brute_force_verdicts(catalog5):
 
 
 def test_flats_game_blind_spot():
-    """The documented degenerate case: a loop versus a single coloop.
+    """The pointed game's blind spot: a loop versus a single coloop.
 
     Both flat families cover and their pointed-flat graphs coincide (the
     empty flat has no points), so the raw graph search reports an
-    isomorphism; only the coloop's family holds the empty set, and the
-    combined verdict stays negative.
+    isomorphism; only the coloop's family holds the empty set.  The ranks
+    differ, so `find_matroid_isomorphism` answers None before any search
+    (`structure` stays None).  A ground map read off the graph map does not
+    carry the family across, and the extraction oracle refuses it.
     """
     loop = matroid_from_bases(1, [[]])
     coloop = uniform_matroid(1, 1)
@@ -487,7 +490,9 @@ def test_flats_game_blind_spot():
     g2 = build_graph(coloop, kind)
     assert find_isomorphism(g1, g2) is not None  # the graphs really agree
     assert brute_force_isomorphic(loop, coloop) is None
-    assert find_matroid_isomorphism(loop, coloop, kind) is None
+    stats = SearchStats()
+    assert find_matroid_isomorphism(loop, coloop, kind, stats) is None
+    assert (stats.refinements, stats.structure) == (0, None)
     with pytest.raises(NotInduced):
         matroid_iso_from_graph_iso(loop, coloop, kind, (0,))
 
@@ -624,6 +629,97 @@ def test_differing_counts_answer_before_any_other_family():
     n3 = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3]])
     assert find_matroid_isomorphism(m, n3, IsoStructure.FLATS) is None
     assert brute_force_isomorphic(m, n3) is None
+
+
+P_VS_Q_WORK = (37, 1, 2254, 28, 8)  # `test_paper_pair_search_counters`
+
+
+def test_p_vs_q_is_searched_once_for_every_kind(paper_pair):
+    """Every kind of P vs Q searches the nonbases graphs, whose answer is
+    kept on P's: the first query does the whole search, every later one no
+    work, and each names the kind searched."""
+    p, q = (Matroid(*m.key) for m in paper_pair)
+    work = []
+    for kind in IsoStructure:
+        stats = SearchStats()
+        assert find_matroid_isomorphism(p, q, kind, stats) is None
+        assert stats.structure is IsoStructure.NONBASES
+        work.append(tuple(stats.to_json().values()))
+    assert work == [P_VS_Q_WORK] + [(0, 0, 0, 0, 0)] * (len(IsoStructure) - 1)
+
+
+def test_kept_answers_equal_fresh_queries_on_p(paper_pair):
+    """P against a seeded relabelling, every kind asked of the same two
+    objects, returns what the query returns on fresh copies."""
+    p = Matroid(*paper_pair[0].key)
+    perm = list(range(p.n))
+    random.Random(31).shuffle(perm)
+    sp = p.relabel(perm)
+    for kind in IsoStructure:
+        fresh = find_matroid_isomorphism(Matroid(*p.key), Matroid(*sp.key), kind)
+        assert fresh is not None
+        assert find_matroid_isomorphism(p, sp, kind) == fresh, kind
+    assert len(source_graph(build_graph(p, IsoStructure.FLATS))._found) == 1
+
+
+def test_kept_answers_hold_no_reference_to_either_matroid():
+    """An answer kept on m's graph goes with n's graph, and neither m nor n
+    is kept alive by it, without the garbage collector."""
+    m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
+    n = m.relabel([3, 2, 1, 0, 4])
+    kind = IsoStructure.FLATS
+    assert find_matroid_isomorphism(m, n, kind) is not None
+    assert find_matroid_isomorphism(m, m, kind) is not None
+    source = source_graph(build_graph(m, kind))
+    assert len(source._found) == 2
+    gone_m, gone_n = weakref.ref(m), weakref.ref(n)
+    gc.disable()
+    try:
+        del n
+        assert gone_n() is None and len(source._found) == 1
+        del m
+        assert gone_m() is None
+    finally:
+        gc.enable()
+
+
+def test_kept_answer_is_checked_on_every_query():
+    """A kept answer is checked again on each query: corrupted into a map
+    whose ground map swaps two images and so moves the nonbasis {0, 1, 4}
+    off the family, it is refused by the family check on nonbases (their
+    own search graph) and by `induced_map` on flats."""
+    m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
+    n = m.relabel([3, 2, 1, 0, 4])
+    ground, _ = find_matroid_isomorphism(m, n, IsoStructure.NONBASES)
+    source, target = (build_graph(x, IsoStructure.NONBASES) for x in (m, n))
+    assert source_graph(build_graph(m, IsoStructure.FLATS)) is source
+    bad = list(ground)
+    bad[0], bad[2] = bad[2], bad[0]
+    on_point = {p: w for w, p in enumerate(target.point_of)}
+    source._found[target] = tuple(on_point[bad[p]] for p in source.point_of)
+    with pytest.raises(InvariantViolation, match="does not carry"):
+        find_matroid_isomorphism(m, n, IsoStructure.NONBASES)
+    with pytest.raises(InvariantViolation, match="not in the family"):
+        find_matroid_isomorphism(m, n, IsoStructure.FLATS)
+
+
+def test_kept_answers_match_fresh_queries_on_small_catalogs(catalog5):
+    """Every ordered pair of the catalogs n <= 4, asked every kind that
+    covers both in `IsoStructure` order on the same objects, gets on each
+    kind the answer of the query on fresh copies."""
+    shared = [Matroid(*m.key) for n in range(5) for m in catalog5[n]]
+    compared = 0
+    for m in shared:
+        for n in shared:
+            for kind in IsoStructure:
+                if not (covers(m, kind).covered and covers(n, kind).covered):
+                    continue
+                fresh = find_matroid_isomorphism(
+                    Matroid(*m.key), Matroid(*n.key), kind
+                )
+                assert find_matroid_isomorphism(m, n, kind) == fresh
+                compared += 1
+    assert compared > 3000
 
 
 def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
