@@ -1,7 +1,8 @@
 """JSON forms for matroids, polynomials, and reports.
 
 Matroid files carry either the basis family or the nonbasis family
-(whichever the writer chose); both are accepted on input.  All families
+(whichever the writer chose); either is accepted on input, and a file
+that carries both is refused.  All families
 are emitted in canonical order: members as ascending element lists,
 families sorted colexicographically.  Fixed key order plus fixed family
 order makes every emission byte-reproducible.
@@ -67,6 +68,8 @@ def matroid_from_json(data: Dict) -> Matroid:
         isinstance(labels, list) and all(isinstance(x, str) for x in labels)
     ):
         raise MigError("matroid JSON field 'labels' must be a list of strings")
+    if "bases" in data and "nonbases" in data:
+        raise MigError("matroid JSON carries both 'bases' and 'nonbases'; give one")
     if "bases" in data:
         n = _int_field(data, "n")
         m = matroid_from_bases(n, _family_field(data, "bases", n), labels)

@@ -611,6 +611,7 @@ NESTED_JSON = "[" * 2000 + "]" * 2000
         '{"n": 3, "bases": [["a"]]}',
         '{"n": 3, "bases": [[0, 0]]}',
         '{"n": 3, "rank": 2, "nonbases": [[1, 1]]}',
+        '{"n": 3, "rank": 1, "nonbases": [[0]], "bases": [[1]]}',
         "[1,2]",
         pytest.param(NESTED_JSON, id="nested"),
     ],
