@@ -28,15 +28,20 @@ go to one of h.  Maps and generators come back as vertex permutations.
 The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton point cell, in
 ascending order; automorphism groups come from a stabilizer chain on the
-same tree.  The chain runs once per matroid, on the smallest of the
-graph asked for and m's bases and nonbases graphs that covers m
-(`source_graph`), and its generators are mapped onto the other covering
-graphs of m through their ground permutations (`automorphism_group`).
-An isomorphism search m -> n, once m and n agree in size, rank and number
-of bases, runs on the same graph of m and n's graph of its kind, and its
-ground map is mapped onto the graphs of the kind asked for
-(`find_matroid_isomorphism`); the answer is kept on m's graph, so each
-pair is searched once for every kind.  A partition is positional:
+same tree.
+
+Aut(m) and whether m is isomorphic to n are facts about the matroids, so
+the matroid owns them, in its cache, and a graph of `build_graph` is a
+view of (m, kind) that is rebuilt on every call and points at m.  For
+each kind the search runs on m's graph of the "searched kind": the
+smallest of the kind asked for and m's bases and nonbases graphs that
+covers m (`_search_kind`).  The chain runs on it once per matroid, and
+its generators are mapped onto m's other covering graphs through their
+ground permutations (`automorphism_group`).  An isomorphism search
+m -> n, once m and n agree in size, rank and number of bases, runs once
+per searched kind on m's and n's graphs of it; m keeps the ground map
+found, which is checked and mapped onto the graphs of the kind asked for
+on every query (`find_matroid_isomorphism`).  A partition is positional:
 `cells[s]` is the cell that starts at position s and 0 elsewhere, and
 `open` lists the starts of the non-singleton cells in ascending order.
 The pieces of a split cell start where it started, so a start names a
@@ -59,7 +64,6 @@ are the joint refinement (McKay-Piperno's comparison with the first path).
 
 from __future__ import annotations
 
-import weakref
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,10 +94,11 @@ class RelColoredGraph:
     mask of x's incidences, `rep[x]` a vertex on x and `at[p]` the node of
     point p (-1 if p is uncovered); `points` lists the covered points and
     `row_index` maps each row's set to its row.  Counts fit in `width`
-    bits; `root` has the points and the rows as two cells.  `kind` is the
-    structure of a graph made by `build_graph`, else None.  The
-    automorphism group and the vertex table, which `index_of` reads, are
-    computed at most once, on first use, and kept here.
+    bits; `root` has the points and the rows as two cells.  `matroid` and
+    `kind` are those of a graph made by `build_graph`, else None.  The
+    vertex table, which `index_of` reads, and the automorphism group of a
+    graph with no matroid are computed at most once, on first use, and
+    kept here.
     """
 
     def __init__(self, vertices: Sequence[PointedSet]):
@@ -125,13 +130,8 @@ class RelColoredGraph:
         self.row_index = row_id
         self._aut: Optional[AutomorphismGroup] = None
         self._table: Optional[Dict[int, int]] = None
-        # set by `build_graph`: the kind, and (weak reference to m, m.key)
+        self.matroid: Optional[Matroid] = None
         self.kind: Optional[IsoStructure] = None
-        self._origin: Optional[Tuple[weakref.ref, tuple]] = None
-        self._source: Optional[IsoStructure] = None  # kept by `source_graph`
-        # n's graph -> the answer of `find_isomorphism(self, it)`, kept by
-        # `find_matroid_isomorphism`; weak keys, so an answer goes with its graph
-        self._found: Optional[weakref.WeakKeyDictionary] = None
 
     def index_of(self, v: PointedSet) -> int:
         """The index of pointed set v; KeyError when it is not a vertex."""
@@ -168,18 +168,16 @@ class RelColoredGraph:
 
 
 def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
-    """The relation colored graph of (m, kind), built once per matroid.
+    """The relation colored graph of (m, kind), a view of m built on each call.
 
-    The graph keeps m only by a weak reference and its key, so that m's
-    cache of graphs forms no reference cycle.
+    The vertices are m's cached pointed sets, so every graph of (m, kind)
+    numbers them alike, and answers that m keeps for one graph hold for
+    the next.  The graph points at m and m keeps no graph, so they form no
+    reference cycle.
     """
-
-    def build() -> RelColoredGraph:
-        g = RelColoredGraph(pointed_sets(m, kind))
-        g.kind, g._origin = kind, (weakref.ref(m), m.key)
-        return g
-
-    return m.cached(("graph", kind), build)
+    g = RelColoredGraph(pointed_sets(m, kind))
+    g.matroid, g.kind = m, kind
+    return g
 
 
 def _incidence_map(
@@ -248,10 +246,10 @@ class SearchStats:
     under Aut(h)'s generators that fix the candidates above them in an
     existence search and, in the chain, under the generators found at the
     level and below it; `leaves` the discrete partitions checked against
-    the graphs.  `structure` is the kind of the graphs that
-    `find_matroid_isomorphism` searched, None until it runs a search, or
-    reuses one: a kept answer sets it and adds no counts.  It is not a
-    count, and `to_json` leaves it out.
+    the graphs.  `structure` is the searched kind of
+    `find_matroid_isomorphism`, None until it reaches a search or the
+    answer that its matroid keeps from one: a kept answer sets it and adds
+    no counts.  It is not a count, and `to_json` leaves it out.
     """
 
     __slots__ = (
@@ -560,17 +558,18 @@ def find_matroid_isomorphism(
     size, rank or number of bases are not isomorphic; that is checked before
     any other family of n is read.  Every game whose kind covers both
     matroids has the same answer, whether m and n are isomorphic, so the
-    search runs on the pair that `source_graph` picks for m's graph, the one
-    whose chain gives Aut(m): m's graph of that kind and n's.  With the
-    counts equal, n has as many bases and nonbases as m, so m's choice also
-    bounds what reading n's family costs.  When that family does not cover,
-    no isomorphism exists, as covering is invariant under isomorphism.  Each
+    search runs on m's graph of the searched kind (`_search_kind`), the one
+    whose chain gives Aut(m), and n's graph of that kind.  With the counts
+    equal, n has as many bases and nonbases as m, so m's choice also bounds
+    what reading n's family costs.  When that family does not cover, no
+    isomorphism exists, as covering is invariant under isomorphism.  Each
     element is the point of a vertex and the vertex map found, which
     preserves columns, sends element p_v to p_w for each v -> w: the ground
-    map is read off it and must be a bijection.  The vertex map returned is
-    the one it induces on the graphs of `kind`: the map found when those
-    were searched, else `induced_map`, which refuses a set carried outside
-    n's family.  The pointed game never sees the empty set; at equal counts
+    map is read off it, and m keeps it, or None, for n and the searched
+    kind.  On every query the ground map must be a bijection that carries
+    the family of `kind` onto n's, and the vertex map returned is the one
+    it induces on the graphs of `kind` (`induced_map`).  The pointed game
+    never sees the empty set; at equal counts
     one family holds it and the other not only when one matroid alone has
     loops, and then no map is found.  On hyperplanes that is rank 1, where
     the loop-free family is the empty set alone, which does not cover.  On
@@ -578,42 +577,44 @@ def find_matroid_isomorphism(
     flats search of rank 1 meets rows that differ in number, and of rank
     >= 2 the loops lie on every row while no point of the other matroid
     does.
-    The ground map must carry the family onto the family, else
-    `InvariantViolation`.  `stats`, if given, collects the graph search's
-    counts and, in `structure`, the kind of the graphs searched; a search
-    runs once per pair of graphs, so asking again only sets `structure`,
-    and both stay as they were when no search runs.
+    A ground map that is not a bijection, or does not carry the family
+    onto the family, raises `InvariantViolation`.  `stats`, if given,
+    collects the graph search's counts and, in `structure`, the searched
+    kind; a search runs once per pair of matroids and searched kind, so
+    asking again only sets `structure`, and both stay as they were when no
+    search runs.
     """
     require_covering(kind, m, n)
     if (m.n, m.rank, len(m.bases)) != (n.n, n.rank, len(n.bases)):
         return None
-    g = build_graph(m, kind)
-    source = source_graph(g)
-    if not covers(n, source.kind).covered:
+    searched = _search_kind(m, kind)
+    if not covers(n, searched).covered:
         return None
-    target = build_graph(n, source.kind)
     if stats is not None:
-        stats.structure = source.kind
-    if source._found is None:
-        source._found = weakref.WeakKeyDictionary()
-    if target not in source._found:
-        source._found[target] = find_isomorphism(source, target, stats)
-    found = source._found[target]
-    if found is None:
+        stats.structure = searched
+
+    def search() -> Optional[Tuple[int, ...]]:
+        g, h = build_graph(m, searched), build_graph(n, searched)
+        found = find_isomorphism(g, h, stats)
+        if found is None:
+            return None
+        ground = [-1] * m.n
+        for v, w in enumerate(found):
+            ground[g.point_of[v]] = h.point_of[w]
+        return tuple(ground)
+
+    ground = m.cached(("iso", searched, n.key), search)
+    if ground is None:
         return None
-    fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
-    ground = [-1] * m.n
-    for v, w in enumerate(found):
-        ground[source.point_of[v]] = target.point_of[w]
     if sorted(ground) != list(range(n.n)):
-        raise InvariantViolation(f"ground map {ground} is not a bijection")
-    mapping = found if source is g else induced_map(g, build_graph(n, kind), ground)
+        raise InvariantViolation(f"ground map {list(ground)} is not a bijection")
+    fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
     image = {mask_of(ground[e] for e in iter_bits(a)) for a in fam_m}
     if image != set(fam_n):
         raise InvariantViolation(
-            f"ground map {ground} does not carry the {kind.value} family across"
+            f"ground map {list(ground)} does not carry the {kind.value} family across"
         )
-    return tuple(ground), mapping
+    return ground, induced_map(build_graph(m, kind), build_graph(n, kind), ground)
 
 
 class AutomorphismGroup:
@@ -669,66 +670,60 @@ class AutomorphismGroup:
 def automorphism_group(
     g: RelColoredGraph, stats: Optional[SearchStats] = None
 ) -> AutomorphismGroup:
-    """Aut(g), computed once per graph.
+    """Aut(g), computed once per matroid and kind, or once per graph built
+    by hand.
 
     A graph of `build_graph(m, kind)` whose kind covers m has Aut(m), read
     on the ground set, as its group.  So the stabilizer chain runs once per
-    matroid, on the graph that `source_graph` picks, and its generators are
-    mapped onto g as ground permutations; each image of a set of g must be
-    a set of g, else InvariantViolation, which checks every generator
-    mapped.  The order is the chain's.  Any other graph runs its own
-    chain.  `stats`, if given, collects the counts of the search when this
+    matroid, on m's graph of the searched kind (`_search_kind`), and its
+    generators are mapped onto g as ground permutations; each image of a
+    set of g must be a set of g, else InvariantViolation, which checks
+    every generator mapped.  The order is the chain's.  m keeps the group
+    of each kind asked for.  A graph of a kind that misses an element of m
+    runs its own chain, which m keeps too, and one built by hand keeps its
+    own.  `stats`, if given, collects the counts of the search when this
     call makes it.
     """
-    if g._aut is None:
-        source = source_graph(g)
-        if source._aut is None:
-            source._aut = _stabilizer_chain(_PairSearch(source, source, stats))
-        g._aut = source._aut if source is g else _lift(source._aut, g)
-    return g._aut
+    m = g.matroid
+    if m is None:
+        if g._aut is None:
+            g._aut = _stabilizer_chain(_PairSearch(g, g, stats))
+        return g._aut
+
+    def group() -> AutomorphismGroup:
+        searched = _search_kind(m, g.kind)
+        if searched is g.kind:
+            return _stabilizer_chain(_PairSearch(g, g, stats))
+        return _lift(automorphism_group(build_graph(m, searched), stats), g)
+
+    return m.cached(("aut", g.kind), group)
 
 
-def source_graph(g: RelColoredGraph) -> RelColoredGraph:
-    """The graph whose stabilizer chain gives Aut(g), and on which an
-    isomorphism search from g's matroid runs (`find_matroid_isomorphism`).
+def _search_kind(m: Matroid, kind: IsoStructure) -> IsoStructure:
+    """The kind of m's graph whose chain gives Aut of m's graph of `kind`, and
+    on which an isomorphism search from m on `kind` runs (cached on m).
 
-    For a graph of `build_graph(m, kind)` that covers m: the first of g,
-    m's bases graph and m's nonbases graph that has the fewest vertices
-    among those that cover m.  The counts r|B| and r(C(n, r) - |B|) decide
-    before any graph is built, so the nonbases are enumerated only when
-    they win, and the choice depends on (m, kind) alone; its kind is kept
-    on g.  Any other graph is its own.
+    When `kind` covers m: the first of `kind`, bases and nonbases that has
+    the fewest vertices among those that cover m.  The counts r|B| and
+    r(C(n, r) - |B|) decide before any other family is read, so the
+    nonbases are enumerated only when they win.  Otherwise `kind` itself.
     """
-    if g._origin is None:
-        return g
-    if g._source is None:
-        g._source = _source_kind(g)
-    return g if g._source is g.kind else build_graph(_matroid_of(g), g._source)
 
+    def pick() -> IsoStructure:
+        if not covers(m, kind).covered:
+            return kind
+        r, nb = m.rank, len(m.bases)
+        candidates = (
+            (len(pointed_sets(m, kind)), kind),
+            (r * nb, IsoStructure.BASES),
+            (r * (comb(m.n, r) - nb), IsoStructure.NONBASES),
+        )
+        for _, searched in sorted(candidates, key=lambda c: c[0]):  # stable on ties
+            if searched is kind or covers(m, searched).covered:
+                break
+        return searched
 
-def _matroid_of(g: RelColoredGraph) -> Matroid:
-    """The matroid of a graph of `build_graph`, or, once it is gone, a
-    matroid with its key, which picks the same graphs."""
-    ref, key = g._origin
-    m = ref()
-    return Matroid(*key) if m is None else m
-
-
-def _source_kind(g: RelColoredGraph) -> IsoStructure:
-    """The kind of `source_graph(g)`."""
-    m = _matroid_of(g)
-    if g.npts < m.n:
-        return g.kind
-    r, nb = m.rank, len(m.bases)
-    candidates = (
-        (g.n, g.kind),
-        (r * nb, IsoStructure.BASES),
-        (r * (comb(m.n, r) - nb), IsoStructure.NONBASES),
-    )
-    for _, kind in sorted(candidates, key=lambda c: c[0]):  # stable on ties
-        if kind is g.kind or covers(m, kind).covered:
-            break
-    return kind
+    return m.cached(("search", kind), pick)
 
 
 def _lift(group: AutomorphismGroup, g: RelColoredGraph) -> AutomorphismGroup:

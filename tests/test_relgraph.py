@@ -9,6 +9,7 @@ ground maps that `find_matroid_isomorphism` returns.
 
 import gc
 import random
+import types
 import weakref
 from typing import Dict, List, Sequence, Tuple
 
@@ -45,7 +46,6 @@ from mig.relgraph import (
     find_matroid_isomorphism,
     induced_map,
     preserves_adjacency,
-    source_graph,
 )
 from mig.structures import (
     IsoStructure,
@@ -372,17 +372,17 @@ def test_lifted_group_matches_own_chain(catalog5, catalog6, paper_pair):
 
 
 def test_lifted_generators_do_not_depend_on_earlier_queries(paper_pair):
-    """Aut of P's hyperplanes graph, alone, after the nonbases group, and
-    after its matroid was freed: the same generators each time."""
+    """Aut of P's hyperplanes graph, alone, after the nonbases group, and on
+    a fresh copy of P: the same generators each time."""
     key = paper_pair[0].key
     alone = Matroid(*key)
     first = automorphism_group(build_graph(alone, IsoStructure.HYPERPLANES))
     after = Matroid(*key)
     automorphism_group(build_graph(after, IsoStructure.NONBASES))
     second = automorphism_group(build_graph(after, IsoStructure.HYPERPLANES))
-    freed = automorphism_group(build_graph(Matroid(*key), IsoStructure.HYPERPLANES))
-    assert first.generators == second.generators == freed.generators
-    assert first.perms == second.perms == freed.perms
+    fresh = automorphism_group(build_graph(Matroid(*key), IsoStructure.HYPERPLANES))
+    assert first.generators == second.generators == fresh.generators
+    assert first.perms == second.perms == fresh.perms
     assert first.order == 1152 and first.structure is IsoStructure.NONBASES
 
 
@@ -404,15 +404,42 @@ def test_hand_built_and_noncovering_graphs_keep_their_own_chain(paper_pair):
     )
 
 
-def test_graphs_hold_no_reference_to_their_matroid(paper_pair):
-    """A matroid with cached graphs and a lifted group is freed without the
-    garbage collector."""
-    m = Matroid(*paper_pair[0].key)
-    automorphism_group(build_graph(m, IsoStructure.HYPERPLANES))
+def _reachable(root: object) -> List[object]:
+    """The objects reachable from `root` through references, types and
+    modules left out (every instance refers to its class)."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+            continue
+        seen.add(id(x))
+        out.append(x)
+        todo.extend(gc.get_referents(x))
+    return out
+
+
+def test_matroid_cache_holds_no_graph():
+    """After iso and Aut queries on every kind, nothing that m keeps is a
+    graph, so the graphs' references to m form no cycle: once they are
+    dropped, m is freed without the garbage collector."""
+    m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
+    n = m.relabel([3, 2, 1, 0, 4])
+    graphs = []
+    for kind in IsoStructure:
+        if not covers(m, kind).covered:
+            continue
+        assert find_matroid_isomorphism(m, n, kind) is not None
+        graphs.append(build_graph(m, kind))
+        assert automorphism_group(graphs[-1]).order == 8
+    assert {k[0] for k in m._cache if isinstance(k, tuple)} >= {"aut", "iso", "search"}
+    assert not any(isinstance(x, RelColoredGraph) for x in _reachable(m._cache))
+    assert all(g.matroid is m for g in graphs)
     gone = weakref.ref(m)
     gc.disable()
     try:
         del m
+        assert gone() is not None  # the graphs still point at it
+        del graphs
         assert gone() is None
     finally:
         gc.enable()
@@ -500,22 +527,23 @@ def test_flats_game_blind_spot():
 def _check_ground_map_pair(m: Matroid, n: Matroid, kinds=tuple(IsoStructure)) -> int:
     """Isomorphic m and n on each kind of `kinds` that covers both: the ground
     map is the oracle's, it induces the vertex map returned, and kinds that
-    search the same graphs (`source_graph`) return the same ground map.
-    Returns the number of kinds checked.
+    search the same graphs (`SearchStats.structure`) return the same ground
+    map.  Returns the number of kinds checked.
     """
-    by_source: Dict[IsoStructure, Tuple[int, ...]] = {}
+    by_searched: Dict[IsoStructure, Tuple[int, ...]] = {}
     checked = 0
     for kind in kinds:
         if not (covers(m, kind).covered and covers(n, kind).covered):
             continue
-        hit = find_matroid_isomorphism(m, n, kind)
+        stats = SearchStats()
+        hit = find_matroid_isomorphism(m, n, kind, stats)
         assert hit is not None, (m.key, n.key, kind)
         ground, mapping = hit
         assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
         g, h = build_graph(m, kind), build_graph(n, kind)
         assert induced_map(g, h, ground) == mapping
-        source = source_graph(g).kind
-        assert by_source.setdefault(source, ground) == ground, (m.key, n.key, kind)
+        searched = by_searched.setdefault(stats.structure, ground)
+        assert searched == ground, (m.key, n.key, kind)
         checked += 1
     return checked
 
@@ -579,7 +607,7 @@ def test_kinds_of_p_share_the_nonbases_ground_map(paper_pair):
     perm = list(range(p.n))
     random.Random(23).shuffle(perm)
     sp = p.relabel(perm)
-    kinds = {source_graph(build_graph(p, k)).kind for k in IsoStructure}
+    kinds = {automorphism_group(build_graph(p, k)).structure for k in IsoStructure}
     assert kinds == {IsoStructure.NONBASES}
     assert _check_ground_map_pair(p, sp) == len(IsoStructure)
 
@@ -597,7 +625,7 @@ def test_second_matroid_outside_the_searched_kind():
     kind = IsoStructure.FLATS
     assert (m.n, m.rank, len(m.bases)) == (n.n, n.rank, len(n.bases))
     assert covers(m, kind).covered and covers(n, kind).covered
-    assert source_graph(build_graph(m, kind)).kind is IsoStructure.NONBASES
+    assert automorphism_group(build_graph(m, kind)).structure is IsoStructure.NONBASES
     assert not covers(n, IsoStructure.NONBASES).covered
     stats = SearchStats()
     assert find_matroid_isomorphism(m, n, kind, stats) is None
@@ -618,7 +646,7 @@ def test_differing_counts_answer_before_any_other_family():
     basis = list(range(10))
     n = matroid_from_bases(20, [basis] + [[e] + basis[1:] for e in range(10, 20)])
     kind = IsoStructure.BASES
-    assert source_graph(build_graph(m, kind)).kind is IsoStructure.NONBASES
+    assert automorphism_group(build_graph(m, kind)).structure is IsoStructure.NONBASES
     assert covers(n, kind).covered
     before = set(n._cache)
     stats = SearchStats()
@@ -635,9 +663,9 @@ P_VS_Q_WORK = (37, 1, 2254, 28, 8)  # `test_paper_pair_search_counters`
 
 
 def test_p_vs_q_is_searched_once_for_every_kind(paper_pair):
-    """Every kind of P vs Q searches the nonbases graphs, whose answer is
-    kept on P's: the first query does the whole search, every later one no
-    work, and each names the kind searched."""
+    """Every kind of P vs Q searches the nonbases graphs, whose answer P
+    keeps: the first query does the whole search, every later one no work,
+    and each names the kind searched."""
     p, q = (Matroid(*m.key) for m in paper_pair)
     work = []
     for kind in IsoStructure:
@@ -659,24 +687,30 @@ def test_kept_answers_equal_fresh_queries_on_p(paper_pair):
         fresh = find_matroid_isomorphism(Matroid(*p.key), Matroid(*sp.key), kind)
         assert fresh is not None
         assert find_matroid_isomorphism(p, sp, kind) == fresh, kind
-    assert len(source_graph(build_graph(p, IsoStructure.FLATS))._found) == 1
+    kept = [k for k in p._cache if isinstance(k, tuple) and k[0] == "iso"]
+    assert kept == [("iso", IsoStructure.NONBASES, sp.key)]
 
 
 def test_kept_answers_hold_no_reference_to_either_matroid():
-    """An answer kept on m's graph goes with n's graph, and neither m nor n
-    is kept alive by it, without the garbage collector."""
+    """m keeps its answers for n and for itself under their keys, not the
+    matroids: n, then m, are freed without the garbage collector, and a
+    copy of n asked later gets the kept answer with no search."""
     m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
     n = m.relabel([3, 2, 1, 0, 4])
     kind = IsoStructure.FLATS
-    assert find_matroid_isomorphism(m, n, kind) is not None
+    hit = find_matroid_isomorphism(m, n, kind)
+    assert hit is not None
     assert find_matroid_isomorphism(m, m, kind) is not None
-    source = source_graph(build_graph(m, kind))
-    assert len(source._found) == 2
+    key, kept = n.key, [k for k in m._cache if isinstance(k, tuple) and k[0] == "iso"]
+    assert {k[2] for k in kept} == {m.key, n.key}
     gone_m, gone_n = weakref.ref(m), weakref.ref(n)
     gc.disable()
     try:
         del n
-        assert gone_n() is None and len(source._found) == 1
+        assert gone_n() is None
+        stats = SearchStats()
+        assert find_matroid_isomorphism(m, Matroid(*key), kind, stats) == hit
+        assert stats.refinements == 0
         del m
         assert gone_m() is None
     finally:
@@ -684,22 +718,25 @@ def test_kept_answers_hold_no_reference_to_either_matroid():
 
 
 def test_kept_answer_is_checked_on_every_query():
-    """A kept answer is checked again on each query: corrupted into a map
-    whose ground map swaps two images and so moves the nonbasis {0, 1, 4}
-    off the family, it is refused by the family check on nonbases (their
-    own search graph) and by `induced_map` on flats."""
+    """A kept ground map is checked again on each query.  Corrupted into a
+    map that swaps two images and so moves the nonbasis {0, 1, 4} off the
+    family, it is refused by the family check on nonbases and on flats,
+    which search the nonbases too; corrupted into a map that is no
+    bijection, by the bijection check."""
     m = matroid_from_nonbases(5, 3, [[0, 1, 4], [2, 3, 4]])
     n = m.relabel([3, 2, 1, 0, 4])
-    ground, _ = find_matroid_isomorphism(m, n, IsoStructure.NONBASES)
-    source, target = (build_graph(x, IsoStructure.NONBASES) for x in (m, n))
-    assert source_graph(build_graph(m, IsoStructure.FLATS)) is source
-    bad = list(ground)
-    bad[0], bad[2] = bad[2], bad[0]
-    on_point = {p: w for w, p in enumerate(target.point_of)}
-    source._found[target] = tuple(on_point[bad[p]] for p in source.point_of)
-    with pytest.raises(InvariantViolation, match="does not carry"):
-        find_matroid_isomorphism(m, n, IsoStructure.NONBASES)
-    with pytest.raises(InvariantViolation, match="not in the family"):
+    stats = SearchStats()
+    ground, _ = find_matroid_isomorphism(m, n, IsoStructure.FLATS, stats)
+    assert stats.structure is IsoStructure.NONBASES
+    key = ("iso", IsoStructure.NONBASES, n.key)
+    swapped = list(ground)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    m._cache[key] = tuple(swapped)
+    for kind in (IsoStructure.NONBASES, IsoStructure.FLATS):
+        with pytest.raises(InvariantViolation, match="does not carry"):
+            find_matroid_isomorphism(m, n, kind)
+    m._cache[key] = (ground[0],) * m.n
+    with pytest.raises(InvariantViolation, match="not a bijection"):
         find_matroid_isomorphism(m, n, IsoStructure.FLATS)
 
 
