@@ -28,20 +28,7 @@ go to one of h.  Maps and generators come back as vertex permutations.
 The search is equitable color refinement followed by individualize-and-
 refine backtracking on the first smallest non-singleton point cell, in
 ascending order; automorphism groups come from a stabilizer chain on the
-same tree.
-
-Aut(m) and whether m is isomorphic to n are facts about the matroids, so
-the matroid owns them, in its cache, and a graph of `build_graph` is a
-view of (m, kind) that is rebuilt on every call and points at m.  For
-each kind the search runs on m's graph of the "searched kind": the
-smallest of the kind asked for and m's bases and nonbases graphs that
-covers m (`_search_kind`).  The chain runs on it once per matroid, and
-its generators are mapped onto m's other covering graphs through their
-ground permutations (`automorphism_group`).  An isomorphism search
-m -> n, once m and n agree in size, rank and number of bases, runs once
-per searched kind on m's and n's graphs of it; m keeps the ground map
-found, which is checked and mapped onto the graphs of the kind asked for
-on every query (`find_matroid_isomorphism`).  A partition is positional:
+same tree.  A partition is positional:
 `cells[s]` is the cell that starts at position s and 0 elsewhere, and
 `open` lists the starts of the non-singleton cells in ascending order.
 The pieces of a split cell start where it started, so a start names a
@@ -60,6 +47,19 @@ trace and fails at the first round where the traces differ, which is
 where refining both sides jointly would fail; up to there both make the
 same cuts in the same order, so on success h's cells, zipped with g's,
 are the joint refinement (McKay-Piperno's comparison with the first path).
+
+Aut(m) and whether m is isomorphic to n are facts about the matroids, so
+the matroid owns them, in its cache, and a graph of `build_graph` is a
+view of (m, kind) that is rebuilt on every call and points at m.  For
+each kind the search runs on m's graph of the "searched kind": the
+smallest of the kind asked for and m's bases and nonbases graphs that
+covers m (`_search_kind`).  The chain runs on it once per matroid, and
+its generators are mapped onto m's other covering graphs through their
+ground permutations (`automorphism_group`).  An isomorphism search
+m -> n, once m and n agree in size, rank and number of bases, runs once
+per searched kind on m's and n's graphs of it; m keeps the ground map
+found, which is checked and mapped onto the graphs of the kind asked for
+on every query (`find_matroid_isomorphism`).
 """
 
 from __future__ import annotations
