@@ -11,7 +11,7 @@ production search against it: the same verdicts and group orders, and
 generators that are automorphisms of the graph.
 
 `automorphism_group` here keeps its groups in a table of its own, so the
-production search's cache on the graph is never read or written.  The
+groups that the production search keeps are never read or written.  The
 row and column vertex masks the engine counts through are kept the same
 way, built once per graph by `line_masks`.
 """

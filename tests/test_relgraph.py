@@ -691,6 +691,30 @@ def test_kept_answers_equal_fresh_queries_on_p(paper_pair):
     assert kept == [("iso", IsoStructure.NONBASES, sp.key)]
 
 
+def test_kept_answers_are_keyed_by_the_searched_kind():
+    """Kinds that search different graphs keep different answers.
+
+    For this rank-3 matroid on 7 elements and a relabelling, the nonbases
+    search finds another ground map than the circuits, flats and
+    hyperplanes searches do.  Asked on the same objects, nonbases first,
+    each kind still returns its own search's map, as on fresh copies: the
+    first kind asked does not decide the maps of later kinds.
+    """
+    bases = (7, 11, 13, 35, 37, 38, 42, 44, 67, 69, 70, 73, 74, 76, 97, 100, 104)
+    m = Matroid(7, 3, bases)
+    n = m.relabel([4, 0, 2, 3, 5, 6, 1])
+    kinds = (IsoStructure.NONBASES, IsoStructure.CIRCUITS, IsoStructure.FLATS)
+    grounds = []
+    for kind in kinds:
+        stats = SearchStats()
+        hit = find_matroid_isomorphism(m, n, kind, stats)
+        assert stats.structure is kind
+        assert hit == find_matroid_isomorphism(Matroid(*m.key), Matroid(*n.key), kind)
+        grounds.append(hit[0])
+    assert grounds[0] != grounds[1] == grounds[2]
+    assert all(m.relabel(ground) == n for ground in grounds)
+
+
 def test_kept_answers_hold_no_reference_to_either_matroid():
     """m keeps its answers for n and for itself under their keys, not the
     matroids: n, then m, are freed without the garbage collector, and a
