@@ -29,6 +29,7 @@ from .jsonio import (
     subset_report_to_json,
     tutte_to_json,
 )
+from .matroid import CONNECTIVITY_GUARD
 from .structures import IsoStructure, covers
 
 EXIT_OK = 0
@@ -106,7 +107,16 @@ def cmd_matroid(args) -> int:
 
 
 def _jsonable_predicates(m) -> dict:
-    return {k: "infinite" if v is None else v for k, v in m.predicates().items()}
+    """m's predicates; above CONNECTIVITY_GUARD, all but connectivity, which
+    names the guard, with a warning on stderr."""
+    if m.n <= CONNECTIVITY_GUARD:
+        preds = m.predicates()
+    else:
+        preds = m.derived_predicates()
+        skipped = f"n={m.n} exceeds the guard CONNECTIVITY_GUARD = {CONNECTIVITY_GUARD}"
+        preds["connectivity"] = f"not computed: {skipped}"
+        sys.stderr.write(f"warning: connectivity not computed: {skipped}\n")
+    return {k: "infinite" if v is None else v for k, v in preds.items()}
 
 
 def cmd_cover(args) -> int:
@@ -266,7 +276,7 @@ def _full_pair_certificate(p, q, marks: List[Tuple[str, float]]) -> dict:
         verify_sync_conditions,
     )
     from .matroid import uniform_matroid as uniform
-    from .relgraph import build_graph, find_isomorphism
+    from .relgraph import find_matroid_isomorphism
 
     def lap(stage: str, value):
         marks.append((stage, perf_counter()))
@@ -290,7 +300,7 @@ def _full_pair_certificate(p, q, marks: List[Tuple[str, float]]) -> dict:
     )
     mapping = lap(
         "isomorphismSearch",
-        find_isomorphism(build_graph(p, kind), build_graph(q, kind)),
+        find_matroid_isomorphism(p, q, kind),
     )
     strategy = lap("strategy", iso_game_pvms(p, q, signed, grid))
     sync = lap("syncConditions", verify_sync_conditions(strategy, p, q, kind))

@@ -253,12 +253,15 @@ class Matroid:
     def predicates(self) -> Dict[str, object]:
         # connectivity first: its guard is below DERIVE_GUARD
         connectivity = self.connectivity()
+        return {**self.derived_predicates(), "connectivity": connectivity}
+
+    def derived_predicates(self) -> Dict[str, object]:
+        """The predicates that need only `derive_sets` (n <= DERIVE_GUARD)."""
         return {
             "is_simple": self.is_simple(),
             "is_paving": self.is_paving(),
             "is_sparse_paving": self.is_sparse_paving(),
             "girth": self.girth(),
-            "connectivity": connectivity,
         }
 
 

@@ -49,8 +49,8 @@ same cuts in the same order, so on success h's cells, zipped with g's,
 are the joint refinement (McKay-Piperno's comparison with the first path).
 
 Aut(m) and whether m is isomorphic to n are facts about the matroids, so
-the matroid owns them, in its cache, and a graph of `build_graph` is a
-view of (m, kind) that is rebuilt on every call and points at m.  For
+the matroid owns them, in its cache.  Every graph is the graph of some
+(m, kind), a view that is rebuilt on every call and points at m.  For
 each kind the search runs on m's graph of the "searched kind": the
 smallest of the kind asked for and m's bases and nonbases graphs that
 covers m (`_search_kind`).  The chain runs on it once per matroid, and
@@ -64,6 +64,7 @@ on every query (`find_matroid_isomorphism`).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,64 +86,60 @@ GROUP_ENUM_CAP = 20_000
 
 
 class RelColoredGraph:
-    """Colored graph on distinct pointed sets, kept as its set-point incidence.
+    """The relation colored graph of (m, kind), kept as its set-point incidence.
 
-    Vertex v is the incidence of row (set) `row_of[v]` and point
-    `point_of[v]`; its colour-2 neighbours share its row, its colour-1
-    neighbours its point.  Node i < `npts` of the incidence structure is
-    the i-th covered point and node npts + r is row r; `adj[x]` is the
-    mask of x's incidences, `rep[x]` a vertex on x and `at[p]` the node of
-    point p (-1 if p is uncovered); `points` lists the covered points and
-    `row_index` maps each row's set to its row.  Counts fit in `width`
-    bits; `root` has the points and the rows as two cells.  `matroid` and
-    `kind` are those of a graph made by `build_graph`, else None.  The
-    vertex table, which `index_of` reads, and the automorphism group of a
-    graph with no matroid are computed at most once, on first use, and
-    kept here.
+    The vertices are m's pointed sets of `kind` in `pointed_sets` order, by
+    set, then by point, so every graph of (m, kind) numbers them alike, and
+    answers that m keeps for one graph hold for the next.  Vertex v is the
+    incidence of row (set) `row_of[v]` and point `point_of[v]`; its colour-2
+    neighbours share its row, its colour-1 neighbours its point.  Row r is
+    the set `rows[r]`, whose vertices are numbered from `start[r]` in point
+    order, and `row_index` maps each row's set to its row.  Node i < `npts`
+    of the incidence structure is the i-th covered point and node npts + r
+    is row r; `adj[x]` is the mask of x's incidences and `at[p]` the node of
+    point p (-1 if p is uncovered); `points` lists the covered points.
+    Counts fit in `width` bits; `root` has the points and the rows as two
+    cells.  The graph points at m, and m keeps no graph, so they form no
+    reference cycle.
     """
 
-    def __init__(self, vertices: Sequence[PointedSet]):
-        self.vertices = tuple(vertices)
+    def __init__(self, m: Matroid, kind: IsoStructure):
+        self.matroid, self.kind = m, kind
+        self.vertices = pointed_sets(m, kind)
         self.n = len(self.vertices)
         if len(set(self.vertices)) != self.n:
             raise InvariantViolation("relation graph vertices repeat a pointed set")
         row_id: Dict[int, int] = {}
         self.row_of = [row_id.setdefault(a, len(row_id)) for a, _ in self.vertices]
         self.point_of = [p for _, p in self.vertices]
+        self.rows = rows = list(row_id)
+        self.start = list(accumulate((a.bit_count() for a in rows), initial=0))
         covered = sorted(set(self.point_of))
         self.at = at = [-1] * (covered[-1] + 1 if covered else 0)
         for i, p in enumerate(covered):
             at[p] = i
         self.npts = npts = len(covered)
-        self.size = size = npts + len(row_id)
+        self.size = size = npts + len(rows)
         self.adj = adj = [0] * size
-        self.rep = rep = [0] * size
-        for v, (r, p) in enumerate(zip(self.row_of, self.point_of)):
+        for r, p in zip(self.row_of, self.point_of):
             i, r = at[p], npts + r
             adj[i] |= 1 << r
             adj[r] |= 1 << i
-            rep[i] = rep[r] = v
         self.width = max(npts, size - npts).bit_length()
         cells = [0] * max(size, 1)  # the empty graph is never searched
         cells[0], cells[npts] = (1 << npts) - 1, (1 << size) - (1 << npts)
         self.root = cells, [s for s in (0, npts) if cells[s] & (cells[s] - 1)]
         self.points = covered
         self.row_index = row_id
-        self._aut: Optional[AutomorphismGroup] = None
-        self._table: Optional[Dict[int, int]] = None
-        self.matroid: Optional[Matroid] = None
-        self.kind: Optional[IsoStructure] = None
 
     def index_of(self, v: PointedSet) -> int:
-        """The index of pointed set v; KeyError when it is not a vertex."""
+        """The index of pointed set v, its row's start plus its point's rank
+        in the row; KeyError when it is not a vertex."""
         a, p = v
         r = self.row_index.get(a)
-        i = self.at[p] if 0 <= p < len(self.at) else -1
-        if r is not None and i >= 0:
-            w = self.vertex_table().get(i * self.size + self.npts + r)
-            if w is not None:
-                return w
-        raise KeyError(v)
+        if r is None or p < 0 or not a >> p & 1:
+            raise KeyError(v)
+        return self.start[r] + (a & ((1 << p) - 1)).bit_count()
 
     def rel_table(self) -> np.ndarray:
         """rel of every vertex pair: (rows differ) + 2 * (points differ)."""
@@ -158,26 +155,10 @@ class RelColoredGraph:
             ends.setdefault(k, []).append(v)
         return [(i, j) for i, k in enumerate(key) for j in ends[k] if j > i]
 
-    def vertex_table(self) -> Dict[int, int]:
-        """The vertex on point node i and row node x, at key i * size + x."""
-        if self._table is None:
-            size, npts, at = self.size, self.npts, self.at
-            pairs = enumerate(zip(self.row_of, self.point_of))
-            self._table = {at[p] * size + npts + r: v for v, (r, p) in pairs}
-        return self._table
-
 
 def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
-    """The relation colored graph of (m, kind), a view of m built on each call.
-
-    The vertices are m's cached pointed sets, so every graph of (m, kind)
-    numbers them alike, and answers that m keeps for one graph hold for
-    the next.  The graph points at m and m keeps no graph, so they form no
-    reference cycle.
-    """
-    g = RelColoredGraph(pointed_sets(m, kind))
-    g.matroid, g.kind = m, kind
-    return g
+    """The relation colored graph of (m, kind), a view of m built on each call."""
+    return RelColoredGraph(m, kind)
 
 
 def _incidence_map(
@@ -210,10 +191,14 @@ def _vertex_map(
     g: RelColoredGraph, h: RelColoredGraph, phi: Sequence[int]
 ) -> Tuple[int, ...]:
     """The vertex map (A, p) -> (phi A, phi p) of an incidence map phi from g
-    to h, through h's vertex table."""
-    table, size, at, npts = h.vertex_table(), h.size, g.at, g.npts
-    pairs = zip(g.row_of, g.point_of)
-    return tuple(table[phi[at[p]] * size + phi[npts + r]] for r, p in pairs)
+    to h, computed as `index_of` computes an index."""
+    at, g_pts, h_pts = g.at, g.npts, h.npts
+    rows, start, points = h.rows, h.start, h.points
+    out = []
+    for r, p in zip(g.row_of, g.point_of):
+        x, q = phi[g_pts + r] - h_pts, points[phi[at[p]]]
+        out.append(start[x] + (rows[x] & ((1 << q) - 1)).bit_count())
+    return tuple(out)
 
 
 def induced_map(
@@ -420,9 +405,9 @@ def _first(mask: int) -> int:
 
 
 def _branch_cell(part: Partition, npts: int) -> int:
-    """Start of the first smallest open point cell, or else of any open
-    cell (rows with the same points, which pointed sets never have), or -1."""
-    starts = [s for s in part[1] if s < npts] or part[1]
+    """Start of the first smallest open point cell, or -1.  Once the points
+    are singletons so are the rows, which are distinct sets of points."""
+    starts = [s for s in part[1] if s < npts]
     return min(starts, key=lambda s: part[0][s].bit_count(), default=-1)
 
 
@@ -592,8 +577,10 @@ def find_matroid_isomorphism(
         return None
     if stats is not None:
         stats.structure = searched
+    g = h = None  # the searched graphs, when this query builds them
 
     def search() -> Optional[Tuple[int, ...]]:
+        nonlocal g, h
         g, h = build_graph(m, searched), build_graph(n, searched)
         found = find_isomorphism(g, h, stats)
         if found is None:
@@ -614,7 +601,9 @@ def find_matroid_isomorphism(
         raise InvariantViolation(
             f"ground map {list(ground)} does not carry the {kind.value} family across"
         )
-    return ground, induced_map(build_graph(m, kind), build_graph(n, kind), ground)
+    if g is None or searched is not kind:
+        g, h = build_graph(m, kind), build_graph(n, kind)
+    return ground, induced_map(g, h, ground)
 
 
 class AutomorphismGroup:
@@ -622,7 +611,7 @@ class AutomorphismGroup:
 
     `perms` are the generators as incidence permutations, the form the
     existence search prunes with; `structure` is the kind of the graph
-    whose chain found them (None for a graph built by hand).
+    whose chain found them.
     """
 
     def __init__(
@@ -630,7 +619,7 @@ class AutomorphismGroup:
         generators: List[Tuple[int, ...]],
         order: int,
         perms: List[List[int]],
-        structure: Optional[IsoStructure],
+        structure: IsoStructure,
     ):
         self.generators = generators
         self.order = order
@@ -670,25 +659,19 @@ class AutomorphismGroup:
 def automorphism_group(
     g: RelColoredGraph, stats: Optional[SearchStats] = None
 ) -> AutomorphismGroup:
-    """Aut(g), computed once per matroid and kind, or once per graph built
-    by hand.
+    """Aut(g), computed once per matroid and kind and kept on the matroid.
 
-    A graph of `build_graph(m, kind)` whose kind covers m has Aut(m), read
-    on the ground set, as its group.  So the stabilizer chain runs once per
+    The graph of (m, kind) whose kind covers m has Aut(m), read on the
+    ground set, as its group.  So the stabilizer chain runs once per
     matroid, on m's graph of the searched kind (`_search_kind`), and its
     generators are mapped onto g as ground permutations; each image of a
     set of g must be a set of g, else InvariantViolation, which checks
     every generator mapped.  The order is the chain's.  m keeps the group
     of each kind asked for.  A graph of a kind that misses an element of m
-    runs its own chain, which m keeps too, and one built by hand keeps its
-    own.  `stats`, if given, collects the counts of the search when this
-    call makes it.
+    runs its own chain, which m keeps too.  `stats`, if given, collects
+    the counts of the search when this call makes it.
     """
     m = g.matroid
-    if m is None:
-        if g._aut is None:
-            g._aut = _stabilizer_chain(_PairSearch(g, g, stats))
-        return g._aut
 
     def group() -> AutomorphismGroup:
         searched = _search_kind(m, g.kind)

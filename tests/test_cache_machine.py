@@ -4,12 +4,17 @@ The machine holds a pool of live matroids: copies of catalog matroids on
 n <= 5 elements, relabellings of pool members, and doubled-grid matroids
 M_S.  Its rules add matroids, drop them, and ask, in any order and on
 any kind, `find_matroid_isomorphism`, `automorphism_group(build_graph(m,
-kind))`, `covers` and the fields of `derive_sets`.  Every answer must
-equal the same call on fresh `Matroid(*key)` copies, so nothing that an
-earlier query kept on a matroid, or on a matroid since dropped, changes
-a later answer.  For n <= 5 the verdicts also match
-`brute_force_isomorphic` and the group orders of covering kinds
-`brute_force_automorphism_count`.
+kind))`, `covers`, the fields of `derive_sets`,
+`noncommutativity_certificate` (on n <= 5) and
+`export_comparison_substitution`.  Every answer must equal the same call
+on fresh `Matroid(*key)` copies, so nothing that an earlier query kept on
+a matroid, or on a matroid since dropped, changes a later answer.  For
+n <= 5 the verdicts also match `brute_force_isomorphic` and the group
+orders of covering kinds `brute_force_automorphism_count`.
+
+The unmarked run skips Hypothesis's shrink phase, which on a state that
+holds a doubled grid can take minutes before a failure is reported; the
+`slow` run draws more examples and shrinks.
 """
 
 from typing import List
@@ -18,7 +23,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, settings  # noqa: E402
+from hypothesis import HealthCheck, Phase, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
@@ -26,6 +31,10 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
+from mig.algebra import (  # noqa: E402
+    export_comparison_substitution,
+    noncommutativity_certificate,
+)
 from mig.catalog import all_matroids  # noqa: E402
 from mig.derived import derive_sets  # noqa: E402
 from mig.errors import NotCovering  # noqa: E402
@@ -68,6 +77,14 @@ def _iso(m: Matroid, n: Matroid, kind: IsoStructure):
         return find_matroid_isomorphism(m, n, kind, stats), stats.structure
     except NotCovering as exc:
         return str(exc), None
+
+
+def _refused(call, *args):
+    """The call's answer, or the refusal when a family does not cover."""
+    try:
+        return call(*args)
+    except NotCovering as exc:
+        return str(exc)
 
 
 def _aut(m: Matroid, kind: IsoStructure):
@@ -134,6 +151,22 @@ class CacheMachine(RuleBasedStateMachine):
         if m.n <= ORACLE_N and covers(m, kind).covered:
             assert got[1] == brute_force_automorphism_count(m)
 
+    @precondition(lambda self: any(m.n <= ORACLE_N for m in self.live))
+    @rule(data=st.data(), kind=KINDS)
+    def noncommutativity(self, data, kind):
+        m = data.draw(st.sampled_from([m for m in self.live if m.n <= ORACLE_N]))
+        got = _refused(noncommutativity_certificate, m, kind)
+        want = _refused(noncommutativity_certificate, _fresh(m), kind)
+        assert got == want, (m.key, kind)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), kind=KINDS)
+    def substitution(self, data, kind):
+        m, n = self._pick(data), self._pick(data)
+        got = _refused(export_comparison_substitution, m, n, kind)
+        want = _refused(export_comparison_substitution, _fresh(m), _fresh(n), kind)
+        assert got == want, (m.key, n.key, kind)
+
     @precondition(lambda self: self.live)
     @rule(data=st.data(), kind=KINDS)
     def covering(self, data, kind):
@@ -148,12 +181,22 @@ class CacheMachine(RuleBasedStateMachine):
         assert getattr(derive_sets(m), field) == want, (m.key, field)
 
 
-CacheMachine.TestCase.settings = settings(
-    max_examples=60,
+PROFILE = dict(
     stateful_step_count=30,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+CacheMachine.TestCase.settings = settings(
+    max_examples=60, phases=[p for p in Phase if p is not Phase.shrink], **PROFILE
+)
 test_cache_machine = CacheMachine.TestCase
+
+
+class SlowCacheMachine(CacheMachine):
+    pass
+
+
+SlowCacheMachine.TestCase.settings = settings(max_examples=120, **PROFILE)
+test_cache_machine_slow = pytest.mark.slow(SlowCacheMachine.TestCase)

@@ -47,6 +47,32 @@ def test_matroid_info(files, capsys):
     assert data["predicates"]["connectivity"] == "infinite"
 
 
+def test_matroid_info_above_the_connectivity_guard(tmp_path, capsys):
+    """Above CONNECTIVITY_GUARD = 20 and up to DERIVE_GUARD = 24, `matroid
+    info` prints the matroid and the predicates that `derive_sets` answers,
+    names the guard in place of the connectivity and on stderr, and exits
+    0; above DERIVE_GUARD it exits 2 and prints nothing."""
+    for n in (21, 24):
+        path = tmp_path / f"u1_{n}.json"
+        path.write_text(dumps(matroid_to_json(uniform_matroid(1, n))))
+        code, out, err = run(capsys, "matroid", "info", str(path))
+        skipped = f"n={n} exceeds the guard CONNECTIVITY_GUARD = 20"
+        assert (code, err) == (0, f"warning: connectivity not computed: {skipped}\n")
+        data = json.loads(out)
+        assert data["matroid"] == matroid_to_json(uniform_matroid(1, n))
+        assert data["predicates"] == {
+            "is_simple": False,
+            "is_paving": True,
+            "is_sparse_paving": True,
+            "girth": 2,
+            "connectivity": f"not computed: {skipped}",
+        }
+    path = tmp_path / "u1_25.json"
+    path.write_text(dumps(matroid_to_json(uniform_matroid(1, 25))))
+    code, out, err = run(capsys, "matroid", "info", str(path))
+    assert (code, out) == (2, "") and "DERIVE_GUARD = 24" in err
+
+
 def test_matroid_derive_and_tutte(files, capsys):
     code, out, _ = run(capsys, "matroid", "derive", files["u23"])
     assert code == 0

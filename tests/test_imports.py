@@ -9,6 +9,9 @@ as referenced only through an attribute (`x.name`): a local variable or a
 module function of the same name does not keep it alive.  A private
 (`_`-prefixed, not dunder) one has no exception; a public one may be kept
 without a caller only under `PUBLIC_WITHOUT_SRC_CALLER`, with its reason.
+Likewise every attribute that a method sets on `self` must be read as an
+attribute somewhere in `src/mig`, or be listed under
+`ATTRIBUTES_WITHOUT_SRC_READER` with its reason.
 A last test runs the paper pair and a search in a fresh interpreter and
 checks that they load neither numpy.ma nor a test-only package.
 """
@@ -194,6 +197,48 @@ def test_public_defs_without_a_caller_in_src_are_allowlisted():
     found = [entry.rsplit(": ", 1)[1] for entry in unreferenced_public_defs(sources)]
     assert sorted(found) == sorted(PUBLIC_WITHOUT_SRC_CALLER)
     assert all(PUBLIC_WITHOUT_SRC_CALLER.values())
+
+
+def unread_attributes(sources: dict) -> list:
+    """`self.x` attributes set in `sources` (name -> text) that no attribute
+    read `.x` in them reads, each at its first assignment."""
+    assigned, read = {}, set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                assigned.setdefault(node.attr, f"{name}:{node.lineno}")
+    return sorted(f"{at}: {attr}" for attr, at in assigned.items() if attr not in read)
+
+
+def test_checker_flags_an_unread_attribute():
+    source = (
+        "class K:\n    def __init__(self):\n        self.a, self.b = 1, 2\n"
+        "        self.c = self.d = 3\n        self.e += 1\n"
+        "    def f(self, other):\n        return self.a + other.c\n"
+    )
+    assert unread_attributes({"k.py": source}) == [
+        "k.py:3: b",
+        "k.py:4: d",
+        "k.py:5: e",
+    ]
+
+
+# Attributes set on `self` with no reader in `src/mig`, each with why it stays.
+ATTRIBUTES_WITHOUT_SRC_READER = {
+    "axiom": "library API: `AxiomViolation.axiom` names the failing axiom of a"
+    " flat-lattice presentation for callers that catch it",
+}
+
+
+def test_attributes_without_a_reader_in_src_are_allowlisted():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    found = [entry.rsplit(": ", 1)[1] for entry in unread_attributes(sources)]
+    assert sorted(found) == sorted(ATTRIBUTES_WITHOUT_SRC_READER)
+    assert all(ATTRIBUTES_WITHOUT_SRC_READER.values())
 
 
 # Never imported by `mig` at run time: numpy.ma costs about 1.4 MB of peak

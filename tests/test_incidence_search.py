@@ -16,13 +16,14 @@ import line_engine
 from mig import matroid_from_bases, uniform_matroid
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
 from mig.relgraph import (
-    RelColoredGraph,
+    _PairSearch,
+    _stabilizer_chain,
     automorphism_group,
     build_graph,
     find_isomorphism,
     preserves_adjacency,
 )
-from mig.structures import IsoStructure, covers, pointed_sets
+from mig.structures import IsoStructure, covers
 from oracles import rel
 
 PAIRWISE_LIMIT = 300
@@ -40,9 +41,10 @@ def _keeps_rel(g, h, mapping) -> bool:
     )
 
 
-def _same_group(g) -> int:
-    """Aut(g) by both engines: the same order, generators that keep rel."""
-    group = automorphism_group(g)
+def _same_group(g, own: bool = False) -> int:
+    """Aut(g) by both engines: the same order, generators that keep rel.
+    With `own`, g's own chain rather than the group its matroid keeps."""
+    group = _stabilizer_chain(_PairSearch(g, g)) if own else automorphism_group(g)
     assert group.order == line_engine.automorphism_group(g).order
     assert all(_keeps_rel(g, g, gen) for gen in group.generators)
     return group.order
@@ -91,7 +93,7 @@ def test_matches_line_engine_on_paper_pair(paper_pair):
         IsoStructure.FLATS,
         IsoStructure.INDEPENDENT,
     ):
-        assert _same_group(RelColoredGraph(pointed_sets(p, kind))) == 1152
+        assert _same_group(build_graph(p, kind), own=True) == 1152
     for kind in DOUBLED_KINDS:
         assert not _same_verdict(build_graph(p, kind), build_graph(q, kind))
 
@@ -99,7 +101,7 @@ def test_matches_line_engine_on_paper_pair(paper_pair):
 @pytest.mark.slow
 def test_matches_line_engine_on_bases_and_circuits_of_p(paper_pair):
     for kind in (IsoStructure.BASES, IsoStructure.CIRCUITS):
-        assert _same_group(RelColoredGraph(pointed_sets(paper_pair[0], kind))) == 1152
+        assert _same_group(build_graph(paper_pair[0], kind), own=True) == 1152
 
 
 def test_matches_line_engine_on_doubled_grid_relabelings():

@@ -11,6 +11,7 @@ import gc
 import random
 import types
 import weakref
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -33,6 +34,8 @@ from mig.lbcs_construct import (
 )
 from mig.matroid import Matroid
 from mig.errors import InvariantViolation
+from mig import catalog, relgraph
+from mig.cli import main
 from mig.relgraph import (
     AutomorphismGroup,
     RelColoredGraph,
@@ -144,11 +147,11 @@ def test_paper_pair_search_counters(paper_pair):
     (five down g's first path, five for h) and Aut(Q) 27 refinements and 8
     leaves, so 37 refinements in all.  The line-graph engine in
     `line_engine` takes 62 refinements, 71 prunes and 7402 counts against
-    2254 here.  The graphs are built here, not taken from `build_graph`, so
-    that no automorphism group is already known.
+    2254 here.  The graphs are those of fresh copies of P and Q, so that no
+    automorphism group is already known.
     """
     kind = IsoStructure.NONBASES
-    gp, gq = (RelColoredGraph(pointed_sets(m, kind)) for m in paper_pair)
+    gp, gq = (build_graph(Matroid(*m.key), kind) for m in paper_pair)
     search = _PairSearch(gp, gq)
     assert search.run() is None
     assert search.stats.to_json() == {
@@ -165,9 +168,10 @@ GRID_LINES = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
 
 # by sign pattern: SearchStats.to_json() values (refinements, failedRefinements,
 # splitterCounts, orbitPrunes, leaves) of iso on nonbases, hyperplanes and
-# flats, then of aut on nonbases and hyperplanes; every iso kind searches the
-# nonbases graphs (72 vertices), the smallest that covers, and hyperplanes and
-# flats reuse the answer kept by the nonbases query, doing no work
+# flats, then of the own chains of sigma M's nonbases and hyperplanes graphs;
+# every iso kind searches the nonbases graphs (72 vertices), the smallest that
+# covers, and hyperplanes and flats reuse the answer kept by the nonbases
+# query, doing no work
 PINNED_WORK = {
     13: [
         (10, 0, 626, 0, 1),
@@ -194,7 +198,8 @@ PINNED_WORK = {
 
 
 def test_search_work_pinned_on_doubled_grid_relabelings():
-    """The search counts of iso M -> sigma M and of Aut(sigma M).
+    """The search counts of iso M -> sigma M and of the stabilizer chains of
+    sigma M's nonbases and hyperplanes graphs, each on its own graph.
 
     M is the doubled grid under a seeded sign pattern (bit i: grid line i
     carries sign -1) and sigma a seeded relabelling.  The refinement may
@@ -218,14 +223,14 @@ def test_search_work_pinned_on_doubled_grid_relabelings():
             work.append(tuple(stats.to_json().values()))
         for kind in kinds[:2]:
             stats = SearchStats()
-            graph = RelColoredGraph(pointed_sets(sm, kind))
-            assert automorphism_group(graph, stats).order == 1152
+            graph = build_graph(sm, kind)
+            assert _stabilizer_chain(_PairSearch(graph, graph, stats)).order == 1152
             work.append(tuple(stats.to_json().values()))
     assert got == PINNED_WORK
 
 
 def test_automorphism_group_on_large_graphs_of_p(paper_pair):
-    """Aut on P's bases (2376 vertices) and circuits (10 872) graphs.
+    """The own chains of P's bases (2376 vertices) and circuits (10 872) graphs.
 
     Their incidence structures have 810 and 2742 vertices, and branching on
     the 18 points never meets a failing candidate.  The line-graph engine
@@ -234,9 +239,9 @@ def test_automorphism_group_on_large_graphs_of_p(paper_pair):
     """
     work = {}
     for kind in (IsoStructure.BASES, IsoStructure.CIRCUITS):
-        g = RelColoredGraph(pointed_sets(paper_pair[0], kind))
+        g = build_graph(paper_pair[0], kind)
         stats = SearchStats()
-        group = automorphism_group(g, stats)
+        group = _stabilizer_chain(_PairSearch(g, g, stats))
         assert group.order == 1152
         assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
         work[g.n] = stats.refinements, stats.failed_refinements
@@ -244,23 +249,26 @@ def test_automorphism_group_on_large_graphs_of_p(paper_pair):
 
 
 def incidence_perm(g: RelColoredGraph, vertex_perm: Sequence[int]) -> List[int]:
-    """The incidence permutation of an automorphism of g: point node i goes
-    to the point node, and row node x to the row node, of the image of the
-    vertex `rep[i]` or `rep[x]` on it."""
-    npts = g.npts
-    out = [g.at[g.point_of[vertex_perm[v]]] for v in g.rep[:npts]]
-    return out + [npts + g.row_of[vertex_perm[v]] for v in g.rep[npts:]]
+    """The incidence permutation of an automorphism of g: the point node and
+    the row node of each vertex go to those of its image."""
+    npts, at = g.npts, g.at
+    out = [0] * g.size
+    for v, w in enumerate(vertex_perm):
+        out[at[g.point_of[v]]] = at[g.point_of[w]]
+        out[npts + g.row_of[v]] = npts + g.row_of[w]
+    return out
 
 
 def _check_strong_generators(g: RelColoredGraph) -> None:
     """At most floor(log2 |G|) generators, and they generate every level.
 
-    The base b_0, b_1, ... is read off g's first path.  Over its levels,
-    the orbit of b_k under the generators that fix b_0 .. b_{k-1} must
-    multiply up to the group order.  The incidence permutations that the
-    group keeps are those of its vertex generators.
+    The base b_0, b_1, ... is read off g's first path, so the group is that
+    of g's own chain.  Over its levels, the orbit of b_k under the
+    generators that fix b_0 .. b_{k-1} must multiply up to the group order.
+    The incidence permutations that the group keeps are those of its
+    vertex generators.
     """
-    group = automorphism_group(g)
+    group = _stabilizer_chain(_PairSearch(g, g))
     assert len(group.generators) <= group.order.bit_length() - 1
     assert all(preserves_adjacency(g, g, gen) for gen in group.generators)
     search = _PairSearch(g, g)
@@ -296,16 +304,12 @@ def test_chain_generators_are_few_and_strong(catalog5, catalog6, paper_pair):
     """
     mats = [m for n in sorted(catalog5) for m in catalog5[n]] + list(catalog6[::25])
     graphs = [
-        RelColoredGraph(pointed_sets(m, kind))
+        build_graph(m, kind)
         for m in mats
         for kind in IsoStructure
         if covers(m, kind).covered
     ]
-    graphs += [
-        RelColoredGraph(pointed_sets(m, kind))
-        for m in paper_pair
-        for kind in IsoStructure
-    ]
+    graphs += [build_graph(m, kind) for m in paper_pair for kind in IsoStructure]
     rng = random.Random(20)
     grid = grid_matroid()
     for _ in range(3):
@@ -315,7 +319,7 @@ def test_chain_generators_are_few_and_strong(catalog5, catalog6, paper_pair):
         perm = list(range(m.n))
         rng.shuffle(perm)
         sm = m.relabel(perm)
-        graphs += [RelColoredGraph(pointed_sets(sm, kind)) for kind in IsoStructure]
+        graphs += [build_graph(sm, kind) for kind in IsoStructure]
     for g in graphs:
         _check_strong_generators(g)
     orders = [automorphism_group(g).order for g in graphs[-18:]]
@@ -386,22 +390,21 @@ def test_lifted_generators_do_not_depend_on_earlier_queries(paper_pair):
     assert first.order == 1152 and first.structure is IsoStructure.NONBASES
 
 
-def test_hand_built_and_noncovering_graphs_keep_their_own_chain(paper_pair):
-    """A graph built by hand, or of a kind that misses an element, is its own
-    chain's source: its generators and counts are its own chain's."""
-    hand = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.HYPERPLANES))
+def test_hand_built_and_noncovering_graphs_keep_their_own_chain():
+    """A graph of a kind that misses an element of its matroid is its own
+    chain's source: its generators and counts are its own chain's, and the
+    matroid keeps that group.  Every graph is some matroid's graph of some
+    kind, so no other graph runs a chain of its own."""
     looped = matroid_from_bases(6, uniform_matroid(2, 4).bases)
-    for g in (hand, build_graph(looped, IsoStructure.BASES)):
-        stats = SearchStats()
-        got = automorphism_group(g, stats)
-        search = _PairSearch(g, g)
-        want = _stabilizer_chain(search)
-        assert got.generators == want.generators and got.order == want.order
-        assert stats.to_json() == search.stats.to_json() and stats.refinements > 0
-    assert automorphism_group(hand).structure is None
-    assert automorphism_group(build_graph(looped, IsoStructure.BASES)).structure is (
-        IsoStructure.BASES
-    )
+    g = build_graph(looped, IsoStructure.BASES)
+    stats = SearchStats()
+    got = automorphism_group(g, stats)
+    search = _PairSearch(g, g)
+    want = _stabilizer_chain(search)
+    assert got.generators == want.generators and got.order == want.order
+    assert stats.to_json() == search.stats.to_json() and stats.refinements > 0
+    assert got.structure is IsoStructure.BASES
+    assert looped._cache["aut", IsoStructure.BASES] is got
 
 
 def _reachable(root: object) -> List[object]:
@@ -460,27 +463,6 @@ def test_corrupted_source_generator_is_refused(paper_pair):
         automorphism_group(build_graph(p, IsoStructure.HYPERPLANES))
     with pytest.raises(InvariantViolation):
         induced_map(*[build_graph(p, IsoStructure.HYPERPLANES)] * 2, swap)
-
-
-def test_rows_with_the_same_points_are_branched_on():
-    """Rows whose points agree stay in one cell once the points are discrete.
-
-    Pointed sets never give such rows, but a graph built by hand can: here
-    two sets meet the graph only in point 0 and one set only in point 1.
-    The line graph has a colour-1 edge and an isolated vertex, so swapping
-    the two vertices on point 0 is its one nontrivial automorphism.
-    """
-    g = RelColoredGraph(
-        [PointedSet(0b011, 0), PointedSet(0b101, 0), PointedSet(0b110, 1)]
-    )
-    group = automorphism_group(g)
-    assert group.order == 2 and group.generators == [(1, 0, 2)]
-    h = RelColoredGraph(
-        [PointedSet(0b110, 1), PointedSet(0b011, 0), PointedSet(0b101, 0)]
-    )
-    mapping = find_isomorphism(g, h)
-    assert mapping is not None and preserves_adjacency(g, h, mapping)
-    assert find_isomorphism(g, RelColoredGraph(g.vertices[:2])) is None
 
 
 def test_search_matches_brute_force_verdicts(catalog5):
@@ -676,6 +658,64 @@ def test_p_vs_q_is_searched_once_for_every_kind(paper_pair):
     assert work == [P_VS_Q_WORK] + [(0, 0, 0, 0, 0)] * (len(IsoStructure) - 1)
 
 
+def _count_graphs_and_searches(monkeypatch) -> Dict[str, int]:
+    """Counts, from now on, of graph constructions and graph searches."""
+    counts = {"graphs": 0, "searches": 0}
+    init, search = RelColoredGraph.__init__, relgraph.find_isomorphism
+
+    def counted_init(self, *args):
+        counts["graphs"] += 1
+        init(self, *args)
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(RelColoredGraph, "__init__", counted_init)
+    monkeypatch.setattr(relgraph, "find_isomorphism", counted_search)
+    return counts
+
+
+def test_graph_builds_of_a_relabelling_round(monkeypatch):
+    """Ten doubled grids M against seeded relabellings sigma M, asked as a
+    `relabel_search` round asks: iso on nonbases, hyperplanes and flats,
+    then Aut of sigma M's nonbases and hyperplanes graphs.  The nonbases
+    query searches the nonbases graphs and maps its answer onto the same
+    two graphs (4 builds), hyperplanes and flats build their own two each,
+    the nonbases Aut builds one graph and the hyperplanes Aut two, its own
+    and the nonbases graph its group is lifted from."""
+    rng = random.Random(7)
+    grid = grid_matroid()
+    pairs = []
+    for _ in range(10):
+        pattern = rng.randrange(1 << len(GRID_LINES))
+        negatives = [line for i, line in enumerate(GRID_LINES) if pattern >> i & 1]
+        m = m_s_matroid(grid, SignAssignment.with_negatives(grid, negatives))
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        pairs.append((m, m.relabel(perm)))
+    counts = _count_graphs_and_searches(monkeypatch)
+    for m, sm in pairs:
+        for kind in (IsoStructure.NONBASES, IsoStructure.HYPERPLANES, IsoStructure.FLATS):
+            assert find_matroid_isomorphism(m, sm, kind) is not None
+        for kind in (IsoStructure.NONBASES, IsoStructure.HYPERPLANES):
+            assert automorphism_group(build_graph(sm, kind)).order == 1152
+    assert counts == {"graphs": 90, "searches": 10}
+
+
+def test_graph_builds_of_paper_pair_verify_all(monkeypatch, capsys):
+    """One `mig paper-pair --verify-all` on a fresh catalog, whose matroids
+    keep no answer yet: 223 graph constructions and 75 searches.  Each
+    search that a query runs hands its graphs on to the vertex map of its
+    answer."""
+    fresh = lru_cache(maxsize=None)(catalog.all_matroids.__wrapped__)
+    monkeypatch.setattr(catalog, "all_matroids", fresh)
+    counts = _count_graphs_and_searches(monkeypatch)
+    assert main(["paper-pair", "--verify-all"]) == 0
+    capsys.readouterr()
+    assert counts == {"graphs": 223, "searches": 75}
+
+
 def test_kept_answers_equal_fresh_queries_on_p(paper_pair):
     """P against a seeded relabelling, every kind asked of the same two
     objects, returns what the query returns on fresh copies."""
@@ -783,20 +823,24 @@ def test_kept_answers_match_fresh_queries_on_small_catalogs(catalog5):
     assert compared > 3000
 
 
-def test_index_of_is_lazy_and_inverts_vertices(paper_pair):
-    """The index reads the vertex table, built on first use for the search
-    and the lookups alike; a pointed set that is no vertex is a KeyError."""
-    g = RelColoredGraph(pointed_sets(paper_pair[0], IsoStructure.NONBASES))
-    assert g._table is None
-    assert [g.index_of(v) for v in g.vertices] == list(range(g.n))
-    table = g._table
-    assert automorphism_group(g).order == 1152 and g._table is table
+def test_index_of_is_lazy_and_inverts_vertices(catalog5, paper_pair):
+    """The index is computed when asked, from the row's start and the point's
+    rank in the row, with no table kept on the graph; it inverts the
+    vertices of every kind of the catalogs n <= 4 and of P, and a pointed
+    set that is no vertex is a KeyError."""
+    cases = [(m, kind) for n in range(5) for m in catalog5[n] for kind in IsoStructure]
+    for m, kind in cases + [(m, kind) for m in paper_pair for kind in IsoStructure]:
+        g = build_graph(m, kind)
+        assert [g.index_of(v) for v in g.vertices] == list(range(g.n)), (m.key, kind)
+    g = build_graph(paper_pair[0], IsoStructure.NONBASES)
+    assert all(len(x) < g.n for x in vars(g).values() if isinstance(x, dict))
     a, p = g.vertices[0]
     outside = next(e for e in range(paper_pair[0].n) if not a >> e & 1)
     for v in (
         (0b1, 0),  # a rank-3 matroid has no one-element nonbasis
         (a, outside),  # a nonbasis and a covered point not in it
         (a, paper_pair[0].n),  # a point beyond the ground set
+        (a, -1),  # no point is negative
     ):
         with pytest.raises(KeyError):
             g.index_of(PointedSet(*v))

@@ -56,9 +56,9 @@ from line_engine import (
 )
 from line_engine import automorphism_group as line_group
 from line_engine import find_isomorphism as line_isomorphism
+from mig import relgraph, uniform_matroid
 from mig.relgraph import (
     AutomorphismGroup,
-    RelColoredGraph,
     SearchStats,
     _close_orbit,
     automorphism_group,
@@ -67,7 +67,7 @@ from mig.relgraph import (
     preserves_adjacency,
 )
 from mig.lbcs_construct import SignAssignment, grid_matroid, m_s_matroid
-from mig.structures import IsoStructure, PointedSet, covers, pointed_sets
+from mig.structures import IsoStructure, PointedSet, covers
 from oracles import rel
 
 
@@ -309,8 +309,8 @@ def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graph
     """The graph's incidence structure against `rel`, and `edges` against its rows.
 
     Each vertex's point node and row node are incident, the incidences
-    number the vertices and each node's `rep` lies on it; two vertices
-    share a point (colour 1) or a row (colour 2) exactly as `rel` says.
+    number the vertices and every node has one; two vertices share a point
+    (colour 1) or a row (colour 2) exactly as `rel` says.
     """
     graphs = [g for _, _, g in small_graphs] + pq_graphs
     graphs += [g for pair in doubled_graphs for g in pair]
@@ -326,7 +326,7 @@ def test_graph_build_matches_pairwise_rel(small_graphs, pq_graphs, doubled_graph
             on[r] |= 1 << v
         assert sum(x.bit_count() for x in g.adj[: g.npts]) == g.n
         assert sum(x.bit_count() for x in g.adj[g.npts :]) == g.n
-        assert all(on[x] >> g.rep[x] & 1 for x in range(g.size))
+        assert all(on)
         assert [on[i] & ~on[r] for i, r in zip(points, rows)] == want[0]
         assert [on[r] & ~on[i] for i, r in zip(points, rows)] == want[1]
         for color, adj in zip((1, 2), want):
@@ -750,36 +750,36 @@ def test_first_solution_matches_oracle_on_relabelled_pairs(small_graphs):
             _assert_isomorphism(g, h)
 
 
-def _cycles_graph(rng):
-    """Pointed edges of a hexagon and two triangles, shuffled.
-
-    Colour refinement cannot tell a hexagon vertex from a triangle vertex,
-    so a root candidate on the wrong cycle type fails only deep down.
-    """
-    cycles = [range(0, 6), range(6, 9), range(9, 12)]
-    edges = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
-    points = list(range(12))
-    rng.shuffle(points)
-    vertices = [
-        PointedSet((1 << points[a]) | (1 << points[b]), points[p])
-        for a, b in edges
-        for p in (a, b)
-    ]
-    rng.shuffle(vertices)
-    return RelColoredGraph(vertices)
-
-
-def test_orbit_pruning_keeps_first_solution():
+def test_orbit_pruning_keeps_first_solution(catalog6):
+    """Every 7th matroid on six elements against a seeded relabelling, on
+    each covering kind.  Where the line-graph engine's orbit pruning skips
+    candidates, its first solution is still the oracle's (a search that
+    prunes nothing is the unpruned search); the production search finds
+    an isomorphism that preserves rel (on these pairs it fails no
+    refinement, so it has nothing to prune)."""
     rng = random.Random(3)
-    prunes = 0
-    for _ in range(12):
-        g, h = _cycles_graph(rng), _cycles_graph(rng)
-        search = _PairSearch(g, h)
-        got = search.run()
-        assert got is not None and got == OracleSearch(g, h).run()
-        _assert_isomorphism(g, h)
-        prunes += search.stats.orbit_prunes
-    assert prunes > 0
+    searches = pruned = prunes = 0
+    for m in catalog6[::7]:
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        sm = m.relabel(perm)
+        for kind in IsoStructure:
+            if not covers(m, kind).covered:
+                continue
+            g, h = build_graph(m, kind), build_graph(sm, kind)
+            search = _PairSearch(g, h)
+            got = search.run()
+            assert got is not None
+            if search.stats.orbit_prunes:
+                assert got == OracleSearch(g, h).run()
+                pruned += 1
+                prunes += search.stats.orbit_prunes
+            # not `_assert_isomorphism`, whose adjacency cache would keep
+            # every graph alive for the session
+            found = find_isomorphism(g, h)
+            assert found is not None and preserves_adjacency(g, h, found)
+            searches += 1
+    assert (searches, pruned, prunes) == (2462, 5, 72)
 
 
 def test_first_solution_matches_oracle_on_nonisomorphic_pairs(small_graphs):
@@ -849,9 +849,9 @@ def _top_down_chain(search: _PairSearch) -> ChainGroup:
     return ChainGroup(gens, order, fixed)
 
 
-def _assert_same_chain(vertices) -> Tuple[SearchStats, SearchStats]:
+def _assert_same_chain(m, kind) -> Tuple[SearchStats, SearchStats]:
     """The pruned chain and the top-down one give identical groups."""
-    new, old = RelColoredGraph(vertices), RelColoredGraph(vertices)
+    new, old = build_graph(m, kind), build_graph(m, kind)
     new_search, old_search = _PairSearch(new, new), _PairSearch(old, old)
     got, want = _stabilizer_chain(new_search), _top_down_chain(old_search)
     assert got.generators == want.generators
@@ -865,7 +865,7 @@ def test_pruned_chain_matches_top_down_chain(catalog6):
     for m in catalog6[::25]:
         for kind in IsoStructure:
             if covers(m, kind).covered:
-                new, old = _assert_same_chain(pointed_sets(m, kind))
+                new, old = _assert_same_chain(m, kind)
                 assert new.failed_refinements <= old.failed_refinements
                 pruned += new.orbit_prunes
                 failed += old.failed_refinements
@@ -874,7 +874,7 @@ def test_pruned_chain_matches_top_down_chain(catalog6):
 
 @pytest.mark.slow
 def test_pruned_chain_matches_top_down_chain_on_bases_of_p(paper_pair):
-    new, old = _assert_same_chain(pointed_sets(paper_pair[0], IsoStructure.BASES))
+    new, old = _assert_same_chain(paper_pair[0], IsoStructure.BASES)
     assert (new.refinements, old.refinements) == (453, 2256)
     assert new.orbit_prunes == 1803
 
@@ -1013,8 +1013,9 @@ def test_leaf_check_matches_bitwalk(small_graphs):
     assert verdicts[True] > 1000 and verdicts[False] > 1000
 
 
-def test_duplicate_vertex_refused():
+def test_duplicate_vertex_refused(monkeypatch):
     """The O(n) leaf check needs distinct pointed sets; a repeat is refused."""
-    vertices = [PointedSet(0b11, 0), PointedSet(0b11, 1), PointedSet(0b11, 0)]
+    vertices = (PointedSet(0b11, 0), PointedSet(0b11, 1), PointedSet(0b11, 0))
+    monkeypatch.setattr(relgraph, "pointed_sets", lambda m, kind: vertices)
     with pytest.raises(InvariantViolation):
-        RelColoredGraph(vertices)
+        build_graph(uniform_matroid(2, 2), IsoStructure.BASES)
