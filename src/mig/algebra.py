@@ -400,11 +400,11 @@ def _membership_pattern(g: RelColoredGraph) -> Optional[List[List[int]]]:
     return None
 
 
-def _transposition(g: RelColoredGraph, n: int, a: int, b: int) -> Tuple[int, ...]:
-    """The automorphism of g that the transposition (a b) of 0..n-1 induces."""
-    swap = list(range(n))
+def _transposition(m: Matroid, kind: IsoStructure, a: int, b: int) -> Tuple[int, ...]:
+    """The automorphism of m's graph of `kind` that the swap (a b) induces."""
+    swap = list(range(m.n))
     swap[a], swap[b] = b, a
-    return induced_map(g, g, swap)
+    return induced_map(m, m, kind, swap)
 
 
 def noncommutativity_certificate(
@@ -420,7 +420,7 @@ def noncommutativity_certificate(
     g = build_graph(m, kind)
     ground = _membership_pattern(g)
     if ground is not None:
-        perm1, perm2 = (_transposition(g, m.n, a, b) for a, b in ground)
+        perm1, perm2 = (_transposition(m, kind, a, b) for a, b in ground)
         method = "membership-pattern"
     else:
         hit = disjoint_automorphism_pair(g)

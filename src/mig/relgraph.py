@@ -50,16 +50,17 @@ are the joint refinement (McKay-Piperno's comparison with the first path).
 
 Aut(m) and whether m is isomorphic to n are facts about the matroids, so
 the matroid owns them, in its cache.  Every graph is the graph of some
-(m, kind), a view that is rebuilt on every call and points at m.  For
-each kind the search runs on m's graph of the "searched kind": the
-smallest of the kind asked for and m's bases and nonbases graphs that
-covers m (`_search_kind`).  The chain runs on it once per matroid, and
-its generators are mapped onto m's other covering graphs through their
-ground permutations (`automorphism_group`).  An isomorphism search
-m -> n, once m and n agree in size, rank and number of bases, runs once
-per searched kind on m's and n's graphs of it; m keeps the ground map
-found, which is checked and mapped onto the graphs of the kind asked for
-on every query (`find_matroid_isomorphism`).
+(m, kind), a view built only for a search, a chain, or a caller that
+asks for it, and it points at m.  For each kind the search runs on m's
+graph of the "searched kind": the smallest of the kind asked for and m's
+bases and nonbases graphs that covers m (`_search_kind`).  The chain
+runs on it once per matroid, and its generators are mapped onto m's
+other covering graphs through their ground permutations
+(`automorphism_group`).  An isomorphism search m -> n, once m and n
+agree in size, rank and number of bases, runs once per searched kind on
+m's and n's graphs of it; m keeps the ground map found, which each query
+checks and carries across the two families of the kind asked for
+(`induced_map`), with no graph built (`find_matroid_isomorphism`).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitset import elements_of, iter_bits, mask_of
+from .bitset import iter_bits
 from .errors import GuardExceeded, InvariantViolation
 from .matroid import Matroid
 from .structures import (
@@ -161,32 +162,6 @@ def build_graph(m: Matroid, kind: IsoStructure) -> RelColoredGraph:
     return RelColoredGraph(m, kind)
 
 
-def _incidence_map(
-    g: RelColoredGraph, h: RelColoredGraph, ground: Sequence[int]
-) -> List[int]:
-    """The incidence map A -> ground(A), p -> ground[p] from g to h.
-
-    Each row mask is mapped once; InvariantViolation when its image is not
-    a row of h.  Every point of g lies on a row, so its image is then
-    covered in h.
-    """
-    bits = [1 << x for x in ground]
-    rows, npts = h.row_index, h.npts
-    row_map = []
-    for a in g.row_index:
-        b = 0
-        for e in iter_bits(a):
-            b |= bits[e]
-        x = rows.get(b)
-        if x is None:
-            raise InvariantViolation(
-                f"ground map {list(ground)} carries {elements_of(a)}"
-                " onto a set that is not in the family"
-            )
-        row_map.append(npts + x)
-    return [h.at[ground[p]] for p in g.points] + row_map
-
-
 def _vertex_map(
     g: RelColoredGraph, h: RelColoredGraph, phi: Sequence[int]
 ) -> Tuple[int, ...]:
@@ -202,13 +177,39 @@ def _vertex_map(
 
 
 def induced_map(
-    g: RelColoredGraph, h: RelColoredGraph, ground: Sequence[int]
+    m: Matroid, n: Matroid, kind: IsoStructure, ground: Sequence[int]
 ) -> Tuple[int, ...]:
-    """The vertex map (A, p) -> (ground(A), ground[p]) from g to h.
+    """The vertex map (A, p) -> (ground(A), ground[p]) from m's graph of
+    `kind` to n's, read off the two families with no graph built.
 
-    InvariantViolation when the image of a set of g is not a set of h.
+    The image of (A, p) is ground(A)'s start, the size sum of the sets of
+    n's family before it, plus ground[p]'s rank in it, as in `index_of`.
+    InvariantViolation when the families differ in size or the image of a
+    set is not in n's family.
     """
-    return _vertex_map(g, h, _incidence_map(g, h, ground))
+    fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
+    if len(fam_m) == len(fam_n):
+        start = dict(zip(fam_n, accumulate((b.bit_count() for b in fam_n), initial=0)))
+        bits = [1 << q for q in ground]
+        out: List[int] = []
+        for a in fam_m:
+            b, image = 0, []  # ground(A) and its points' bits, in A's order
+            while a:
+                low = a & -a
+                x = bits[low.bit_length() - 1]
+                b |= x
+                image.append(x)
+                a ^= low
+            s = start.get(b)
+            if s is None:
+                break
+            for x in image:
+                out.append(s + (b & (x - 1)).bit_count())
+        else:
+            return tuple(out)
+    raise InvariantViolation(
+        f"ground map {list(ground)} does not carry the {kind.value} family across"
+    )
 
 
 # -- search ------------------------------------------------------------------
@@ -551,17 +552,15 @@ def find_matroid_isomorphism(
     element is the point of a vertex and the vertex map found, which
     preserves columns, sends element p_v to p_w for each v -> w: the ground
     map is read off it, and m keeps it, or None, for n and the searched
-    kind.  On every query the ground map must be a bijection that carries
-    the family of `kind` onto n's, and the vertex map returned is the one
-    it induces on the graphs of `kind` (`induced_map`).  The pointed game
-    never sees the empty set; at equal counts
-    one family holds it and the other not only when one matroid alone has
-    loops, and then no map is found.  On hyperplanes that is rank 1, where
-    the loop-free family is the empty set alone, which does not cover.  On
-    flats a bases or nonbases search finds matroid isomorphisms only; a
-    flats search of rank 1 meets rows that differ in number, and of rank
-    >= 2 the loops lie on every row while no point of the other matroid
-    does.
+    kind.  On every query `induced_map` carries it across the families of
+    `kind`, with no graph built, and gives the vertex map.  The pointed game
+    never sees the empty set; at equal counts one family holds it and the
+    other not only when one matroid alone has loops, and then no map is
+    found.  On hyperplanes that is rank 1, where the loop-free family is
+    the empty set alone, which does not cover.  On flats a bases or
+    nonbases search finds matroid isomorphisms only; a flats search of
+    rank 1 meets rows that differ in number, and of rank >= 2 the loops
+    lie on every row while no point of the other matroid does.
     A ground map that is not a bijection, or does not carry the family
     onto the family, raises `InvariantViolation`.  `stats`, if given,
     collects the graph search's counts and, in `structure`, the searched
@@ -577,41 +576,30 @@ def find_matroid_isomorphism(
         return None
     if stats is not None:
         stats.structure = searched
-    g = h = None  # the searched graphs, when this query builds them
 
     def search() -> Optional[Tuple[int, ...]]:
-        nonlocal g, h
         g, h = build_graph(m, searched), build_graph(n, searched)
         found = find_isomorphism(g, h, stats)
         if found is None:
             return None
-        ground = [-1] * m.n
-        for v, w in enumerate(found):
-            ground[g.point_of[v]] = h.point_of[w]
-        return tuple(ground)
+        image = dict(zip(g.point_of, (h.point_of[w] for w in found)))
+        return tuple(image[e] for e in range(m.n))
 
     ground = m.cached(("iso", searched, n.key), search)
     if ground is None:
         return None
     if sorted(ground) != list(range(n.n)):
         raise InvariantViolation(f"ground map {list(ground)} is not a bijection")
-    fam_m, fam_n = structure_sets(m, kind), structure_sets(n, kind)
-    image = {mask_of(ground[e] for e in iter_bits(a)) for a in fam_m}
-    if image != set(fam_n):
-        raise InvariantViolation(
-            f"ground map {list(ground)} does not carry the {kind.value} family across"
-        )
-    if g is None or searched is not kind:
-        g, h = build_graph(m, kind), build_graph(n, kind)
-    return ground, induced_map(g, h, ground)
+    return ground, induced_map(m, n, kind, ground)
 
 
 class AutomorphismGroup:
     """Generators plus exact order from an orbit-stabilizer chain.
 
     `perms` are the generators as incidence permutations, the form the
-    existence search prunes with; `structure` is the kind of the graph
-    whose chain found them.
+    existence search prunes with, or in a lifted group their point part,
+    all that the search reads; `structure` is the kind of the graph whose
+    chain found them.
     """
 
     def __init__(
@@ -663,23 +651,25 @@ def automorphism_group(
 
     The graph of (m, kind) whose kind covers m has Aut(m), read on the
     ground set, as its group.  So the stabilizer chain runs once per
-    matroid, on m's graph of the searched kind (`_search_kind`), and its
-    generators are mapped onto g as ground permutations; each image of a
-    set of g must be a set of g, else InvariantViolation, which checks
-    every generator mapped.  The order is the chain's.  m keeps the group
-    of each kind asked for.  A graph of a kind that misses an element of m
+    matroid, on m's graph of the searched kind (`_search_kind`), g or one
+    built for the chain, and its generators are mapped onto g as ground
+    permutations by `induced_map`, which refuses one that moves a set of
+    g off the family.  The order is the chain's.  m keeps the group of
+    each kind asked for.  A graph of a kind that misses an element of m
     runs its own chain, which m keeps too.  `stats`, if given, collects
     the counts of the search when this call makes it.
     """
-    m = g.matroid
+    m, kind = g.matroid, g.kind
+    searched = _search_kind(m, kind)
 
-    def group() -> AutomorphismGroup:
-        searched = _search_kind(m, g.kind)
-        if searched is g.kind:
-            return _stabilizer_chain(_PairSearch(g, g, stats))
-        return _lift(automorphism_group(build_graph(m, searched), stats), g)
+    def chain() -> AutomorphismGroup:
+        s = g if searched is kind else build_graph(m, searched)
+        return _stabilizer_chain(_PairSearch(s, s, stats))
 
-    return m.cached(("aut", g.kind), group)
+    group = m.cached(("aut", searched), chain)
+    if searched is kind:
+        return group
+    return m.cached(("aut", kind), lambda: _lift(group, g))
 
 
 def _search_kind(m: Matroid, kind: IsoStructure) -> IsoStructure:
@@ -697,7 +687,7 @@ def _search_kind(m: Matroid, kind: IsoStructure) -> IsoStructure:
             return kind
         r, nb = m.rank, len(m.bases)
         candidates = (
-            (len(pointed_sets(m, kind)), kind),
+            (sum(a.bit_count() for a in structure_sets(m, kind)), kind),
             (r * nb, IsoStructure.BASES),
             (r * (comb(m.n, r) - nb), IsoStructure.NONBASES),
         )
@@ -713,10 +703,12 @@ def _lift(group: AutomorphismGroup, g: RelColoredGraph) -> AutomorphismGroup:
     """`group`, of another graph that covers g's matroid, mapped onto g.
 
     Both graphs cover the ground set, so point node e of either is element
-    e, and a generator's first npts entries are its ground permutation.
+    e, and a generator's first npts entries are its ground permutation,
+    whose vertex map on g is the one it induces (`induced_map`).  The
+    lifted group keeps those entries as its `perms`.
     """
-    perms = [_incidence_map(g, g, p[: g.npts]) for p in group.perms]
-    gens = [_vertex_map(g, g, p) for p in perms]
+    perms = [p[: g.npts] for p in group.perms]
+    gens = [induced_map(g.matroid, g.matroid, g.kind, p) for p in perms]
     return AutomorphismGroup(gens, group.order, perms, group.structure)
 
 

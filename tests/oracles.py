@@ -4,17 +4,19 @@
 isomorphism game one predicate call at a time over its own copy of the
 alphabet, and `strategy_from_iso` and `brute_force_automorphism_count`
 build the classical strategy of a ground isomorphism and count ground
-automorphisms outright.
+automorphisms outright.  `indexed_map` looks up the vertex map that a
+ground map induces one vertex at a time, through the target graph's
+`index_of`.
 """
 
 from itertools import permutations
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from mig.bitset import iter_bits, mask_of
 from mig.errors import GuardExceeded, OutOfAlphabet
 from mig.game import DeterministicStrategy
 from mig.matroid import BRUTE_ISO_GUARD, Matroid
-from mig.relgraph import build_graph, induced_map
+from mig.relgraph import RelColoredGraph, induced_map
 from mig.structures import IsoStructure, PointedSet, pointed_sets
 
 
@@ -86,9 +88,20 @@ def strategy_from_iso(
     inverse = [0] * n.n
     for e in range(m.n):
         inverse[ground_map[e]] = e
-    g, h = build_graph(m, kind), build_graph(n, kind)
-    forward = tuple(g.n + w for w in induced_map(g, h, ground_map))
-    return DeterministicStrategy(forward + induced_map(h, g, inverse))
+    offset = len(pointed_sets(m, kind))  # n's letters follow m's
+    forward = tuple(offset + w for w in induced_map(m, n, kind, ground_map))
+    return DeterministicStrategy(forward + induced_map(n, m, kind, inverse))
+
+
+def indexed_map(
+    g: RelColoredGraph, h: RelColoredGraph, ground: Sequence[int]
+) -> Tuple[int, ...]:
+    """(A, p) -> (ground(A), ground[p]) for each vertex of g, each image's
+    index read from h; KeyError when an image is not a vertex of h."""
+    return tuple(
+        h.index_of(PointedSet(mask_of(ground[e] for e in iter_bits(a)), ground[p]))
+        for a, p in g.vertices
+    )
 
 
 def brute_force_automorphism_count(m: Matroid) -> int:

@@ -10,6 +10,7 @@ any shape and nesting and feed them to `mig` as files.
 import contextlib
 import io
 import json
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import line_engine  # noqa: E402
+from oracles import indexed_map  # noqa: E402
 from mig.catalog import all_matroids  # noqa: E402
 from mig.cli import main  # noqa: E402
 from mig.derived import derive_sets, tutte_polynomial  # noqa: E402
@@ -29,7 +31,7 @@ from mig.relgraph import (  # noqa: E402
     automorphism_group,
     build_graph,
     find_matroid_isomorphism,
-    induced_map,
+    preserves_adjacency,
 )
 from mig.structures import IsoStructure, covers, structure_sets  # noqa: E402
 
@@ -88,13 +90,34 @@ def test_automorphism_order_is_invariant_under_relabelling(case):
     assert automorphism_group(build_graph(n, kind)).order == order
 
 
+def _check_vertex_map_is_induced(m, n, kind):
+    """The vertex map found is the one its ground map induces, read vertex
+    by vertex off freshly built graphs, and it keeps rel."""
+    ground, mapping = find_matroid_isomorphism(m, n, kind)
+    g, h = build_graph(m, kind), build_graph(n, kind)
+    assert indexed_map(g, h, ground) == mapping
+    assert preserves_adjacency(g, h, mapping)
+
+
 @SETTINGS
 @given(relabelled())
 def test_isomorphism_vertex_map_is_induced_by_its_ground_map(case):
     m, kind, perm = case
+    _check_vertex_map_is_induced(m, m.relabel(perm), kind)
+
+
+def test_vertex_map_is_induced_on_every_kind_of_a_doubled_grid():
+    """A seeded doubled grid against a seeded relabelling, all six kinds,
+    the three that `relabelled` does not draw for it included."""
+    rng = random.Random(28)
+    grid = grid_matroid()
+    lines = [h for h in grid.cyclic_hyperplanes() if rng.random() < 0.5]
+    m = m_s_matroid(grid, SignAssignment.with_negatives(grid, lines))
+    perm = list(range(m.n))
+    rng.shuffle(perm)
     n = m.relabel(perm)
-    ground, mapping = find_matroid_isomorphism(m, n, kind)
-    assert induced_map(build_graph(m, kind), build_graph(n, kind), ground) == mapping
+    for kind in IsoStructure:
+        _check_vertex_map_is_induced(m, n, kind)
 
 
 catalog_matroids = st.integers(0, 6).flatmap(lambda n: st.sampled_from(all_matroids(n)))

@@ -292,7 +292,7 @@ def sync_strategy_from_ground_iso(
     """Rank-one (dimension 1) strategy of a genuine ground isomorphism."""
     g, h = build_graph(m, kind), build_graph(n, kind)
     fam = np.zeros((g.n, h.n, 1, 1), dtype=complex)
-    for qi, ai in enumerate(induced_map(g, h, ground_map)):
+    for qi, ai in enumerate(induced_map(m, n, kind, ground_map)):
         fam[qi, ai, 0, 0] = 1.0
     return SyncStrategyPVM(1, fam, g.vertices, h.vertices)
 

@@ -57,7 +57,7 @@ from mig.structures import (
     pointed_sets,
     structure_sets,
 )
-from oracles import brute_force_automorphism_count, rel
+from oracles import brute_force_automorphism_count, indexed_map, rel
 
 
 class NotInduced(Exception):
@@ -349,7 +349,7 @@ def _assert_lift_matches_own_chain(m: Matroid, kind: IsoStructure, by_elements: 
         return
     for group in (got, want):
         for gen, perm in zip(group.generators, group.perms):
-            assert induced_map(g, g, perm[: m.n]) == gen
+            assert induced_map(m, m, kind, perm[: m.n]) == gen
     assert _ground_group(got, m.n).elements() == _ground_group(want, m.n).elements()
 
 
@@ -462,7 +462,7 @@ def test_corrupted_source_generator_is_refused(paper_pair):
     with pytest.raises(InvariantViolation):
         automorphism_group(build_graph(p, IsoStructure.HYPERPLANES))
     with pytest.raises(InvariantViolation):
-        induced_map(*[build_graph(p, IsoStructure.HYPERPLANES)] * 2, swap)
+        induced_map(p, p, IsoStructure.HYPERPLANES, swap)
 
 
 def test_search_matches_brute_force_verdicts(catalog5):
@@ -523,7 +523,7 @@ def _check_ground_map_pair(m: Matroid, n: Matroid, kinds=tuple(IsoStructure)) ->
         ground, mapping = hit
         assert matroid_iso_from_graph_iso(m, n, kind, mapping) == ground
         g, h = build_graph(m, kind), build_graph(n, kind)
-        assert induced_map(g, h, ground) == mapping
+        assert indexed_map(g, h, ground) == mapping
         searched = by_searched.setdefault(stats.structure, ground)
         assert searched == ground, (m.key, n.key, kind)
         checked += 1
@@ -679,11 +679,12 @@ def _count_graphs_and_searches(monkeypatch) -> Dict[str, int]:
 def test_graph_builds_of_a_relabelling_round(monkeypatch):
     """Ten doubled grids M against seeded relabellings sigma M, asked as a
     `relabel_search` round asks: iso on nonbases, hyperplanes and flats,
-    then Aut of sigma M's nonbases and hyperplanes graphs.  The nonbases
-    query searches the nonbases graphs and maps its answer onto the same
-    two graphs (4 builds), hyperplanes and flats build their own two each,
-    the nonbases Aut builds one graph and the hyperplanes Aut two, its own
-    and the nonbases graph its group is lifted from."""
+    then Aut of sigma M's nonbases and hyperplanes graphs.  Four builds
+    per pair: the nonbases query searches the two nonbases graphs, and
+    each Aut query builds the one graph it asks about.  The hyperplanes
+    and flats queries map the kept answer across the families, and the
+    hyperplanes group is lifted from the nonbases group that sigma M
+    keeps; neither builds a graph."""
     rng = random.Random(7)
     grid = grid_matroid()
     pairs = []
@@ -700,20 +701,23 @@ def test_graph_builds_of_a_relabelling_round(monkeypatch):
             assert find_matroid_isomorphism(m, sm, kind) is not None
         for kind in (IsoStructure.NONBASES, IsoStructure.HYPERPLANES):
             assert automorphism_group(build_graph(sm, kind)).order == 1152
-    assert counts == {"graphs": 90, "searches": 10}
+    assert counts == {"graphs": 40, "searches": 10}
 
 
 def test_graph_builds_of_paper_pair_verify_all(monkeypatch, capsys):
     """One `mig paper-pair --verify-all` on a fresh catalog, whose matroids
-    keep no answer yet: 223 graph constructions and 75 searches.  Each
-    search that a query runs hands its graphs on to the vertex map of its
-    answer."""
+    keep no answer yet: 75 searches and 159 graph constructions.  Each
+    search builds its two graphs (150); the rest are P's and Q's nonbases
+    graphs for the strategy and for its sync check (4), for the Aut orders
+    of the shared invariants (2), and the three graphs of the
+    noncommutativity certificates.  Vertex maps are read off the
+    families and build none."""
     fresh = lru_cache(maxsize=None)(catalog.all_matroids.__wrapped__)
     monkeypatch.setattr(catalog, "all_matroids", fresh)
     counts = _count_graphs_and_searches(monkeypatch)
     assert main(["paper-pair", "--verify-all"]) == 0
     capsys.readouterr()
-    assert counts == {"graphs": 223, "searches": 75}
+    assert counts == {"graphs": 159, "searches": 75}
 
 
 def test_kept_answers_equal_fresh_queries_on_p(paper_pair):
@@ -802,6 +806,38 @@ def test_kept_answer_is_checked_on_every_query():
     m._cache[key] = (ground[0],) * m.n
     with pytest.raises(InvariantViolation, match="not a bijection"):
         find_matroid_isomorphism(m, n, IsoStructure.FLATS)
+
+
+def test_induced_map_refuses_an_image_inside_a_larger_family():
+    """U(2,4) less the basis {2, 3} keeps five of U(2,4)'s six bases.  The
+    identity carries each of the five onto a basis of U(2,4), and the size
+    check refuses it; the other way round, {2, 3} has no image."""
+    m = matroid_from_bases(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]])
+    n = uniform_matroid(2, 4)
+    kind = IsoStructure.BASES
+    assert set(structure_sets(m, kind)) < set(structure_sets(n, kind))
+    for a, b in ((m, n), (n, m)):
+        with pytest.raises(InvariantViolation, match="not carry the bases family"):
+            induced_map(a, b, kind, range(4))
+
+
+def test_induced_map_on_families_that_hold_the_empty_set(catalog5, paper_pair):
+    """The independents, and the flats of a loopless matroid, hold the empty
+    set, which has no vertex and no row of the graph.  Against seeded
+    relabellings of the catalogs n <= 4 and of P, the map of those kinds
+    is the one read vertex by vertex off freshly built graphs."""
+    rng = random.Random(5)
+    mats = [m for size in range(5) for m in catalog5[size]] + [paper_pair[0]]
+    holding = 0
+    for m in mats:
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        n = m.relabel(perm)
+        for kind in (IsoStructure.INDEPENDENT, IsoStructure.FLATS):
+            holding += 0 in structure_sets(m, kind)
+            g, h = build_graph(m, kind), build_graph(n, kind)
+            assert induced_map(m, n, kind, perm) == indexed_map(g, h, perm)
+    assert holding > len(mats)
 
 
 def test_kept_answers_match_fresh_queries_on_small_catalogs(catalog5):
